@@ -12,7 +12,7 @@
 //
 // Rows are matched by their sweep identity (topology, collective,
 // backend, k, maxSteps, maxChunks, workers, sessions, portfolio,
-// megaBase, symmetry, quotient). Rows
+// symmetry, quotient). Rows
 // whose metric sits under -min-wall in both files are reported but never
 // fail the gate: at that scale scheduler noise outweighs solver work. A
 // baseline row missing from the fresh run fails the gate — the suite
@@ -23,9 +23,7 @@
 // count and scheduler load, not code quality. Instead, every fresh
 // portfolio row must beat its plain counterpart from the same run by
 // -min-portfolio-gain-pct on solve wall — a fresh-vs-fresh comparison
-// that needs no calibration and holds on any machine. Mega-base rows
-// get the same fresh-vs-fresh treatment on encode wall: each must beat
-// its per-family counterpart by -min-mega-encode-gain-pct.
+// that needs no calibration and holds on any machine.
 package main
 
 import (
@@ -40,8 +38,8 @@ import (
 )
 
 func rowKey(r eval.SweepRow) string {
-	return fmt.Sprintf("%s|%s|%s|k%d|s%d|c%d|w%d|sessions=%v|portfolio=%v|mega=%v|symmetry=%v|quotient=%v",
-		r.Topology, r.Collective, r.Backend, r.K, r.MaxSteps, r.MaxChunks, r.Workers, r.Sessions, r.Portfolio, r.MegaBase, r.Symmetry, r.Quotient)
+	return fmt.Sprintf("%s|%s|%s|k%d|s%d|c%d|w%d|sessions=%v|portfolio=%v|symmetry=%v|quotient=%v",
+		r.Topology, r.Collective, r.Backend, r.K, r.MaxSteps, r.MaxChunks, r.Workers, r.Sessions, r.Portfolio, r.Symmetry, r.Quotient)
 }
 
 func loadRows(path string) (map[string]eval.SweepRow, error) {
@@ -130,42 +128,6 @@ func gate(m metric, baseline, fresh map[string]eval.SweepRow, scale float64, min
 		if _, ok := baseline[key]; !ok {
 			fmt.Printf("%-70s %12s %12s %8s\n", key, "-", fmtNs(m.value(fresh[key])), "new")
 		}
-	}
-	return failures
-}
-
-// megaGate checks the mega-base's whole-sweep encode win fresh-vs-fresh:
-// every mega-base row must beat its per-family counterpart (same sweep
-// identity, mega off, from the same run) by at least minGainPct on
-// encode wall. Like the portfolio gate, both rows come from one process
-// on one machine, so no calibration or committed absolute time is
-// involved.
-func megaGate(fresh map[string]eval.SweepRow, minGainPct float64) int {
-	failures := 0
-	for _, key := range sortedKeys(fresh) {
-		row := fresh[key]
-		if !row.MegaBase {
-			continue
-		}
-		plain := row
-		plain.MegaBase = false
-		counterpart, ok := fresh[rowKey(plain)]
-		if !ok {
-			fmt.Printf("mega-encode-gain %-53s %12s FAIL (no per-family counterpart row)\n", key, fmtNs(row.EncodeWallNs))
-			failures++
-			continue
-		}
-		gainPct := 0.0
-		if counterpart.EncodeWallNs > 0 {
-			gainPct = 100 * float64(counterpart.EncodeWallNs-row.EncodeWallNs) / float64(counterpart.EncodeWallNs)
-		}
-		verdict := "ok"
-		if gainPct < minGainPct {
-			verdict = "FAIL"
-			failures++
-		}
-		fmt.Printf("mega-encode-gain %-53s per-family %s -> mega %s: %+.0f%% (need >= %.0f%%) %s\n",
-			key, fmtNs(counterpart.EncodeWallNs), fmtNs(row.EncodeWallNs), gainPct, minGainPct, verdict)
 	}
 	return failures
 }
@@ -323,7 +285,6 @@ func main() {
 	minWall := flag.Duration("min-wall", 25*time.Millisecond, "rows faster than this in both files never fail the gate")
 	calibrate := flag.Bool("calibrate", false, "scale fresh rows by the one-shot rows' aggregate speed ratio, so a slower/faster machine than the baseline's does not trip the gate")
 	minPortfolioGain := flag.Float64("min-portfolio-gain-pct", 25, "required solve-wall improvement of each fresh portfolio row over its same-run plain counterpart, percent")
-	minMegaGain := flag.Float64("min-mega-encode-gain-pct", 20, "required encode-wall improvement of each fresh mega-base row over its same-run per-family counterpart, percent")
 	minSymmetryGain := flag.Float64("min-symmetry-gain-pct", 25, "required solve-wall improvement of each fresh symmetry-on row over its same-run symmetry-off counterpart, percent (cost parity of the paired frontiers is enforced alongside)")
 	minQuotientGain := flag.Float64("min-quotient-gain-pct", 25, "required encode+solve wall improvement of each fresh quotient-on row over its same-run quotient-off counterpart, percent (cost parity of the paired frontiers is enforced alongside)")
 	flag.Parse()
@@ -353,7 +314,6 @@ func main() {
 	}
 	fmt.Println()
 	failures += portfolioGate(fresh, *minPortfolioGain)
-	failures += megaGate(fresh, *minMegaGain)
 	failures += symmetryGate(fresh, *minSymmetryGain)
 	failures += quotientGate(fresh, *minQuotientGain)
 	if failures > 0 {

@@ -293,7 +293,6 @@ func cmdPareto(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-instance solver timeout")
 	stats := fs.Bool("stats", false, "print scheduler and session-reuse statistics")
 	noSessions := fs.Bool("no-sessions", false, "disable incremental solver sessions (and unsat-core pruning)")
-	mega := fs.Bool("mega", false, "pool the whole sweep on one shared mega-base (chunk-activation Stage-1; frontier bytes unchanged)")
 	jsonOut := fs.Bool("json", false, "print the frontier as a deterministic JSON document (synthesis times zeroed)")
 	cm, err := parseCommon(fs, args)
 	if err != nil {
@@ -302,7 +301,7 @@ func cmdPareto(args []string) error {
 	res, err := cm.eng.Pareto(context.Background(), sccl.ParetoRequest{
 		Kind: cm.kind, Topo: cm.topo, Root: sccl.Node(cm.root),
 		K: *k, MaxSteps: *maxSteps, MaxChunks: *maxChunks,
-		Timeout: *timeout, NoSessions: *noSessions, MegaBase: *mega,
+		Timeout: *timeout, NoSessions: *noSessions,
 	})
 	if err != nil {
 		return err

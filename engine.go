@@ -38,17 +38,12 @@ type EngineOptions struct {
 	CacheSize int
 	// DisableCache turns the algorithm and frontier caches off entirely.
 	DisableCache bool
-	// NoSessions disables the engine's pooled incremental solver
-	// sessions: every Pareto probe then solves one-shot. Frontiers are
-	// byte-identical either way; sessions only change how fast the sweep
-	// discharges closely related probes.
+	// NoSessions disables the engine's pooled mega-base sessions: every
+	// Pareto probe then solves one-shot, and exact-budget misses never
+	// route through a warm base. Frontiers are byte-identical either way;
+	// the pool only changes how fast a sweep discharges its Unsat chains
+	// (see synth.ParetoOptions.NoSessions).
 	NoSessions bool
-	// SessionPoolSize caps how many per-family solver sessions the engine
-	// keeps live across sweeps; 0 selects the default (32), negative
-	// disables pooling like NoSessions. A sweep keeps one session per
-	// probed chunk count, so on topologies where 2*P exceeds this cap
-	// raise it (or sessions thrash the pool and never warm up).
-	SessionPoolSize int
 	// Portfolio, when > 1, enables intra-instance parallelism by default
 	// for every solve the engine runs — sweep probes and one-shot
 	// requests alike: a solve whose wall crosses PortfolioThreshold
@@ -173,7 +168,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		progress:   synth.SerializedProgress(opts.Progress),
 		cacheCap:   cacheCap,
 		cacheOff:   opts.DisableCache,
-		noSessions: opts.NoSessions || opts.SessionPoolSize < 0,
+		noSessions: opts.NoSessions,
 		algs:       map[string]*cacheEntry{},
 		frontiers:  map[string][]ParetoPoint{},
 
@@ -183,14 +178,10 @@ func NewEngine(opts EngineOptions) *Engine {
 		noSymmetry:         opts.NoSymmetryBreaking,
 		noQuotient:         opts.NoQuotient,
 	}
-	if !opts.NoSessions && opts.SessionPoolSize >= 0 {
-		resolved := e.backend
-		if resolved == nil {
-			resolved = synth.NewCDCLBackend()
-		}
-		if sb, ok := resolved.(synth.SessionBackend); ok {
-			e.sessions = synth.NewSessionPool(sb, opts.SessionPoolSize)
-		}
+	if !opts.NoSessions {
+		// The pool only ever serves the built-in pipeline; with a foreign
+		// engine backend every lookup declines and it stays empty.
+		e.sessions = synth.NewSessionPool()
 	}
 	return e
 }
@@ -702,28 +693,21 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	if progress == nil {
 		progress = e.progress
 	}
-	// Route the sweep through the engine's persistent session pool so
-	// per-family solver state survives across sweeps — unless the request
-	// overrode the backend (the pool's sessions belong to the engine's).
+	// Route the sweep through the engine's persistent pool so a mega-base
+	// one sweep adopts (or a daemon warmed) serves the next from its first
+	// probe — unless the request overrode the backend (the pooled bases
+	// belong to the engine's).
 	noSessions := req.NoSessions || e.noSessions
 	pool := e.sessions
 	if noSessions || (req.Options != nil && req.Options.Backend != nil) {
 		pool = nil
-	}
-	// Mega-base routing: a request that asked for it builds (or grows) the
-	// pool's per-topology mega session; otherwise an already-warm covering
-	// session (left by ParetoSynthesizeKinds, WarmMegaBase, or an earlier
-	// -mega sweep) is reused, and a cold pool changes nothing.
-	var mega *synth.MegaSession
-	if pool != nil {
-		mega = pool.Mega(req.Topo, req.Root, o, []collective.Kind{req.Kind}, maxChunks, maxSteps, req.K, req.MegaBase)
 	}
 	var stats ParetoStats
 	pts, err := synth.ParetoSynthesize(req.Kind, req.Topo, req.Root, ParetoOptions{
 		K: req.K, MaxSteps: maxSteps, MaxChunks: maxChunks,
 		Instance: o, Progress: progress, Workers: workers,
 		Context: ctx, Stats: &stats,
-		NoSessions: noSessions, Pool: pool, Mega: mega,
+		NoSessions: noSessions, Pool: pool,
 	})
 	e.mu.Lock()
 	e.coreSolves += uint64(stats.CoreSolves)
@@ -783,146 +767,19 @@ func (e *Engine) WarmMegaBase(topo *Topology, root Node, maxChunks, maxSteps, k 
 }
 
 // batchGroup is one coalesced fingerprint group of a SynthesizeAll
-// batch; sess, when non-nil, routes the group's budget through a pooled
-// incremental session instead of a one-shot solve.
+// batch: the first request index solves, the rest fan out.
 type batchGroup struct {
 	first int
 	rest  []int
-	sess  Session
-}
-
-// primeBatchSessions assigns pooled incremental sessions to the batch's
-// fingerprint groups: groups sharing a (topology, collective, chunking)
-// family — same everything except the (S, R) budget — discharge through
-// one live solver as assumption-based exact-budget probes, the same
-// route the Pareto sweep uses, instead of independent one-shot solves.
-// Families with a single budget, combining collectives, and requests
-// overriding the engine backend stay on the one-shot path. Sessions are
-// primed with the expected probe count so lazy adoption does not
-// one-shot the first probes of a known-hot batch.
-func (e *Engine) primeBatchSessions(reqs []Request, groups map[string]*batchGroup, order []string) {
-	if e.sessions == nil {
-		return
-	}
-	type familyAgg struct {
-		req        Request // representative member
-		opts       SynthOptions
-		keys       []string
-		maxS, maxK int
-	}
-	fams := map[string]*familyAgg{}
-	var famOrder []string
-	for _, key := range order {
-		g := groups[key]
-		req := reqs[g.first]
-		if e.peekAlg(key) != nil {
-			// Already cached: answerRequest will serve it without solver
-			// work, so it must not count toward priming a session.
-			continue
-		}
-		o := e.solveOptions(req.Timeout, req.Options)
-		if req.Kind.IsCombining() || o.Backend != e.backend {
-			continue
-		}
-		if backendName(o) == "cdcl" && (o.Encoding != EncodingPaper || o.ProveUnsat) {
-			// The built-in backend one-shots such sessions (direct
-			// ablation encoding, proof recording — see cdclBackend.
-			// NewSession); pooling them would only evict warm sessions.
-			continue
-		}
-		fk := strings.Join(append([]string{
-			req.Kind.String(),
-			req.Topo.Fingerprint(),
-			strconv.Itoa(int(req.Root)),
-			strconv.Itoa(req.Budget.C),
-			strconv.FormatBool(o.ProveUnsat),
-		}, optionParts(o)...), "|")
-		fa, ok := fams[fk]
-		if !ok {
-			fa = &familyAgg{req: req, opts: o}
-			fams[fk] = fa
-			famOrder = append(famOrder, fk)
-		}
-		fa.keys = append(fa.keys, key)
-		if req.Budget.S > fa.maxS {
-			fa.maxS = req.Budget.S
-		}
-		if k := req.Budget.R - req.Budget.S; k > fa.maxK {
-			fa.maxK = k
-		}
-	}
-	primed := 0
-	for _, fk := range famOrder {
-		if primed >= e.sessions.Cap() {
-			// Priming past the pool capacity would evict (and close) the
-			// batch's own earlier sessions before their groups solve;
-			// remaining families fall back to one-shot solving.
-			break
-		}
-		fa := fams[fk]
-		if len(fa.keys) < synth.BatchSessionMinBudgets {
-			// Too few budgets to outlast lazy adoption: the session would
-			// one-shot every probe while occupying pool capacity that
-			// sweeps may have warmed.
-			continue
-		}
-		coll, err := collective.New(fa.req.Kind, fa.req.Topo.P, fa.req.Budget.C, fa.req.Root)
-		if err != nil {
-			continue
-		}
-		// A warm covering mega-base session beats a fresh per-family one:
-		// leave the group on the plain path, where Engine.Synthesize
-		// routes each budget through the shared base by assumption.
-		if mega := e.sessions.Mega(fa.req.Topo, fa.req.Root, fa.opts, []collective.Kind{fa.req.Kind}, fa.req.Budget.C, fa.maxS, fa.maxK, false); mega != nil && mega.View(coll) != nil {
-			continue
-		}
-		fam := synth.Family{Coll: coll, Topo: fa.req.Topo, MaxSteps: fa.maxS, MaxExtraRounds: fa.maxK}
-		sess, err := e.sessions.Session(fam, fa.opts)
-		if err != nil {
-			continue // fall back one-shot (e.g. pool closed)
-		}
-		if pr, ok := sess.(interface{ Prime(int) }); ok {
-			pr.Prime(len(fa.keys))
-		}
-		primed++
-		for _, key := range fa.keys {
-			groups[key].sess = sess
-		}
-	}
-}
-
-// synthesizeGrouped answers one batched (pre-validated) request,
-// discharging the exact budget through the group's pooled session when
-// one was assigned. Sessions re-derive Sat witnesses canonically, so
-// the result — and the cache entry it stores — is byte-identical to
-// Engine.Synthesize's.
-func (e *Engine) synthesizeGrouped(ctx context.Context, req Request, sess Session) (*Result, error) {
-	if sess == nil {
-		return e.Synthesize(ctx, req)
-	}
-	o := e.solveOptions(req.Timeout, req.Options)
-	return e.answerRequest(ctx, req, o, func(ctx context.Context) (*Algorithm, Status, error) {
-		sres, err := sess.Solve(ctx, req.Budget.S, req.Budget.R, o)
-		if err != nil {
-			return nil, Unknown, err
-		}
-		e.mu.Lock()
-		e.templateHits += uint64(sres.TemplateHits)
-		e.migratedLearnts += uint64(sres.MigratedLearnts)
-		e.mu.Unlock()
-		return sres.Algorithm, sres.Status, nil
-	})
 }
 
 // SynthesizeAll answers a batch of requests concurrently over the
 // engine's worker pool. Results come back in request order regardless of
 // completion order; duplicate requests (same canonical fingerprint) are
-// solved once and fanned out as cache hits. Batches sharing a
-// (topology, collective, chunking) family route through the engine's
-// pooled incremental sessions via assumption-based exact-budget probes
-// (see primeBatchSessions); results are byte-identical to independent
-// solves. Failed requests leave a nil slot; the returned error joins
-// every per-request failure.
+// solved once and fanned out as cache hits. Every group goes through
+// Engine.Synthesize, so budgets a warm mega-base covers are answered by
+// assumption push like any other miss. Failed requests leave a nil slot;
+// the returned error joins every per-request failure.
 func (e *Engine) SynthesizeAll(ctx context.Context, reqs []Request) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -945,7 +802,6 @@ func (e *Engine) SynthesizeAll(ctx context.Context, reqs []Request) ([]*Result, 
 			order = append(order, key)
 		}
 	}
-	e.primeBatchSessions(reqs, groups, order)
 	workers := e.workers
 	if workers > len(order) {
 		workers = len(order)
@@ -961,7 +817,7 @@ func (e *Engine) SynthesizeAll(ctx context.Context, reqs []Request) ([]*Result, 
 			defer wg.Done()
 			for key := range keyCh {
 				g := groups[key]
-				res, err := e.synthesizeGrouped(ctx, reqs[g.first], g.sess)
+				res, err := e.Synthesize(ctx, reqs[g.first])
 				if err != nil {
 					errs[g.first] = fmt.Errorf("request %d: %w", g.first, err)
 					for _, j := range g.rest {

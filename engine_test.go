@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	sccl "repro"
@@ -267,9 +268,10 @@ func TestEngineSynthesizeAll(t *testing.T) {
 
 // TestEngineSynthesizeAllSessions checks the batched session routing: a
 // batch of same-(topology, collective, C) requests differing only in
-// budget must route through one pooled incremental session as
-// exact-budget assumption probes and still return results byte-identical
-// to a session-less engine solving each request independently.
+// budget, on a topology whose mega-base is warm, must be answered as
+// exact-budget assumption probes of that one pooled base and still return
+// results byte-identical to a session-less engine solving each request
+// independently.
 func TestEngineSynthesizeAllSessions(t *testing.T) {
 	ring := sccl.Ring(4)
 	budgets := []sccl.Budget{
@@ -285,12 +287,15 @@ func TestEngineSynthesizeAllSessions(t *testing.T) {
 	}
 	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 4})
 	defer eng.Close()
+	if !eng.WarmMegaBase(ring, 0, 1, 4, 1) {
+		t.Fatal("no mega-base for ring:4")
+	}
 	results, err := eng.SynthesizeAll(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := eng.CacheStats(); cs.Sessions == 0 {
-		t.Errorf("batch of %d same-family budgets created no pooled session: %+v", len(reqs), cs)
+	if cs := eng.CacheStats(); cs.MegaSelects != uint64(len(reqs)) {
+		t.Errorf("batch of %d covered budgets answered %d by assumption push: %+v", len(reqs), cs.MegaSelects, cs)
 	}
 	plain := sccl.NewEngine(sccl.EngineOptions{NoSessions: true, DisableCache: true})
 	for i, res := range results {
@@ -422,21 +427,29 @@ func TestEngineInstance(t *testing.T) {
 	}
 }
 
-// TestEngineSessionPool checks that Pareto sweeps route through the
-// engine's persistent session pool, that frontiers stay byte-identical
-// with sessions disabled, and that a closed engine degrades gracefully.
+// TestEngineSessionPool checks that a default Pareto sweep adopts a
+// mega-base out of the engine's persistent pool (see
+// synth.ParetoOptions.NoSessions), that frontiers stay byte-identical
+// with sessions disabled at both worker counts, and that a closed engine
+// degrades gracefully.
 func TestEngineSessionPool(t *testing.T) {
-	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) { testEngineSessionPool(t, workers) })
+	}
+}
+
+func testEngineSessionPool(t *testing.T, workers int) {
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: workers})
 	req := sccl.ParetoRequest{Kind: sccl.Broadcast, Topo: sccl.BidirRing(6), K: 2, MaxSteps: 6, MaxChunks: 6}
 	res, err := eng.Pareto(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Families == 0 {
-		t.Errorf("sweep recorded no session families: %+v", res.Stats)
+	if res.Stats.Families == 0 || res.Stats.SessionProbes == 0 {
+		t.Errorf("sweep never adopted the mega-base: %+v", res.Stats)
 	}
 	cs := eng.CacheStats()
-	if cs.Sessions == 0 || cs.SessionMisses == 0 {
+	if cs.MegaSessions != 1 || cs.MegaEncodes != 1 || cs.MegaSelects != uint64(res.Stats.SessionProbes) {
 		t.Errorf("engine pool unused: %+v", cs)
 	}
 	// The engine aggregates the sweep's unsat-core counters.
@@ -449,7 +462,7 @@ func TestEngineSessionPool(t *testing.T) {
 	}
 	// The same sweep with sessions disabled must match point for point
 	// (fresh engine: the frontier cache would otherwise short-circuit).
-	plain := sccl.NewEngine(sccl.EngineOptions{Workers: 1, NoSessions: true})
+	plain := sccl.NewEngine(sccl.EngineOptions{Workers: workers, NoSessions: true})
 	reqOff := req
 	reqOff.NoSessions = true
 	want, err := plain.Pareto(context.Background(), reqOff)
@@ -473,7 +486,7 @@ func TestEngineSessionPool(t *testing.T) {
 	}
 	// Engine-level NoSessions must disable sessions even when the request
 	// does not ask for it.
-	off := sccl.NewEngine(sccl.EngineOptions{Workers: 1, NoSessions: true})
+	off := sccl.NewEngine(sccl.EngineOptions{Workers: workers, NoSessions: true})
 	offRes, err := off.Pareto(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"time"
 
 	"repro/internal/collective"
@@ -36,11 +35,6 @@ type SweepSpec struct {
 	// worker count) so the benchmark tracks the portfolio's solve-wall win
 	// against its own-run baseline instead of a stale calibration.
 	Portfolio bool
-	// Kinds marks a multi-family mega-base spec: the runner sweeps every
-	// kind in one call (Kind is ignored) and emits a per-family-sessions
-	// row and a mega-base row, so the benchmark tracks the whole-sweep
-	// encode-wall win of pooling all families on one shared Stage-1 base.
-	Kinds []collective.Kind
 	// Symmetry marks a node-orbit symmetry spec: the runner emits a
 	// symmetry-off row and a symmetry-on row (both fresh, sessions on,
 	// same worker count), so the benchmark tracks the automorphism
@@ -75,21 +69,6 @@ func SessionSweeps() []SweepSpec {
 		// breadth at w4 wastes most of the solver time it dispatches;
 		// trading it for intra-instance depth is the measured win.
 		{Name: "dgx1-allgather-k2-w4", Kind: collective.Allgather, Topo: topology.DGX1(), K: 2, MaxSteps: 7, MaxChunks: 16, Workers: 4, Portfolio: true},
-		// The mega-base benchmark: the headline bidir-ring sweep again, its
-		// twelve (Broadcast, C) families pooled on one kind-scoped
-		// chunk-activation base, paired against the per-family session
-		// baseline. The pair isolates the whole-sweep Stage-1 encode win:
-		// the per-family path encodes each family's base and re-encodes it
-		// at every widened step window its Unsat chain reaches, while the
-		// mega path emits the scoped chunk universe exactly once and
-		// selects every family by assumption. (Adding a rooted second kind
-		// would grow the universe by 10 signatures x C_max while dominance
-		// pruning keeps that kind's own probe stream — and thus the
-		// per-family encode bill it displaces — near zero, which is why the
-		// gate sweeps the chunk-count ladder of one kind.)
-		{Name: "bidir-ring10-multi-k3-mega", Kinds: []collective.Kind{
-			collective.Broadcast,
-		}, Topo: topology.BidirRing(10), K: 3, MaxSteps: 7, MaxChunks: 12},
 		// The node-symmetry benchmarks: fabric-scale sweeps whose budgets are
 		// chosen so every enumerated candidate is tractable symmetry-off and
 		// the frontier Sat probe collapses under the equivariance
@@ -168,12 +147,9 @@ type SweepRow struct {
 	PortfolioSolves int   `json:"portfolioSolves"`
 	SharedLearnts   int64 `json:"sharedLearnts"`
 	CubeSplits      int   `json:"cubeSplits"`
-	// MegaBase marks a row swept over one shared chunk-activation base;
-	// MegaProbes and MegaEncodes count the probes it answered by
-	// assumption selects and the Stage-1 universe encodes it paid.
-	MegaBase    bool `json:"megaBase"`
-	MegaProbes  int  `json:"megaProbes"`
-	MegaEncodes int  `json:"megaEncodes"`
+	// MegaEncodes counts the shared mega-base Stage-1 encodes the sweep
+	// paid: 1 when it adopted the base, 0 when it stayed one-shot.
+	MegaEncodes int `json:"megaEncodes"`
 	// Symmetry records whether node-orbit symmetry exploitation was active
 	// for the run; SymmetryPerms counts the automorphism generators whose
 	// equivariance restrictions the run's base encodes emitted (0 below
@@ -246,7 +222,6 @@ func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmet
 		PortfolioSolves:   stats.PortfolioSolves,
 		SharedLearnts:     stats.SharedLearnts,
 		CubeSplits:        stats.CubeSplits,
-		MegaProbes:        stats.MegaProbes,
 		MegaEncodes:       stats.MegaEncodes,
 		EncodeWallNs:      int64(stats.EncodeTime),
 		SolveWallNs:       int64(stats.SolveTime),
@@ -254,74 +229,6 @@ func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmet
 	}
 	for _, p := range pts {
 		row.Points = append(row.Points, SweepPoint{C: p.C, S: p.S, R: p.R})
-	}
-	return row, nil
-}
-
-// RunMultiSweep executes one multi-family spec — every kind in
-// spec.Kinds swept in one call over a shared session pool — with or
-// without the mega-base, and renders its row. The frontier points
-// concatenate per kind in spec order, so paired rows diff structurally.
-func RunMultiSweep(spec SweepSpec, backend synth.Backend, mega bool, workers int, timeout time.Duration) (SweepRow, error) {
-	if spec.Workers > 0 {
-		workers = spec.Workers
-	}
-	var stats synth.ParetoStats
-	byKind, err := synth.ParetoSynthesizeKinds(spec.Kinds, spec.Topo, spec.Root, synth.ParetoOptions{
-		K: spec.K, MaxSteps: spec.MaxSteps, MaxChunks: spec.MaxChunks,
-		Workers: workers, Stats: &stats, NoMegaBase: !mega,
-		Instance: synth.Options{Timeout: timeout, Backend: backend},
-	})
-	if err != nil {
-		return SweepRow{}, fmt.Errorf("eval: sweep %s (mega=%v): %w", spec.Name, mega, err)
-	}
-	backendName := "cdcl"
-	if backend != nil {
-		backendName = backend.Name()
-	}
-	names := make([]string, len(spec.Kinds))
-	for i, k := range spec.Kinds {
-		names[i] = k.String()
-	}
-	row := SweepRow{
-		Topology:   spec.Topo.Name,
-		Collective: strings.Join(names, "+"),
-		Backend:    backendName,
-		K:          spec.K, MaxSteps: spec.MaxSteps, MaxChunks: spec.MaxChunks,
-		Workers:  workers,
-		Sessions: true,
-		MegaBase: mega,
-		Symmetry: true,
-		// Quotienting is allowed (creation options default it on), but a
-		// mega base always declines it — activation families break orbit
-		// structure — so the paired rows differ only in the base shape.
-		Quotient:          true,
-		SymmetryPerms:     stats.SymmetryPerms,
-		QuotientProbes:    stats.QuotientProbes,
-		QuotientFallbacks: stats.QuotientFallbacks,
-		Probes:            stats.Probes,
-		Pruned:            stats.Pruned,
-		Families:          stats.Families,
-		SessionProbes:     stats.SessionProbes,
-		SessionReuses:     stats.SessionReuses,
-		CarriedLearnts:    stats.CarriedLearnts,
-		CoreSolves:        stats.CoreSolves,
-		PrunedProbes:      stats.PrunedProbes,
-		TemplateHits:      stats.TemplateHits,
-		MigratedLearnts:   stats.MigratedLearnts,
-		PortfolioSolves:   stats.PortfolioSolves,
-		SharedLearnts:     stats.SharedLearnts,
-		CubeSplits:        stats.CubeSplits,
-		MegaProbes:        stats.MegaProbes,
-		MegaEncodes:       stats.MegaEncodes,
-		EncodeWallNs:      int64(stats.EncodeTime),
-		SolveWallNs:       int64(stats.SolveTime),
-		WallNs:            int64(stats.Wall),
-	}
-	for _, kind := range spec.Kinds {
-		for _, p := range byKind[kind] {
-			row.Points = append(row.Points, SweepPoint{C: p.C, S: p.S, R: p.R})
-		}
 	}
 	return row, nil
 }
@@ -338,22 +245,6 @@ func RunSessionSweeps(specs []SweepSpec, backend synth.Backend, workers int, tim
 	}
 	var rows []SweepRow
 	for _, spec := range specs {
-		if len(spec.Kinds) > 0 {
-			// Multi-family mega spec: per-family sessions, then the shared
-			// mega-base, at the same bounds on the same machine.
-			for _, mega := range []bool{false, true} {
-				row, err := RunMultiSweep(spec, backend, mega, workers, timeout)
-				if err != nil {
-					return rows, err
-				}
-				progress("sweep %-28s mega=%-5v probes=%-3d pruned=%-3d families=%-2d megaProbes=%-3d encode=%.3fs solve=%.3fs wall=%.3fs",
-					spec.Name, mega, row.Probes, row.PrunedProbes, row.Families, row.MegaProbes,
-					time.Duration(row.EncodeWallNs).Seconds(), time.Duration(row.SolveWallNs).Seconds(),
-					time.Duration(row.WallNs).Seconds())
-				rows = append(rows, row)
-			}
-			continue
-		}
 		type run struct{ sessions, portfolio, symmetry, quotient bool }
 		runs := []run{{false, false, true, true}, {true, false, true, true}}
 		if spec.Portfolio {

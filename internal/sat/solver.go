@@ -22,6 +22,21 @@ type Stats struct {
 	SharedIn  int64
 }
 
+// Since returns the counters accumulated after the earlier snapshot prev
+// of the same solver: what one Solve call on a long-lived solver cost.
+// MaxLBD is a high-water mark, not a sum, and keeps s's value.
+func (s Stats) Since(prev Stats) Stats {
+	s.Decisions -= prev.Decisions
+	s.Propagations -= prev.Propagations
+	s.Conflicts -= prev.Conflicts
+	s.Restarts -= prev.Restarts
+	s.Learnt -= prev.Learnt
+	s.Removed -= prev.Removed
+	s.SharedOut -= prev.SharedOut
+	s.SharedIn -= prev.SharedIn
+	return s
+}
+
 // Options tunes solver behaviour. The zero value selects sensible defaults
 // via NewSolver.
 type Options struct {

@@ -42,6 +42,16 @@ func (cdclBackend) Solve(ctx context.Context, in Instance, opts Options) (Result
 // Synthesize uses when Options.Backend is nil.
 func NewCDCLBackend() Backend { return cdclBackend{} }
 
+// isCDCL reports whether b selects the built-in pipeline (nil does): the
+// only backend whose probes can be projected out of a shared mega-base.
+func isCDCL(b Backend) bool {
+	if b == nil {
+		return true
+	}
+	_, ok := b.(cdclBackend)
+	return ok
+}
+
 // NewSession prepares an incremental per-family session over the built-in
 // solver. The paper encoding solves incrementally under assumptions;
 // configurations the layered encoder does not cover (the direct ablation

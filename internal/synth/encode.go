@@ -412,6 +412,19 @@ func SynthesizeContext(ctx context.Context, in Instance, opts Options) (Result, 
 	return synthesizeCDCL(ctx, in, opts)
 }
 
+// solveOneShot is SynthesizeContext for callers that hold a Stage-0
+// template cache (the sweep's pool, a mega-base view): the built-in
+// pipeline then shares the topology's routing template instead of
+// re-deriving it per probe. A nil cache, or a foreign backend, is plain
+// SynthesizeContext.
+func solveOneShot(ctx context.Context, in Instance, opts Options, tc *TemplateCache) (Result, error) {
+	if tc == nil || !isCDCL(opts.Backend) || ctx.Err() != nil {
+		return SynthesizeContext(ctx, in, opts)
+	}
+	tmpl, hit := tc.Get(in.Topo)
+	return synthesizeCDCLTemplate(ctx, in, opts, tmpl, hit)
+}
+
 // synthesizeCDCL is the built-in pipeline: encode (paper or direct
 // encoding) into the internal CDCL solver and extract the model.
 func synthesizeCDCL(ctx context.Context, in Instance, opts Options) (Result, error) {

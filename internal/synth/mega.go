@@ -550,7 +550,7 @@ func (v *MegaFamilyView) Family() Family {
 
 // key is the view's stats identity — like a pool key, distinct per family
 // but marked as mega-routed.
-func (v *MegaFamilyView) key(opts Options) string {
+func (v *MegaFamilyView) key() string {
 	return "mega|" + v.coll.Fingerprint() + "|" + v.m.topo.Fingerprint() +
 		"|s" + strconv.Itoa(v.m.horizon) + "|k" + strconv.Itoa(v.m.k)
 }
@@ -679,18 +679,20 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 	if m.enc.symPlan != nil {
 		symOrder = m.enc.symPlan.order
 	}
+	// Stats reports this probe's own search (core minimization included),
+	// not the shared solver's lifetime totals: the sweep sizes chain-top
+	// conflict caps from it.
+	before := m.enc.ctx.Solver.Stats()
 	t1 := time.Now()
 	res.Status = solveSymPhased(ctx, m.enc.ctx, assumptions, marks.symOn, marks.symOff,
 		restrictedPhaseConflicts(res.Clauses, symOrder))
-	res.Solve = time.Since(t1)
-	res.Stats = m.enc.ctx.Solver.Stats()
-	if res.Status != sat.Sat {
-		if res.Status == sat.Unsat {
-			t2 := time.Now()
-			res.Core = m.enc.classifyCore(ctx, marks, steps, rounds)
-			res.Solve += time.Since(t2)
-		}
-		return res, probeModeDone
+	if res.Status == sat.Unsat {
+		res.Core = m.enc.classifyCore(ctx, marks, steps, rounds)
 	}
-	return res, probeModeSat
+	res.Solve = time.Since(t1)
+	res.Stats = m.enc.ctx.Solver.Stats().Since(before)
+	if res.Status == sat.Sat {
+		return res, probeModeSat
+	}
+	return res, probeModeDone
 }

@@ -139,39 +139,6 @@ func TestMegaFrontiersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestMegaNoMegaBaseMatches pins the comparison baseline the benchguard
-// encode gate relies on: ParetoSynthesizeKinds with NoMegaBase runs the
-// same sweep over per-family sessions, with identical frontiers and zero
-// mega probes.
-func TestMegaNoMegaBaseMatches(t *testing.T) {
-	topo := topology.BidirRing(6)
-	kinds := []collective.Kind{collective.Allgather, collective.Broadcast}
-	var megaStats, famStats ParetoStats
-	withMega, err := ParetoSynthesizeKinds(kinds, topo, 0, ParetoOptions{
-		K: 1, MaxSteps: 4, MaxChunks: 2, Stats: &megaStats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noMega, err := ParetoSynthesizeKinds(kinds, topo, 0, ParetoOptions{
-		K: 1, MaxSteps: 4, MaxChunks: 2, Stats: &famStats, NoMegaBase: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range kinds {
-		if a, b := string(frontierBytes(t, withMega[kind])), string(frontierBytes(t, noMega[kind])); a != b {
-			t.Errorf("%v: mega and per-family frontiers differ\n got: %s\nwant: %s", kind, a, b)
-		}
-	}
-	if megaStats.MegaProbes == 0 {
-		t.Errorf("mega sweep recorded no mega probes: %+v", megaStats)
-	}
-	if famStats.MegaProbes != 0 || famStats.MegaEncodes != 0 {
-		t.Errorf("NoMegaBase sweep touched the mega path: %+v", famStats)
-	}
-}
-
 // TestMegaCoreReverifies checks the mega-base's Unsat evidence against
 // fresh solvers: every budget core produced by a mega probe — including
 // its dominance claims over cheaper budgets — must re-verify on a

@@ -43,29 +43,18 @@ type ParetoOptions struct {
 	// Stats, if non-nil, receives scheduler counters for speedup
 	// reporting once the sweep finishes.
 	Stats *ParetoStats
-	// NoSessions disables per-family incremental solver sessions; every
-	// probe then one-shots through the backend. With sessions enabled
-	// (the default when the backend supports them) same-family probes
-	// route to one live solver so learned clauses transfer between
-	// budgets; the merged frontier is byte-identical either way because
-	// Sat witnesses are re-derived canonically (see Session).
+	// NoSessions keeps every probe on the one-shot path: no mega-base is
+	// looked up or adopted, no Stage-0 template is shared and no unsat
+	// core prunes a candidate. It is the reference path; the default path
+	// (see megaAdoptUnsats) returns byte-identical frontiers because Sat
+	// witnesses are re-derived canonically (see MegaFamilyView.Solve).
 	NoSessions bool
-	// Pool, if non-nil, supplies (and keeps) the solver sessions the
-	// sweep uses — an Engine passes its persistent pool so sessions
-	// survive across sweeps. Nil with sessions enabled uses a transient
-	// pool closed when the sweep returns.
+	// Pool, if non-nil, supplies (and keeps) the mega-base sessions and
+	// Stage-0 templates the sweep uses — an Engine passes its persistent
+	// pool so a base adopted by one sweep serves the next from its first
+	// probe. Nil with sessions enabled uses a transient pool closed when
+	// the sweep returns.
 	Pool *SessionPool
-	// Mega, if non-nil, routes probes of families the mega-base session
-	// covers through assumption-selected projections of its shared
-	// formula instead of per-family sessions (see MegaSession). Callers
-	// that hold a warm per-topology session (the Engine, the serve
-	// daemon, ParetoSynthesizeKinds) pass it here; frontiers stay
-	// byte-identical because Sat budgets are re-derived canonically.
-	Mega *MegaSession
-	// NoMegaBase keeps ParetoSynthesizeKinds (and other mega-aware
-	// drivers) on per-family sessions — the comparison baseline for the
-	// mega-base's whole-sweep encode saving.
-	NoMegaBase bool
 }
 
 // ParetoStats reports what the probe scheduler did during one sweep.
@@ -278,10 +267,10 @@ type stepSchedule struct {
 // escState is one family's chain-top escalation state at one step.
 type escState struct {
 	state int // escalateNone / escalateActive / escalateDone
-	// cap bounds the wall clock of the speculative top probe, derived
-	// from the solve time of the Unsat probe that triggered escalation: a
-	// gamble that cannot beat the chain it tries to skip is abandoned.
-	cap time.Duration
+	// cap bounds the conflicts of the speculative top probe, derived from
+	// the conflicts of the Unsat probe that triggered escalation: a gamble
+	// that cannot beat the chain it tries to skip is abandoned.
+	cap int64
 }
 
 // Escalation states of one family (chunk count) at one step.
@@ -291,24 +280,32 @@ const (
 	escalateDone          // top probed (or given up): back to cost order
 )
 
-// escalateBudget derives the wall-clock cap of a chain-top probe from the
-// solve time of the probe that triggered it. The factor covers the top
-// budget being genuinely harder than the trigger; the floor keeps
-// microsecond-fast sweeps from aborting every speculation on timer
-// granularity.
-func escalateBudget(trigger time.Duration) time.Duration {
-	budget := 4*trigger + 2*time.Millisecond
-	return budget
+// escalateBudget derives the conflict cap of a chain-top probe from the
+// conflicts the probe that triggered it spent (core minimization
+// included). The factor covers the top budget being genuinely harder than
+// the trigger; the floor lets a trigger that propagation alone refuted
+// still buy a real search. Conflicts, not wall clock: which probes a sweep
+// runs must not depend on scheduler jitter.
+func escalateBudget(triggerConflicts int64) int64 {
+	return 4*triggerConflicts + escalateFloorConflicts
 }
+
+// escalateFloorConflicts is the conflict budget a chain-top probe gets on
+// top of four times its trigger's.
+const escalateFloorConflicts = 64
 
 type probeTask struct {
 	si, ci int
 	ctx    context.Context
+	// mega is the sweep's mega-base session at dispatch time (nil before
+	// adoption): the coordinator owns paretoSweep.mega, workers only ever
+	// see the copy their task carries.
+	mega *MegaSession
 	// escalated marks a speculative chain-top probe: solved status-only
-	// under the wall-clock cap below, recorded only when it answers Unsat
+	// under the conflict cap below, recorded only when it answers Unsat
 	// (see stepSchedule.escalated).
 	escalated bool
-	escCap    time.Duration
+	escCap    int64
 }
 
 type probeDone struct {
@@ -332,12 +329,20 @@ type paretoSweep struct {
 	workers  int
 	steps    []*stepSchedule
 	stats    ParetoStats
-	// pool supplies per-family solver sessions; nil disables sessions.
+	// pool supplies mega-base sessions and shared Stage-0 templates; nil
+	// (NoSessions, or a non-CDCL backend) keeps every probe one-shot.
 	pool *SessionPool
-	// mega, when non-nil, is the shared per-topology mega-base session
-	// tried before the per-family pool for every probe's family.
+	// mega is the mega-base session the sweep routes probes through: a
+	// warm covering session found in the pool at sweep start, or the one
+	// adopted after megaAdoptUnsats one-shot refutations; nil while the
+	// sweep is still (or stays) one-shot. Coordinator-owned.
 	mega *MegaSession
-	fams map[string]bool
+	// oneShotUnsats counts completed Unsat one-shot probes; adoptClosed
+	// latches once adoption was decided either way (adopted, declined by
+	// the pool, or ruled out because a probe engaged the orbit quotient).
+	oneShotUnsats int
+	adoptClosed   bool
+	fams          map[string]bool
 	// Budget-dominance regions learned from unsat cores. A sweep probes
 	// one collective kind on one topology, so a family is identified by
 	// its chunk count C alone. stepKill[C] is the largest S a
@@ -397,33 +402,20 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Session affinity: same-family probes share one incremental solver.
-	// The caller's pool (usually an Engine's) keeps sessions across
-	// sweeps; otherwise a transient pool lives for this sweep only. Set
-	// up before the lower bounds so their latency computation can reuse
-	// the pool's cached Stage-0 BFS distances.
-	var pool, transientPool *SessionPool
-	if !opts.NoSessions {
-		backend := opts.Instance.Backend
-		if backend == nil {
-			backend = NewCDCLBackend()
-		}
-		if sb, ok := backend.(SessionBackend); ok {
-			pool = opts.Pool
-			if pool == nil {
-				// A sweep has one family per probed chunk count, so size
-				// the transient pool exactly: an undersized pool would
-				// evict families between visits and never adopt them.
-				transientPool = NewSessionPool(sb, opts.MaxChunks)
-				pool = transientPool
-			}
+	// The caller's pool (usually an Engine's) keeps mega-base sessions and
+	// Stage-0 templates across sweeps; otherwise a transient pool lives
+	// for this sweep only. Only the built-in CDCL pipeline can project
+	// probes out of a shared base; other backends stay one-shot. Set up
+	// before the lower bounds so their latency computation can reuse the
+	// pool's cached Stage-0 BFS distances.
+	var pool *SessionPool
+	if !opts.NoSessions && isCDCL(opts.Instance.Backend) {
+		pool = opts.Pool
+		if pool == nil {
+			pool = NewSessionPool()
+			defer pool.Close()
 		}
 	}
-	defer func() {
-		if transientPool != nil {
-			transientPool.Close()
-		}
-	}()
 	// Lower bounds over the Stage-0 template's all-pairs BFS matrix: from
 	// the pool's shared cache when sessions are on (derived at most once
 	// per topology across sweeps), otherwise derived here — still one
@@ -462,8 +454,10 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 		roundKill: map[[2]int]int{},
 	}
 	w.pool = pool
-	if pool != nil && !opts.NoMegaBase && opts.Mega.Covers([]collective.Kind{kind}, opts.MaxChunks, opts.MaxSteps, opts.K) {
-		w.mega = opts.Mega
+	if pool != nil {
+		// A warm covering session (an earlier sweep's, a daemon warmer's)
+		// serves from the first probe; a cold pool changes nothing yet.
+		w.mega = w.lookupMega(false)
 	}
 	for S := al; S <= opts.MaxSteps; S++ {
 		cands := enumerateCandidates(S, opts.K, opts.MaxChunks, bl)
@@ -488,17 +482,16 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 }
 
 // ParetoSynthesizeKinds runs Algorithm 1 for several non-combining
-// collective kinds on one topology as a single pooled sweep: every kind
-// shares the session pool and — when the backend supports it — one
-// chunk-activation mega-base session, so the whole multi-family sweep is
-// one long-lived incremental solve instead of one base encode per
-// (collective, C) family. Each kind's frontier is byte-identical to an
-// independent ParetoSynthesize (or -no-sessions) run of that kind.
+// collective kinds on one topology as a single pooled sweep. A caller that
+// declares its kinds up front has announced a multi-family sweep, so —
+// like a daemon's WarmMegaBase — the shared mega-base is built before the
+// first probe, its chunk universe scoped to exactly those kinds, instead
+// of waiting for each kind's sweep to earn it. Each kind's frontier is
+// byte-identical to an independent ParetoSynthesize (or -no-sessions) run
+// of that kind.
 //
 // opts.Stats, when set, receives the counters summed across kinds with
-// Wall covering the whole multi-kind sweep. opts.NoMegaBase keeps the
-// shared pool but routes every family through its own session — the
-// baseline the mega-base's encode saving is gated against.
+// Wall covering the whole multi-kind sweep.
 func ParetoSynthesizeKinds(kinds []collective.Kind, topo *topology.Topology, root topology.Node, opts ParetoOptions) (map[collective.Kind][]ParetoPoint, error) {
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("synth: ParetoSynthesizeKinds needs at least one kind")
@@ -508,35 +501,23 @@ func ParetoSynthesizeKinds(kinds []collective.Kind, topo *topology.Topology, roo
 			return nil, fmt.Errorf("synth: ParetoSynthesizeKinds needs non-combining collectives; got %v (use SynthesizeCollective)", k)
 		}
 	}
-	// Resolve the enumeration bounds up front: the shared pool and the
-	// mega-base universe must cover every kind's sweep.
+	// Resolve the enumeration bounds up front: the mega-base universe must
+	// cover every kind's sweep.
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = topo.P + 2
 	}
 	if opts.MaxChunks == 0 {
 		opts.MaxChunks = 2 * topo.P
 	}
-	var transientPool *SessionPool
-	if !opts.NoSessions && opts.Pool == nil {
-		backend := opts.Instance.Backend
-		if backend == nil {
-			backend = NewCDCLBackend()
+	if !opts.NoSessions {
+		if opts.Pool == nil {
+			opts.Pool = NewSessionPool()
+			defer opts.Pool.Close()
 		}
-		if sb, ok := backend.(SessionBackend); ok {
-			transientPool = NewSessionPool(sb, opts.MaxChunks*len(kinds))
-			opts.Pool = transientPool
-		}
-	}
-	defer func() {
-		if transientPool != nil {
-			transientPool.Close()
-		}
-	}()
-	if opts.Pool != nil && !opts.NoSessions && !opts.NoMegaBase && opts.Mega == nil {
-		// The universe is scoped to exactly the kinds this sweep declares:
-		// the encode bill tracks what the sweep will probe instead of the
-		// all-kinds union (which Alltoall's C_max*P^2 chunks dominate).
-		opts.Mega = opts.Pool.Mega(topo, root, opts.Instance, kinds, opts.MaxChunks, opts.MaxSteps, opts.K, true)
+		// Each kind's sweep finds this session warm; a declined build
+		// (foreign backend, oversized universe) leaves them on the default
+		// adoption rule.
+		opts.Pool.Mega(topo, root, opts.Instance, kinds, opts.MaxChunks, opts.MaxSteps, opts.K, true)
 	}
 	var agg ParetoStats
 	t0 := time.Now()
@@ -651,7 +632,7 @@ func (w *paretoSweep) run(ctx context.Context) ([]ParetoPoint, error) {
 			st.dispatched[ci] = true
 			pctx, cancel := context.WithCancel(ctx)
 			st.cancels[ci] = cancel
-			tasks <- probeTask{si: si, ci: ci, ctx: pctx,
+			tasks <- probeTask{si: si, ci: ci, ctx: pctx, mega: w.mega,
 				escalated: esc, escCap: st.escalated[cand.C].cap}
 			if esc {
 				// One gamble per family and step: consuming the state here
@@ -694,9 +675,13 @@ func (w *paretoSweep) run(ctx context.Context) ([]ParetoPoint, error) {
 			// In particular a Sat answer must NOT move the Sat cut — the
 			// cut excludes its own index from dispatch, which would strand
 			// this candidate unsolved and truncate the frontier.
+			// Its cost is still the sweep's: fold all three walls, or the
+			// encode/solve split undercounts what ProbeTime reports.
 			st.dispatched[d.ci] = false
 			st.escalated[st.cands[d.ci].C] = escState{state: escalateDone}
 			w.stats.ProbeTime += d.out.dur
+			w.stats.EncodeTime += d.out.res.Encode
+			w.stats.SolveTime += d.out.res.Solve
 			if ctx.Err() != nil {
 				return points, fmt.Errorf("synth: pareto sweep cancelled: %w", ctx.Err())
 			}
@@ -708,6 +693,7 @@ func (w *paretoSweep) run(ctx context.Context) ([]ParetoPoint, error) {
 			return points, fmt.Errorf("synth: pareto sweep cancelled: %w", ctx.Err())
 		}
 		if !d.out.pruned && d.out.err == nil {
+			w.considerAdoption(d.out.res)
 			switch {
 			case d.out.res.Status == sat.Sat && d.ci < st.satCut:
 				// A cheaper Sat for this S makes every costlier candidate a
@@ -725,7 +711,7 @@ func (w *paretoSweep) run(ctx context.Context) ([]ParetoPoint, error) {
 					// between (BudgetCore.DominatesRounds).
 					st.escalated[st.cands[d.ci].C] = escState{
 						state: escalateActive,
-						cap:   escalateBudget(d.out.res.Solve),
+						cap:   escalateBudget(d.out.res.Stats.Conflicts),
 					}
 				}
 			}
@@ -931,12 +917,48 @@ steps:
 	return true, nil // MaxSteps exhausted with all steps resolved
 }
 
-// statusSolver is implemented by sessions that can answer a budget's
-// satisfiability without materializing a canonical witness — the cheap
-// flavor speculative chain-top probes use, where a Sat answer is
-// discarded anyway.
-type statusSolver interface {
-	SolveStatus(ctx context.Context, steps, rounds int, opts Options) (Result, error)
+// megaAdoptUnsats is how many Unsat one-shot probes a sweep must see
+// before it asks the pool for a mega-base and routes every later probe
+// through it. One-shot wins where almost every probe is Sat on first try
+// (Allgather, Alltoall: the base encode is never repaid); the mega-base
+// wins where the sweep walks cost-ordered Unsat chains (rooted Broadcast),
+// because cores prune the chain and learnt clauses carry along it. Three
+// refutations tell the two apart: measured on ten sweeps (ring, line,
+// bidir-ring, dgx1, amd, hypercube; see CHANGES.md PR 22), thresholds 2, 3
+// and 5 gave the same wall within noise, so this is a constant, not a
+// knob.
+const megaAdoptUnsats = 3
+
+// considerAdoption folds one completed probe into the adoption rule (see
+// megaAdoptUnsats). A probe that engaged the chunk-orbit quotient rules
+// adoption out for the sweep: the quotient carries such solves, and a
+// mega-base must decline it (see MegaSession.probeLocked).
+func (w *paretoSweep) considerAdoption(res Result) {
+	if w.pool == nil || w.mega != nil || w.adoptClosed || res.SessionProbe {
+		return
+	}
+	if res.QuotientProbes+res.QuotientFallbacks > 0 {
+		w.adoptClosed = true
+		return
+	}
+	if res.Status != sat.Unsat {
+		return
+	}
+	if w.oneShotUnsats++; w.oneShotUnsats < megaAdoptUnsats {
+		return
+	}
+	w.adoptClosed = true
+	if w.mega = w.lookupMega(true); w.mega != nil {
+		w.progress("sweep %v: adopting the mega-base after %d one-shot refutations", w.kind, w.oneShotUnsats)
+	}
+}
+
+// lookupMega asks the pool for a mega-base session covering the sweep;
+// nil when none is warm (create false) or the configuration cannot host
+// one (direct encoding, proof recording, a universe past megaMaxChunks).
+func (w *paretoSweep) lookupMega(create bool) *MegaSession {
+	return w.pool.Mega(w.topo, w.root, w.opts.Instance, []collective.Kind{w.kind},
+		w.opts.MaxChunks, w.opts.MaxSteps, w.opts.K, create)
 }
 
 // probe synthesizes one (S, R, C) candidate. It runs on a worker
@@ -952,27 +974,25 @@ func (w *paretoSweep) probe(t probeTask) *probeOutcome {
 		out.dur = time.Since(t0)
 		return out
 	}
-	inst := Instance{Coll: coll, Topo: w.topo, Steps: st.S, Round: cand.R}
-	sess := w.session(coll, &out.famKey)
+	opts := w.opts.Instance
+	view := t.mega.View(coll)
 	switch {
-	case t.escalated && sess != nil:
-		if ss, ok := sess.(statusSolver); ok {
-			// Speculative chain-top probe: status only, wall-clock capped
-			// so a hard instance is abandoned instead of out-costing the
-			// chain it tries to skip.
-			opts := w.opts.Instance
-			if t.escCap > 0 && (opts.Timeout == 0 || opts.Timeout > t.escCap) {
-				opts.Timeout = t.escCap
-			}
-			out.escalated = true
-			out.res, out.err = ss.SolveStatus(t.ctx, st.S, cand.R, opts)
-		} else {
-			out.res, out.err = sess.Solve(t.ctx, st.S, cand.R, w.opts.Instance)
+	case view != nil && t.escalated:
+		// Speculative chain-top probe: status only, conflict capped so a
+		// hard instance is abandoned instead of out-costing the chain it
+		// tries to skip.
+		if opts.MaxConflicts == 0 || opts.MaxConflicts > t.escCap {
+			opts.MaxConflicts = t.escCap
 		}
-	case sess != nil:
-		out.res, out.err = sess.Solve(t.ctx, st.S, cand.R, w.opts.Instance)
+		out.escalated = true
+		out.famKey = view.key()
+		out.res, out.err = view.SolveStatus(t.ctx, st.S, cand.R, opts)
+	case view != nil:
+		out.famKey = view.key()
+		out.res, out.err = view.Solve(t.ctx, st.S, cand.R, opts)
 	default:
-		out.res, out.err = SynthesizeContext(t.ctx, inst, w.opts.Instance)
+		inst := Instance{Coll: coll, Topo: w.topo, Steps: st.S, Round: cand.R}
+		out.res, out.err = solveOneShot(t.ctx, inst, opts, w.pool.Templates())
 	}
 	out.dur = time.Since(t0)
 	flavor := ""
@@ -981,34 +1001,6 @@ func (w *paretoSweep) probe(t probeTask) *probeOutcome {
 	}
 	w.progress("probe %v C=%d S=%d R=%d: %v (%.2fs%s)", w.kind, cand.C, st.S, cand.R, out.res.Status, out.dur.Seconds(), flavor)
 	return out
-}
-
-// session resolves the pooled solver session for a probe's collective,
-// or nil when sessions are disabled or unavailable; famKey receives the
-// family's pool key for the reuse counters.
-func (w *paretoSweep) session(coll *collective.Spec, famKey *string) Session {
-	if w.pool == nil {
-		return nil
-	}
-	// Mega-base first: a covered family costs an assumption push over the
-	// shared per-topology formula instead of its own base encode.
-	if v := w.mega.View(coll); v != nil {
-		*famKey = v.key(w.opts.Instance)
-		return v
-	}
-	fam := Family{
-		Coll:           coll,
-		Topo:           w.topo,
-		MaxSteps:       w.opts.MaxSteps,
-		MaxExtraRounds: w.opts.K,
-	}
-	key := fam.key(w.opts.Instance)
-	sess, err := w.pool.sessionForKey(fam, w.opts.Instance, key)
-	if err != nil {
-		return nil // e.g. the pool closed underneath us: fall back one-shot
-	}
-	*famKey = key
-	return sess
 }
 
 // SynthesizeCollective synthesizes any collective kind — including

@@ -807,15 +807,11 @@ type templateCached interface {
 // cross-sweep clause reuse.
 const defaultSessionPoolCap = 32
 
-// NewSessionPool builds a pool over a session-capable backend. cap <= 0
-// selects the default capacity.
-func NewSessionPool(backend SessionBackend, cap int) *SessionPool {
-	if cap <= 0 {
-		cap = defaultSessionPoolCap
-	}
+// NewSessionPool builds an empty pool.
+func NewSessionPool() *SessionPool {
 	return &SessionPool{
-		backend:   backend,
-		cap:       cap,
+		backend:   cdclBackend{},
+		cap:       defaultSessionPoolCap,
 		templates: NewTemplateCache(),
 		sessions:  map[string]Session{},
 	}
@@ -824,7 +820,12 @@ func NewSessionPool(backend SessionBackend, cap int) *SessionPool {
 // Templates exposes the pool's shared Stage-0 template cache, so sweep
 // setup (lower-bound computation) can reuse the cached BFS distance
 // matrix instead of re-walking the topology per sweep.
-func (p *SessionPool) Templates() *TemplateCache { return p.templates }
+func (p *SessionPool) Templates() *TemplateCache {
+	if p == nil {
+		return nil
+	}
+	return p.templates
+}
 
 // Session returns the pooled session for the family, creating (and, past
 // capacity, evicting) as needed.
@@ -912,12 +913,9 @@ func (p *SessionPool) Mega(topo *topology.Topology, root topology.Node, opts Opt
 	if topo == nil || needChunks < 1 || needSteps < 1 || needK < 0 {
 		return nil
 	}
-	if _, ok := p.backend.(cdclBackend); !ok {
-		// Mega projection needs assumption-literal plumbing; the SMT-LIB
-		// session keeps its per-family (push)/(pop) scopes instead.
-		return nil
-	}
-	if opts.Encoding != EncodingPaper || opts.ProveUnsat {
+	if !isCDCL(opts.Backend) || opts.Encoding != EncodingPaper || opts.ProveUnsat {
+		// Projection needs the built-in solver's assumption plumbing over
+		// the layered paper encoding.
 		return nil
 	}
 	key := megaKey(topo, root, opts)

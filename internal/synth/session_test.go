@@ -87,20 +87,23 @@ func frontierBytes(t *testing.T, pts []ParetoPoint) []byte {
 	return data
 }
 
-// TestParetoSessionFrontiersByteIdentical is the acceptance check for the
-// session refactor: sweeps with incremental sessions return byte-identical
-// frontiers (points and embedded algorithms) to the one-shot path, for
-// every worker count and both encodings.
+// TestParetoSessionFrontiersByteIdentical is the acceptance check of the
+// default path: sweeps that start one-shot and adopt the mega-base on
+// their own Unsat count (see megaAdoptUnsats) return byte-identical
+// frontiers (points and embedded algorithms) to the all-one-shot
+// reference, for every worker count and both encodings — whether or not
+// they adopt.
 func TestParetoSessionFrontiersByteIdentical(t *testing.T) {
 	cases := []struct {
-		name string
-		kind collective.Kind
-		topo *topology.Topology
-		k    int
+		name   string
+		kind   collective.Kind
+		topo   *topology.Topology
+		k      int
+		adopts bool
 	}{
-		{"ring4-allgather", collective.Allgather, topology.Ring(4), 1},
-		{"line4-broadcast", collective.Broadcast, topology.Line(4), 1},
-		{"bidirring6-broadcast", collective.Broadcast, topology.BidirRing(6), 2},
+		{"ring4-allgather", collective.Allgather, topology.Ring(4), 1, false},
+		{"line4-broadcast", collective.Broadcast, topology.Line(4), 1, true},
+		{"bidirring6-broadcast", collective.Broadcast, topology.BidirRing(6), 2, true},
 	}
 	for _, tc := range cases {
 		for _, enc := range []Encoding{EncodingPaper, EncodingDirect} {
@@ -123,16 +126,15 @@ func TestParetoSessionFrontiersByteIdentical(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if gotBytes := frontierBytes(t, got); string(gotBytes) != string(wantBytes) {
-					t.Errorf("%s: session frontier differs from one-shot\n got: %s\nwant: %s",
+					t.Errorf("%s: default-path frontier differs from one-shot\n got: %s\nwant: %s",
 						name, gotBytes, wantBytes)
 				}
-				if enc == EncodingDirect && stats.SessionProbes != 0 {
-					// The direct ablation encoding has no layered base; its
-					// sessions must transparently one-shot.
-					t.Errorf("%s: direct encoding reported %d incremental probes", name, stats.SessionProbes)
-				}
-				if stats.Families == 0 {
-					t.Errorf("%s: no session families recorded", name)
+				// The direct ablation encoding has no layered base: the pool
+				// declines and the sweep stays one-shot.
+				adopted := stats.SessionProbes > 0
+				if want := tc.adopts && enc == EncodingPaper; adopted != want {
+					t.Errorf("%s: adopted=%v (%d session probes, %d families), want %v",
+						name, adopted, stats.SessionProbes, stats.Families, want)
 				}
 			}
 		}
@@ -241,8 +243,8 @@ func TestSessionLifecycle(t *testing.T) {
 // TestSessionPool exercises get-or-create, LRU eviction, and close.
 func TestSessionPool(t *testing.T) {
 	topo := topology.Ring(4)
-	backend := NewCDCLBackend().(SessionBackend)
-	pool := NewSessionPool(backend, 1)
+	pool := NewSessionPool()
+	pool.cap = 1
 	famFor := func(c int) Family {
 		coll, err := collective.New(collective.Allgather, topo.P, c, 0)
 		if err != nil {
@@ -297,7 +299,7 @@ func TestSessionPoolKeyedByOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	fam := Family{Coll: coll, Topo: topo, MaxSteps: 5, MaxExtraRounds: 1}
-	pool := NewSessionPool(NewCDCLBackend().(SessionBackend), 0)
+	pool := NewSessionPool()
 	defer pool.Close()
 	a, err := pool.Session(fam, Options{})
 	if err != nil {

@@ -287,14 +287,6 @@ type ParetoRequest struct {
 	// every probe solves one-shot. The frontier is byte-identical either
 	// way, so the flag is excluded from the cache fingerprint.
 	NoSessions bool `json:"-"`
-	// MegaBase builds (or grows) the engine's per-topology mega-base
-	// session for this sweep and routes covered families through it as
-	// assumption-selected projections (see synth.MegaSession). Without it
-	// a sweep still reuses an already-warm covering mega session. The
-	// frontier is byte-identical either way, so — like NoSessions — the
-	// flag is engine-local, not serialized, and excluded from the cache
-	// fingerprint.
-	MegaBase bool `json:"-"`
 }
 
 type paretoRequestJSON struct {
