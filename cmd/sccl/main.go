@@ -292,7 +292,7 @@ func cmdPareto(args []string) error {
 	maxChunks := fs.Int("max-chunks", 0, "chunk cap (0 = auto)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-instance solver timeout")
 	stats := fs.Bool("stats", false, "print scheduler and session-reuse statistics")
-	noSessions := fs.Bool("no-sessions", false, "disable incremental solver sessions (and unsat-core pruning)")
+	noSessions := fs.Bool("no-sessions", false, "solve every probe one-shot: no mega-base adoption, no unsat-core pruning (the reference path)")
 	jsonOut := fs.Bool("json", false, "print the frontier as a deterministic JSON document (synthesis times zeroed)")
 	cm, err := parseCommon(fs, args)
 	if err != nil {
@@ -338,31 +338,22 @@ func cmdPareto(args []string) error {
 	if *stats && !res.CacheHit {
 		s := res.Stats
 		fmt.Fprintf(statsOut, "probe wall: %.2fs encode + %.2fs solve\n", s.EncodeTime.Seconds(), s.SolveTime.Seconds())
-		probesPerSession := 0.0
-		if s.Families > 0 {
-			probesPerSession = float64(s.SessionProbes) / float64(s.Families)
-		}
-		fmt.Fprintf(statsOut, "sessions: %d families, %d incremental probes (%.1f per session), %d warm reuses, %d learnt clauses carried\n",
-			s.Families, s.SessionProbes, probesPerSession, s.SessionReuses, s.CarriedLearnts)
+		fmt.Fprintf(statsOut, "mega-base: %d of %d probes answered by activation selects over %d families (%d base encodes), %d warm reuses, %d learnt clauses carried\n",
+			s.SessionProbes, s.Probes, s.Families, s.MegaEncodes, s.SessionReuses, s.CarriedLearnts)
 		pruneRate := 0.0
 		if s.Probes+s.PrunedProbes > 0 {
 			pruneRate = 100 * float64(s.PrunedProbes) / float64(s.Probes+s.PrunedProbes)
 		}
 		fmt.Fprintf(statsOut, "cores: %d unsat probes yielded budget cores, %d candidates pruned by dominance (%.0f%% of the candidate load)\n",
 			s.CoreSolves, s.PrunedProbes, pruneRate)
-		fmt.Fprintf(statsOut, "staged encoder: %d Stage-0 template shares, %d learnt clauses migrated across re-bases\n",
-			s.TemplateHits, s.MigratedLearnts)
+		fmt.Fprintf(statsOut, "staged encoder: %d Stage-0 template shares\n", s.TemplateHits)
 		fmt.Fprintf(statsOut, "portfolio: %d solves escalated to races, %d learnt clauses shared across workers, %d cubes split\n",
 			s.PortfolioSolves, s.SharedLearnts, s.CubeSplits)
-		fmt.Fprintf(statsOut, "mega-base: %d probes answered by activation selects, %d base encodes\n",
-			s.MegaProbes, s.MegaEncodes)
 		fmt.Fprintf(statsOut, "quotient: %d orbit-quotient witnesses lifted, %d fallbacks to the full formula, %d declines\n",
 			s.QuotientProbes, s.QuotientFallbacks, s.QuotientDeclined)
 		cs := cm.eng.CacheStats()
-		fmt.Fprintf(statsOut, "engine: %d pooled sessions (%d pool hits, %d misses), %d cached algorithms, %d core solves / %d pruned probes lifetime\n",
-			cs.Sessions, cs.SessionHits, cs.SessionMisses, cs.Algorithms, cs.CoreSolves, cs.PrunedProbes)
-		fmt.Fprintf(statsOut, "engine: %d template hits / %d migrated learnts lifetime\n",
-			cs.TemplateHits, cs.MigratedLearnts)
+		fmt.Fprintf(statsOut, "engine: %d pooled mega-bases, %d cached algorithms, %d core solves / %d pruned probes / %d template hits lifetime\n",
+			cs.MegaSessions, cs.Algorithms, cs.CoreSolves, cs.PrunedProbes, cs.TemplateHits)
 		fmt.Fprintf(statsOut, "engine: %d portfolio races / %d shared learnts / %d cube splits lifetime\n",
 			cs.PortfolioSolves, cs.SharedLearnts, cs.CubeSplits)
 	}

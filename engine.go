@@ -116,8 +116,8 @@ type Engine struct {
 	cubeDepth          int
 	noSymmetry         bool
 	noQuotient         bool
-	// sessions pools per-family incremental solver sessions across Pareto
-	// sweeps (nil when the backend cannot session or sessions are off).
+	// sessions pools per-topology mega-base sessions and Stage-0 templates
+	// across Pareto sweeps (nil when sessions are off).
 	sessions *synth.SessionPool
 
 	mu            sync.Mutex
@@ -130,11 +130,9 @@ type Engine struct {
 	// every sweep the engine ran (see ParetoStats).
 	coreSolves   uint64
 	prunedProbes uint64
-	// templateHits / migratedLearnts aggregate the staged-encoder
-	// counters: Stage-0 template shares and learnt clauses carried across
-	// session re-bases (see ParetoStats and Stage0Template).
-	templateHits    uint64
-	migratedLearnts uint64
+	// templateHits aggregates the Stage-0 template shares of every sweep
+	// and warm-base request (see ParetoStats and Stage0Template).
+	templateHits uint64
 	// portfolioSolves / sharedLearnts / cubeSplits aggregate the
 	// intra-instance parallelism counters of every sweep (see
 	// ParetoStats); merged under mu after each sweep returns, never
@@ -445,11 +443,6 @@ type CacheStats struct {
 	Frontiers int
 	Hits      uint64
 	Misses    uint64
-	// Sessions is the number of live pooled solver sessions; SessionHits
-	// and SessionMisses count pool lookups across sweeps.
-	Sessions      int
-	SessionHits   uint64
-	SessionMisses uint64
 	// CoreSolves and PrunedProbes aggregate the unsat-core counters of
 	// every sweep the engine ran: Unsat probes whose final-conflict
 	// analysis produced a budget core, and candidates those cores let the
@@ -457,11 +450,9 @@ type CacheStats struct {
 	CoreSolves   uint64
 	PrunedProbes uint64
 	// TemplateHits counts encodes that shared a Stage-0 routing template
-	// (per (topology, step horizon), across families) instead of
-	// re-deriving it; MigratedLearnts counts learnt clauses translated
-	// into a rebuilt session solver across re-bases instead of dropped.
-	TemplateHits    uint64
-	MigratedLearnts uint64
+	// (per topology, across families and budgets) instead of re-deriving
+	// it.
+	TemplateHits uint64
 	// PortfolioSolves, SharedLearnts and CubeSplits aggregate the
 	// intra-instance parallelism counters of every sweep: probes that
 	// escalated into a solver race, vetted learnt clauses the replicas
@@ -479,9 +470,9 @@ type CacheStats struct {
 }
 
 // Delta returns the counter movement from an earlier snapshot prev of
-// the same engine to s: monotonic counters (hits, misses, session and
-// solver counters) are subtracted, while the point-in-time gauges
-// (Algorithms, Frontiers, Sessions) keep s's current value. A metrics
+// the same engine to s: monotonic counters (hits, misses, solver
+// counters) are subtracted, while the point-in-time gauges (Algorithms,
+// Frontiers, MegaSessions) keep s's current value. A metrics
 // exporter can therefore report windowed rates from two CacheStats
 // calls without holding any engine lock across the window. Counters
 // that appear to have moved backwards (prev from a different engine, or
@@ -496,15 +487,11 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 	return CacheStats{
 		Algorithms:      s.Algorithms,
 		Frontiers:       s.Frontiers,
-		Sessions:        s.Sessions,
 		Hits:            sub(s.Hits, prev.Hits),
 		Misses:          sub(s.Misses, prev.Misses),
-		SessionHits:     sub(s.SessionHits, prev.SessionHits),
-		SessionMisses:   sub(s.SessionMisses, prev.SessionMisses),
 		CoreSolves:      sub(s.CoreSolves, prev.CoreSolves),
 		PrunedProbes:    sub(s.PrunedProbes, prev.PrunedProbes),
 		TemplateHits:    sub(s.TemplateHits, prev.TemplateHits),
-		MigratedLearnts: sub(s.MigratedLearnts, prev.MigratedLearnts),
 		PortfolioSolves: sub(s.PortfolioSolves, prev.PortfolioSolves),
 		SharedLearnts:   sub(s.SharedLearnts, prev.SharedLearnts),
 		CubeSplits:      sub(s.CubeSplits, prev.CubeSplits),
@@ -525,7 +512,6 @@ func (e *Engine) CacheStats() CacheStats {
 		CoreSolves:      e.coreSolves,
 		PrunedProbes:    e.prunedProbes,
 		TemplateHits:    e.templateHits,
-		MigratedLearnts: e.migratedLearnts,
 		PortfolioSolves: e.portfolioSolves,
 		SharedLearnts:   e.sharedLearnts,
 		CubeSplits:      e.cubeSplits,
@@ -534,8 +520,6 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 	e.mu.Unlock()
 	if e.sessions != nil {
-		cs.Sessions = e.sessions.Len()
-		cs.SessionHits, cs.SessionMisses = e.sessions.Stats()
 		cs.MegaSessions = e.sessions.MegaLen()
 	}
 	return cs
@@ -588,7 +572,7 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 			if err == nil {
 				e.mu.Lock()
 				e.templateHits += uint64(sres.TemplateHits)
-				if sres.MegaProbe {
+				if sres.SessionProbe {
 					e.megaSelects++
 				}
 				e.megaEncodes += uint64(sres.MegaEncodes)
@@ -713,11 +697,10 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	e.coreSolves += uint64(stats.CoreSolves)
 	e.prunedProbes += uint64(stats.PrunedProbes)
 	e.templateHits += uint64(stats.TemplateHits)
-	e.migratedLearnts += uint64(stats.MigratedLearnts)
 	e.portfolioSolves += uint64(stats.PortfolioSolves)
 	e.sharedLearnts += uint64(stats.SharedLearnts)
 	e.cubeSplits += uint64(stats.CubeSplits)
-	e.megaSelects += uint64(stats.MegaProbes)
+	e.megaSelects += uint64(stats.SessionProbes)
 	e.megaEncodes += uint64(stats.MegaEncodes)
 	e.mu.Unlock()
 	res := &ParetoResult{Points: pts, Stats: stats, Wall: time.Since(t0), Fingerprint: fp}

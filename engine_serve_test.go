@@ -97,13 +97,13 @@ func TestEngineParetoFingerprint(t *testing.T) {
 // through, and a counter that appears to move backwards (engine swap)
 // clamps to zero instead of wrapping.
 func TestCacheStatsDelta(t *testing.T) {
-	prev := sccl.CacheStats{Hits: 10, Misses: 4, Sessions: 2, Algorithms: 7}
-	cur := sccl.CacheStats{Hits: 25, Misses: 5, Sessions: 3, Algorithms: 9}
+	prev := sccl.CacheStats{Hits: 10, Misses: 4, MegaSessions: 2, Algorithms: 7}
+	cur := sccl.CacheStats{Hits: 25, Misses: 5, MegaSessions: 3, Algorithms: 9}
 	d := cur.Delta(prev)
 	if d.Hits != 15 || d.Misses != 1 {
 		t.Fatalf("delta counters = %d hits / %d misses, want 15/1", d.Hits, d.Misses)
 	}
-	if d.Sessions != 3 || d.Algorithms != 9 {
+	if d.MegaSessions != 3 || d.Algorithms != 9 {
 		t.Fatalf("gauges must pass through: %+v", d)
 	}
 	back := prev.Delta(cur) // counters went "backwards"

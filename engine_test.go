@@ -427,6 +427,47 @@ func TestEngineInstance(t *testing.T) {
 	}
 }
 
+// TestParetoDeterministicCounts pins ROADMAP item 0.1: at Workers 1 no
+// scheduling decision depends on the wall clock, so fresh engines
+// repeating one sweep probe, prune and learn identically. The dgx1 sweep
+// is the small acceptance case; the amd sweep walks long Unsat chains
+// where chain-top escalation (conflict-capped) and dominance pruning fire.
+func TestParetoDeterministicCounts(t *testing.T) {
+	type counts struct {
+		probes, sessionProbes, coreSolves, prunedProbes int
+		carried                                         int64
+	}
+	cases := []struct {
+		name string
+		req  sccl.ParetoRequest
+		runs int
+	}{
+		{"dgx1-broadcast-k2", sccl.ParetoRequest{Kind: sccl.Broadcast, Topo: sccl.DGX1(), K: 2, MaxChunks: 6}, 5},
+		{"amd-broadcast-k3", sccl.ParetoRequest{Kind: sccl.Broadcast, Topo: sccl.AMDZ52(), K: 3}, 3},
+	}
+	for _, tc := range cases {
+		var first counts
+		for run := 0; run < tc.runs; run++ {
+			eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+			res, err := eng.Pareto(context.Background(), tc.req)
+			eng.Close()
+			if err != nil {
+				t.Fatalf("%s run %d: %v", tc.name, run, err)
+			}
+			st := res.Stats
+			got := counts{st.Probes, st.SessionProbes, st.CoreSolves, st.PrunedProbes, st.CarriedLearnts}
+			if got.sessionProbes == 0 || got.coreSolves == 0 {
+				t.Fatalf("%s run %d never left the one-shot path: %+v", tc.name, run, st)
+			}
+			if run == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s run %d: counts %+v differ from run 0's %+v", tc.name, run, got, first)
+			}
+		}
+	}
+}
+
 // TestEngineSessionPool checks that a default Pareto sweep adopts a
 // mega-base out of the engine's persistent pool (see
 // synth.ParetoOptions.NoSessions), that frontiers stay byte-identical

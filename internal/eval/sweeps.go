@@ -135,11 +135,9 @@ type SweepRow struct {
 	// the scheduler answer without solving.
 	CoreSolves   int `json:"coreSolves"`
 	PrunedProbes int `json:"prunedProbes"`
-	// TemplateHits and MigratedLearnts track the staged encoder: encodes
-	// that shared a Stage-0 routing template across families, and learnt
-	// clauses carried across session re-bases instead of dropped.
-	TemplateHits    int   `json:"templateHits"`
-	MigratedLearnts int64 `json:"migratedLearnts"`
+	// TemplateHits counts encodes that shared a Stage-0 routing template
+	// across families.
+	TemplateHits int `json:"templateHits"`
 	// PortfolioSolves, SharedLearnts and CubeSplits track intra-instance
 	// parallelism: probes that escalated into a race, learnt clauses
 	// imported across portfolio workers, and cubes raced by
@@ -218,7 +216,6 @@ func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmet
 		CoreSolves:        stats.CoreSolves,
 		PrunedProbes:      stats.PrunedProbes,
 		TemplateHits:      stats.TemplateHits,
-		MigratedLearnts:   stats.MigratedLearnts,
 		PortfolioSolves:   stats.PortfolioSolves,
 		SharedLearnts:     stats.SharedLearnts,
 		CubeSplits:        stats.CubeSplits,

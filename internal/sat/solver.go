@@ -160,8 +160,8 @@ func (s *Solver) Stats() Stats { return s.stats }
 
 // LearntClauses returns the number of learnt clauses currently live in the
 // clause database. Between incremental Solve calls this is the knowledge
-// carried from earlier solves into the next one; the synthesis sessions
-// report it as their clause-reuse counter.
+// carried from earlier solves into the next one; the synthesis mega-base
+// reports it as its clause-reuse counter.
 func (s *Solver) LearntClauses() int {
 	n := 0
 	for _, r := range s.learnts {
@@ -170,22 +170,6 @@ func (s *Solver) LearntClauses() int {
 		}
 	}
 	return n
-}
-
-// LearntClauseLits returns copies of the live learnt clauses' literals,
-// in clause-database order. The synthesis sessions use it to migrate
-// lemmas into a rebuilt solver when a session re-bases (see AddLearnt
-// and Entailed).
-func (s *Solver) LearntClauseLits() [][]Lit {
-	out := make([][]Lit, 0, len(s.learnts))
-	for _, r := range s.learnts {
-		c := &s.clauses[r]
-		if c.deleted || len(c.lits) == 0 {
-			continue
-		}
-		out = append(out, append([]Lit(nil), c.lits...))
-	}
-	return out
 }
 
 // Entailed reports whether the clause is entailed by the current formula

@@ -472,16 +472,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.prevMu.Unlock()
 	writeGauge(w, "sccl_engine_algorithms", "Cached synthesis outcomes in the engine.", float64(cs.Algorithms))
 	writeGauge(w, "sccl_engine_frontiers", "Cached Pareto frontiers in the engine.", float64(cs.Frontiers))
-	writeGauge(w, "sccl_engine_sessions", "Live pooled solver sessions.", float64(cs.Sessions))
 	writeGauge(w, "sccl_engine_mega_sessions", "Live shared mega-base sessions.", float64(cs.MegaSessions))
 	writeCounter(w, "sccl_engine_hits_total", "Engine algorithm/frontier cache hits.", cs.Hits)
 	writeCounter(w, "sccl_engine_misses_total", "Engine algorithm/frontier cache misses.", cs.Misses)
-	writeCounter(w, "sccl_engine_session_hits_total", "Session-pool hits.", cs.SessionHits)
-	writeCounter(w, "sccl_engine_session_misses_total", "Session-pool misses.", cs.SessionMisses)
 	writeCounter(w, "sccl_engine_core_solves_total", "Unsat probes that yielded budget cores.", cs.CoreSolves)
 	writeCounter(w, "sccl_engine_pruned_probes_total", "Candidates answered by core dominance without solving.", cs.PrunedProbes)
 	writeCounter(w, "sccl_engine_template_hits_total", "Stage-0 template shares across encodes.", cs.TemplateHits)
-	writeCounter(w, "sccl_engine_migrated_learnts_total", "Learnt clauses migrated across session re-bases.", cs.MigratedLearnts)
 	writeCounter(w, "sccl_engine_portfolio_solves_total", "Solves escalated into portfolio races.", cs.PortfolioSolves)
 	writeCounter(w, "sccl_engine_shared_learnts_total", "Learnt clauses imported by portfolio replicas.", cs.SharedLearnts)
 	writeCounter(w, "sccl_engine_cube_splits_total", "Cubes raced by cube-and-conquer escalations.", cs.CubeSplits)

@@ -91,9 +91,7 @@ func (s *Script) String() string {
 }
 
 // Prelude renders the script's logic declaration, constant declarations
-// and assertions without any (check-sat) or (get-value) commands — the
-// form an incremental session feeds to a live solver process before
-// issuing per-budget (push)/(check-sat)/(pop) rounds.
+// and assertions without any (check-sat) or (get-value) commands.
 func (s *Script) Prelude() string {
 	var b strings.Builder
 	b.WriteString("(set-logic QF_LIA)\n")

@@ -52,22 +52,6 @@ func isCDCL(b Backend) bool {
 	return ok
 }
 
-// NewSession prepares an incremental per-family session over the built-in
-// solver. The paper encoding solves incrementally under assumptions;
-// configurations the layered encoder does not cover (the direct ablation
-// encoding, proof recording) yield a session that one-shots every probe
-// so answers and artifacts stay identical to the non-session path.
-func (cdclBackend) NewSession(f Family, opts Options) (Session, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return &cdclSession{
-		fam:     f,
-		opts:    opts,
-		oneShot: opts.Encoding != EncodingPaper || opts.ProveUnsat,
-	}, nil
-}
-
 // SMTLIBBackend discharges instances to an external SMT solver run as a
 // subprocess over the SMT-LIB2 (QF_LIA) emission of constraints C1–C6.
 type SMTLIBBackend struct {

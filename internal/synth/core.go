@@ -7,16 +7,15 @@ import (
 	"repro/internal/sat"
 )
 
-// BudgetCore classifies the final conflict of an Unsat session probe by
-// which (S, R) budget-assumption groups it involved. The session layering
-// (see sessionEncoding) discharges a probe's budget as assumption
-// literals over a budget-independent base formula: post-arrival literals
-// time(c, n) <= S (constraint C2) and a two-sided round-total bound
-// sum(r_1..r_S) >= R / <= R (constraint C6). A real final-conflict
-// analysis (sat.Solver.FailedAssumptions, or the SMT session's
-// (get-unsat-core)) reports which of those literals the conflict actually
-// needed, and the group structure makes whole budget regions Unsat for
-// free:
+// BudgetCore classifies the final conflict of an Unsat mega-base probe by
+// which (S, R) budget-assumption groups it involved. The layering (see
+// megaEncoding) discharges a probe's budget as assumption literals over a
+// budget-independent base formula: post-arrival literals time(c, n) <= S
+// (constraint C2) and a two-sided round-total bound sum(r_1..r_S) >= R /
+// <= R (constraint C6). A real final-conflict analysis
+// (sat.Solver.FailedAssumptions) reports which of those literals the
+// conflict actually needed, and the group structure makes whole budget
+// regions Unsat for free:
 //
 //   - post-arrival literals strengthen monotonically as S shrinks, so a
 //     core without round literals refutes every cheaper step budget of
@@ -95,8 +94,7 @@ type assumpMarks struct {
 	post map[sat.Lit]bool
 	// acts records the assumed chunk-activation literals of a mega-base
 	// probe, in the polarity assumed — positive and negated activations
-	// can both appear in a failed-assumption core. Nil for per-family
-	// sessions.
+	// can both appear in a failed-assumption core.
 	acts         map[sat.Lit]bool
 	lower, upper sat.Lit // 0 when the bound is absent (trivial)
 	// symOn/symOff are the node-symmetry selector guards of a mega probe,
@@ -154,7 +152,7 @@ const minimizeConflictBudget = 256
 // Every upgrade is sound by construction: the deletion probe is a real
 // solve of the live session formula under the reduced assumption set,
 // so the refined core is itself a failed-assumption core.
-func (e *sessionEncoding) classifyCore(ctx context.Context, marks assumpMarks, steps, rounds int) *BudgetCore {
+func (e *megaEncoding) classifyCore(ctx context.Context, marks assumpMarks, steps, rounds int) *BudgetCore {
 	failed := e.ctx.Solver.FailedAssumptions()
 	bc := marks.classify(failed, steps, rounds)
 	if bc == nil || bc.Empty {
@@ -168,8 +166,8 @@ func (e *sessionEncoding) classifyCore(ctx context.Context, marks assumpMarks, s
 		return bc
 	}
 	core := append([]sat.Lit(nil), failed...)
-	// Deletion 1: drop the round bounds. If the post-arrival (and, on the
-	// mega path, activation) literals alone still refute the formula, the
+	// Deletion 1: drop the round bounds. If the post-arrival and activation
+	// literals alone still refute the formula, the
 	// re-solve's own final conflict is a round-free core with steps
 	// dominance. Activation literals ride along in both reduced sets:
 	// they select the family, so dropping them would refute a different
@@ -187,7 +185,7 @@ func (e *sessionEncoding) classifyCore(ctx context.Context, marks assumpMarks, s
 	}
 	// Deletion 2: drop the post literals (activation literals stay). A
 	// surviving conflict is a bandwidth shortfall over the round bounds —
-	// or, on the mega path, a family Unsat at this step count outright.
+	// or a family Unsat at this step count outright.
 	var roundOnly []sat.Lit
 	for _, l := range core {
 		if !marks.post[l] {
@@ -204,6 +202,6 @@ func (e *sessionEncoding) classifyCore(ctx context.Context, marks assumpMarks, s
 
 // refutes re-solves the live session formula under a reduced assumption
 // set with a small conflict budget; only a definite Unsat counts.
-func (e *sessionEncoding) refutes(ctx context.Context, assumptions []sat.Lit) bool {
+func (e *megaEncoding) refutes(ctx context.Context, assumptions []sat.Lit) bool {
 	return e.ctx.Solver.SolveWithBudgetContext(ctx, minimizeConflictBudget, assumptions...) == sat.Unsat
 }

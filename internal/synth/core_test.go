@@ -3,7 +3,9 @@ package synth
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/collective"
 	"repro/internal/sat"
@@ -41,7 +43,6 @@ func TestBudgetCoreDominance(t *testing.T) {
 // independent one-shot solve. A single violation here would mean the
 // sweep could skip a satisfiable budget and corrupt a frontier.
 func TestSessionCoreDominanceSound(t *testing.T) {
-	backend := NewCDCLBackend().(SessionBackend)
 	oneShot := map[string]sat.Status{}
 	status := func(coll *collective.Spec, topo *topology.Topology, s, r int) sat.Status {
 		key := fmt.Sprintf("%s|%s|%d|%d", coll.Fingerprint(), topo.Fingerprint(), s, r)
@@ -57,17 +58,21 @@ func TestSessionCoreDominanceSound(t *testing.T) {
 	}
 	const maxSteps, k = 5, 2
 	cores := 0
+	kinds := []collective.Kind{collective.Allgather, collective.Broadcast}
 	for _, topo := range []*topology.Topology{topology.Ring(4), topology.BidirRing(5)} {
-		for _, kind := range []collective.Kind{collective.Allgather, collective.Broadcast} {
+		mega := NewMegaSession(topo, 0, Options{}, kinds, 2, maxSteps, k)
+		if mega == nil {
+			t.Fatalf("%s: no mega session", topo.Name)
+		}
+		for _, kind := range kinds {
 			for _, c := range []int{1, 2} {
 				coll, err := collective.New(kind, topo.P, c, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fam := Family{Coll: coll, Topo: topo, MaxSteps: maxSteps, MaxExtraRounds: k}
-				sess, err := backend.NewSession(fam, Options{})
-				if err != nil {
-					t.Fatal(err)
+				sess := mega.View(coll)
+				if sess == nil {
+					t.Fatalf("%s %v c=%d: no view", topo.Name, kind, c)
 				}
 				for s := 1; s <= maxSteps; s++ {
 					for r := s; r <= s+k; r++ {
@@ -106,9 +111,9 @@ func TestSessionCoreDominanceSound(t *testing.T) {
 						}
 					}
 				}
-				sess.Close()
 			}
 		}
+		mega.Close()
 	}
 	if cores == 0 {
 		t.Fatal("no session probe produced a budget core; the analysis is dead")
@@ -118,7 +123,10 @@ func TestSessionCoreDominanceSound(t *testing.T) {
 // TestParetoUnsatCorePruning is the acceptance sweep: on the bidir-ring
 // Broadcast suite the scheduler must skip dominated candidates
 // (PrunedProbes > 0) while returning a frontier byte-identical to the
-// session-less one-shot sweep, for both worker counts.
+// session-less one-shot sweep, for both worker counts. The sweep also
+// loses chain-top gambles (a capped top probe that answers Unknown is
+// discarded); their encode and solve walls must land in the stats like
+// their probe wall does.
 func TestParetoUnsatCorePruning(t *testing.T) {
 	topo := topology.BidirRing(10)
 	base := ParetoOptions{K: 3, MaxSteps: 7, MaxChunks: 12}
@@ -139,9 +147,23 @@ func TestParetoUnsatCorePruning(t *testing.T) {
 		opts.Workers = workers
 		var stats ParetoStats
 		opts.Stats = &stats
+		discarded := 0
+		opts.Progress = func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			if strings.Contains(line, "chain-top") && !strings.Contains(line, ": "+sat.Unsat.String()+" (") {
+				discarded++
+			}
+		}
 		got, err := ParetoSynthesize(collective.Broadcast, topo, 0, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if workers == 1 && discarded == 0 {
+			t.Error("sweep lost no chain-top gamble; the discard accounting went unexercised")
+		}
+		if stats.EncodeTime+stats.SolveTime > stats.ProbeTime {
+			t.Errorf("workers=%d: encode %v + solve %v exceed the probe wall %v",
+				workers, stats.EncodeTime, stats.SolveTime, stats.ProbeTime)
 		}
 		if gotBytes := frontierBytes(t, got); string(gotBytes) != string(wantBytes) {
 			t.Errorf("workers=%d: pruned frontier differs from one-shot\n got: %s\nwant: %s",
@@ -155,5 +177,22 @@ func TestParetoUnsatCorePruning(t *testing.T) {
 		}
 		t.Logf("workers=%d: probes=%d pruned=%d coreSolves=%d prunedProbes=%d solve=%s",
 			workers, stats.Probes, stats.Pruned, stats.CoreSolves, stats.PrunedProbes, stats.SolveTime)
+	}
+}
+
+// TestDiscardedGambleCountsAllWalls feeds the accounting the run loop
+// applies to a discarded gamble — a speculative chain-top probe that
+// answered Sat and goes back to the pending pool — and checks its encode
+// and solve time move the sweep totals alongside its probe wall, without
+// counting a completed probe.
+func TestDiscardedGambleCountsAllWalls(t *testing.T) {
+	w := &paretoSweep{}
+	w.accountWall(&probeOutcome{escalated: true, dur: 9 * time.Millisecond,
+		res: Result{Status: sat.Sat, Encode: 2 * time.Millisecond, Solve: 5 * time.Millisecond}})
+	if w.stats.ProbeTime != 9*time.Millisecond || w.stats.EncodeTime != 2*time.Millisecond || w.stats.SolveTime != 5*time.Millisecond {
+		t.Errorf("discarded gamble folded as %+v", w.stats)
+	}
+	if w.stats.Probes != 0 {
+		t.Errorf("discarded gamble counted as a completed probe: %+v", w.stats)
 	}
 }

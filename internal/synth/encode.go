@@ -107,11 +107,13 @@ type Result struct {
 	// and the answer is Unsat (nil for pruning-detected infeasibility,
 	// where the certificate is the unreachable requirement itself).
 	Proof *sat.Proof
-	// SessionProbe reports that the result was discharged through a live
-	// per-family solver session (see Session) instead of a one-shot solve.
+	// SessionProbe reports that the result was discharged as an
+	// assumption-selected projection of a shared per-topology mega-base
+	// (see MegaSession) instead of a one-shot solve. Stats then counts
+	// this probe's share of the long-lived solver's work.
 	SessionProbe bool
-	// SessionWarm reports that the session had already solved earlier
-	// probes, so learnt clauses and heuristic state carried into this one.
+	// SessionWarm reports that the session's base was already built, so
+	// learnt clauses and heuristic state carried into this probe.
 	SessionWarm bool
 	// CarriedLearnts is the number of learnt clauses alive in the session
 	// solver when this solve began (0 for one-shot solves).
@@ -123,12 +125,8 @@ type Result struct {
 	Core *BudgetCore
 	// TemplateHits counts encodes within this result that reused a shared
 	// Stage-0 routing template (see Stage0Template) instead of deriving
-	// their own — session base builds and canonical witness re-solves.
+	// their own — pooled one-shot probes and canonical witness re-solves.
 	TemplateHits int
-	// MigratedLearnts is the number of learnt clauses translated through
-	// the stage variable map into the rebuilt solver when this probe
-	// triggered a session re-base (0 otherwise).
-	MigratedLearnts int
 	// PortfolioSolves is 1 when this solve crossed the portfolio
 	// threshold and escalated into an intra-instance race (0 otherwise:
 	// the leader finished alone and no replica ever launched).
@@ -139,9 +137,6 @@ type Result struct {
 	// CubeSplits counts the cubes a cube-and-conquer escalation raced
 	// (0 when the escalation used diversified replicas instead).
 	CubeSplits int
-	// MegaProbe marks a probe discharged as an assumption-selected
-	// projection of a shared per-topology mega-base (see MegaSession).
-	MegaProbe bool
 	// MegaEncodes counts mega-base formula constructions this probe paid
 	// for (1 when it was the probe that built the shared base).
 	MegaEncodes int
@@ -231,7 +226,7 @@ func encodePaper(in Instance, opts Options) *encoded {
 }
 
 // encodePaperTemplate is encodePaper with an optional shared Stage-0
-// template (sessions pass their family's; nil derives a private one).
+// template (pooled probes pass their topology's; nil derives a private one).
 func encodePaperTemplate(in Instance, opts Options, tmpl *Stage0Template) *encoded {
 	enc := NewStagedEncoder(EncodePlan{
 		Coll:            in.Coll,

@@ -44,26 +44,30 @@ func clauseStream(t *testing.T, in Instance, opts Options) string {
 	return b.String()
 }
 
-// sessionBaseStream renders the layered base formula's problem clauses and
-// variable count at a fixed horizon (units enqueued at level 0 are pinned
-// separately by the status-equality tests).
-func sessionBaseStream(t *testing.T, fam Family, opts Options, horizon int) string {
+// megaBaseStream renders the layered mega-base formula's problem clauses
+// and variable count for a kind-scoped universe (units enqueued at level 0
+// are pinned separately by the status-equality tests).
+func megaBaseStream(t *testing.T, topo *topology.Topology, kinds []collective.Kind, maxChunks, horizon, k int) string {
 	t.Helper()
-	e := encodeSessionBase(fam, opts, horizon, nil, false)
+	uni := buildMegaUniverse(topo.P, 0, kinds, maxChunks)
+	if uni == nil {
+		t.Fatal("no universe")
+	}
+	e := encodeMegaBase(uni.spec, topo, Options{}, horizon, k, nil)
+	if e == nil {
+		t.Fatal("mega-base infeasible")
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "vars %d infeasible %v\n", e.ctx.Solver.NumVars(), e.infeasible)
-	if !e.infeasible {
-		if err := e.ctx.Solver.WriteDIMACS(&b); err != nil {
-			t.Fatal(err)
-		}
+	fmt.Fprintf(&b, "vars %d chunks %d\n", e.ctx.Solver.NumVars(), uni.spec.G)
+	if err := e.ctx.Solver.WriteDIMACS(&b); err != nil {
+		t.Fatal(err)
 	}
 	return b.String()
 }
 
 // TestStagedEncoderGoldens pins the byte-exact output of every encoder
-// family — one-shot CDCL clause streams, layered CDCL bases, one-shot
-// SMT-LIB documents, and layered SMT-LIB base+budget emissions — against
-// committed goldens. The staged-encoder refactor (and any later change)
+// family — one-shot CDCL clause streams, the layered CDCL mega-base and
+// one-shot SMT-LIB documents — against committed goldens. The staged-encoder refactor (and any later change)
 // must keep these stable: the clause order determines the models the CDCL
 // solver finds, and the pinned witness algorithms with them.
 func TestStagedEncoderGoldens(t *testing.T) {
@@ -92,11 +96,9 @@ func TestStagedEncoderGoldens(t *testing.T) {
 		Instance{Coll: mk(collective.Allgather, ring, 2), Topo: ring, Steps: 3, Round: 4},
 		Options{NoSymmetryBreak: true})
 
-	// Layered CDCL session bases.
-	goldens["cdcl_base_ring4_ag_c2_h4.txt"] = sessionBaseStream(t,
-		Family{Coll: mk(collective.Allgather, ring, 2), Topo: ring, MaxSteps: 5, MaxExtraRounds: 2}, Options{}, 4)
-	goldens["cdcl_base_bidir5_bc_c2_h4.txt"] = sessionBaseStream(t,
-		Family{Coll: mk(collective.Broadcast, bidir, 2), Topo: bidir, MaxSteps: 6, MaxExtraRounds: 3}, Options{}, 4)
+	// Layered CDCL mega-base (window mode, activation-guarded sends).
+	goldens["cdcl_mega_bidir5_bc_c2_h4.txt"] = megaBaseStream(t,
+		bidir, []collective.Kind{collective.Broadcast}, 2, 4, 3)
 
 	// One-shot SMT-LIB documents.
 	smtOne, err := EmitSMTLIB(Instance{Coll: mk(collective.Allgather, ring, 2), Topo: ring, Steps: 3, Round: 4})
@@ -109,24 +111,6 @@ func TestStagedEncoderGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldens["smtlib_bidir5_bc_c2_s3_r5.smt2"] = smtBidir.String()
-
-	// Layered SMT-LIB base + budget emissions.
-	fam := Family{Coll: mk(collective.Broadcast, ring, 2), Topo: ring, MaxSteps: 5, MaxExtraRounds: 2}
-	base, err := EmitSMTLIBBase(fam, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget, err := EmitSMTLIBBudget(fam, 4, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	named, err := EmitSMTLIBBudgetNamed(fam, 4, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldens["smtlib_base_ring4_bc_c2_h4.smt2"] = base.Prelude() +
-		"=== budget S=3 R=5 ===\n" + strings.Join(budget, "\n") +
-		"\n=== named ===\n" + strings.Join(named, "\n") + "\n"
 
 	dir := filepath.Join("testdata", "staged")
 	if *updateGoldens {

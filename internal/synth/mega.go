@@ -4,26 +4,31 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/collective"
+	"repro/internal/pb"
 	"repro/internal/sat"
 	"repro/internal/smt"
 	"repro/internal/topology"
 )
 
-// The mega-base generalizes the per-family incremental session one level
-// up: instead of one layered base formula per (collective, C) family, a
-// MegaSession keeps ONE Stage-1 formula per topology over the union of
-// every family's chunks, with a per-chunk activation literal guarding the
-// chunk's send variables. A family is then selected by assumption alone —
-// act[c] for its mapped chunks, ¬act[c] for the rest, plus the existing
-// Stage-2 (S, R) budget assumptions — so a whole multi-family sweep is a
-// single long-lived incremental solve: no re-encode per family, no
-// re-base per chunk count, and learnt clauses survive across families and
-// chunk counts by construction.
+// The mega-base is the repository's one incremental solving path. A
+// MegaSession keeps ONE Stage-1 formula per topology — the staged
+// encoder's window mode: time domains spanning the whole step horizon,
+// bandwidth constraints for every step, round variables in [1, k+1], and
+// neither budget constraint asserted — over the union of every
+// (collective, C) family's chunks, with a per-chunk activation literal
+// guarding the chunk's send variables. A probe is selected by assumption
+// alone: act[c] for the family's mapped chunks, ¬act[c] for the rest,
+// C2 (post arrival within S) as the order-encoding literal time <= S per
+// post placement, and C6 (round total R) as a two-sided bound on a
+// prefix-sum register over the round variables. Sends arriving after the
+// probed S are allowed by the base and ignored (witnesses are re-derived
+// one-shot). A whole multi-family sweep is therefore a single long-lived
+// incremental solve: one encode, and learnt clauses survive across
+// budgets, chunk counts and families by construction.
 //
 // Soundness of the projection (why assuming activations is equivalent to
 // encoding the family directly):
@@ -34,9 +39,12 @@ import (
 //     the all-never assignment, and the chunk's C5 arrival literals are
 //     reified conjunctions over a false send, so they are forced false
 //     and drop out of every bandwidth count;
-//   - activation releases the guards, leaving exactly the constraints the
-//     per-family window base emits for that chunk (same pre/post rows,
-//     same BFS domains, same minimality forms at the shared horizon);
+//   - activation releases the guards, leaving exactly the window-mode
+//     constraints of that chunk (same pre/post rows, same BFS domains; the
+//     minimality refinements at the horizon are weaker than the one-shot
+//     encoder's S-specific forms but satisfiability-preserving for every
+//     probed S: a minimal S-budget algorithm maps into the base by sending
+//     nothing after S and placing never-arriving chunks at horizon+1);
 //   - chunk-symmetry chains are respected because a family's chunks map
 //     onto a PREFIX of each mega signature group in ascending id order:
 //     the family's own chain is the prefix of the mega chain, and the
@@ -85,8 +93,7 @@ type megaUniverse struct {
 
 // buildMegaUniverse lays out the union spec over the scoped kinds (nil
 // means every non-combining kind) at chunk counts 1..maxChunks. Returns
-// nil when the union exceeds megaMaxChunks — the caller falls back to
-// per-family sessions.
+// nil when the union exceeds megaMaxChunks — the caller stays one-shot.
 func buildMegaUniverse(p int, root topology.Node, kinds []collective.Kind, maxChunks int) *megaUniverse {
 	if len(kinds) == 0 {
 		kinds = collective.Kinds()
@@ -177,26 +184,37 @@ func (u *megaUniverse) mapFamily(coll *collective.Spec) []int {
 	return mapping
 }
 
-// megaEncoding is the live mega base formula: a sessionEncoding over the
-// universe spec plus the per-chunk activation literals its guards use.
+// megaEncoding is the live mega base formula: the window-mode emission
+// over the universe spec plus the per-chunk activation literals its
+// guards use.
 type megaEncoding struct {
-	sessionEncoding
-	acts []sat.Lit
-	// symPlan/symGuards are the node-symmetry equivariance restrictions
-	// of the base, each generator conditioned on its own guard literal: a
-	// universe automorphism only remains a symmetry of the SELECTED
-	// family when the activation row is invariant under its induced class
-	// map, so assumeFamily routes each guard to the on or off side of the
-	// phased solve per family.
+	ctx   *smt.Context
+	spec  *collective.Spec
+	times [][]*smt.IntVar
+	rs    []*smt.IntVar
+	// prefix[s] is a unary register counting sum(r_1..r_s) - s, grown one
+	// step at a time via totalizer merges as probes demand it.
+	prefix []*pb.Totalizer
+	acts   []sat.Lit
+	// symPerms counts the node-symmetry generators restricted on in the
+	// base. symPlan/symGuards are those equivariance restrictions, each
+	// generator conditioned on its own guard literal: a universe
+	// automorphism only remains a symmetry of the SELECTED family when the
+	// activation row is invariant under its induced class map, so
+	// assumeFamily routes each guard to the on or off side of the phased
+	// solve per family.
+	symPerms  int
 	symPlan   *nodeSymPlan
 	symGuards []sat.Lit
 }
 
-// encodeMegaBase emits the universe's budget-independent constraints in
-// window mode at the shared horizon, with every send variable guarded by
-// its chunk's activation literal. Same walker, same sink, same clause
-// order discipline as encodeSessionBase — the guards are the only
-// difference, and they are inert while every act is assumed true.
+// encodeMegaBase emits the universe's budget-independent constraints
+// through the staged emitter in window mode at the shared horizon —
+// Stage 0 (shared routing template) + Stage 1, with Stage 2 (C2/C6) left
+// to assumeFamily — every send variable guarded by its chunk's activation
+// literal. It is the same walker and CDCL sink as the one-shot
+// encodePaper, differing only in the EncodePlan. Returns nil when some
+// universe chunk's required placement is unreachable within the horizon.
 func encodeMegaBase(spec *collective.Spec, topo *topology.Topology, opts Options, horizon, k int, tmpl *Stage0Template) *megaEncoding {
 	enc := NewStagedEncoder(EncodePlan{
 		Coll:            spec,
@@ -209,27 +227,46 @@ func encodeMegaBase(spec *collective.Spec, topo *topology.Topology, opts Options
 	})
 	ctx := smt.NewContext()
 	sink := newCDCLStageSink(enc, ctx)
-	acts := make([]sat.Lit, spec.G)
-	for c := range acts {
-		acts[c] = ctx.BoolVar()
+	sink.acts = make([]sat.Lit, spec.G)
+	for c := range sink.acts {
+		sink.acts[c] = ctx.BoolVar()
 	}
-	sink.acts = acts
-	ok := enc.Emit(sink)
+	if !enc.Emit(sink) {
+		return nil
+	}
 	return &megaEncoding{
-		sessionEncoding: sessionEncoding{
-			ctx:        ctx,
-			spec:       spec,
-			horizon:    horizon,
-			times:      sink.times,
-			snds:       sink.snds,
-			rs:         sink.rs,
-			infeasible: !ok,
-			symPerms:   sink.symPerms,
-		},
-		acts:      acts,
+		ctx:       ctx,
+		spec:      spec,
+		times:     sink.times,
+		rs:        sink.rs,
+		acts:      sink.acts,
+		symPerms:  sink.symPerms,
 		symPlan:   sink.symPlan,
 		symGuards: sink.symGuards,
 	}
+}
+
+// post reports whether (c, n) is a non-pre post placement. The universe
+// never holds a combining collective, so Pre/Post index directly.
+func (e *megaEncoding) post(c, n int) bool {
+	return e.spec.Post[c][n] && !e.spec.Pre[c][n]
+}
+
+// prefixRegister returns the unary register counting
+// sum(r_1..r_steps) - steps, growing the chain of totalizer merges as
+// needed. Registers are built once per step count and shared by every
+// later probe; their clauses are budget-independent.
+func (e *megaEncoding) prefixRegister(steps int) *pb.Totalizer {
+	for len(e.prefix) < steps {
+		s := len(e.prefix)
+		step := &pb.Totalizer{Outputs: e.rs[s].GeLits()}
+		if s == 0 {
+			e.prefix = append(e.prefix, step)
+			continue
+		}
+		e.prefix = append(e.prefix, pb.MergeTotalizers(e.ctx.Solver, e.prefix[s-1], step))
+	}
+	return e.prefix[steps-1]
 }
 
 // assumeFamily builds the assumption set selecting one family's (S, R)
@@ -237,8 +274,11 @@ func encodeMegaBase(spec *collective.Spec, topo *topology.Topology, opts Options
 // mapped chunks, negative for every other universe chunk — the negations
 // are what let unit propagation collapse the inactive part), then C2 post
 // arrival for the active chunks, then the shared C6 round-total bounds.
-// Pruned budgets report the same family-scoped cores as the per-family
-// session path.
+// marks records each literal's budget group for the final-conflict
+// classification. A non-nil prune reports a budget that pruning already
+// refutes — the one-shot encoder's feasible=false path, without touching
+// the solver — classified like a solver core so the sweep can skip the
+// budgets it dominates.
 func (e *megaEncoding) assumeFamily(mapping []int, active []bool, steps, rounds int) (lits []sat.Lit, marks assumpMarks, prune *BudgetCore) {
 	marks.post = map[sat.Lit]bool{}
 	marks.acts = map[sat.Lit]bool{}
@@ -299,19 +339,25 @@ func (e *megaEncoding) assumeFamily(mapping []int, active []bool, steps, rounds 
 				if tv.TriviallyLe(steps) {
 					continue
 				}
+				// BFS lower bound exceeds the budget: the placement misses
+				// every step budget <= steps at any round count.
 				return nil, marks, &BudgetCore{Steps: steps, Rounds: rounds, PostArrival: true}
 			}
 			lits = append(lits, le)
 			marks.post[le] = true
 		}
 	}
+	// C6: the round variables hold S <= sum <= S*(K+1); the prefix
+	// register counts the excess over the minimum one round per step.
 	target := rounds - steps
 	if target < 0 {
+		// R < S cannot hold for any cheaper R either.
 		return nil, marks, &BudgetCore{Steps: steps, Rounds: rounds, RoundUpper: true}
 	}
 	reg := e.prefixRegister(steps)
-	capacity := len(reg.Outputs)
-	if target > capacity {
+	if target > len(reg.Outputs) {
+		// The per-step domains cannot reach R; refutes only costlier R,
+		// so the core claims no downward dominance.
 		return nil, marks, &BudgetCore{Steps: steps, Rounds: rounds, RoundLower: true}
 	}
 	if lit, ok := reg.AtLeast(target); ok {
@@ -329,8 +375,10 @@ func (e *megaEncoding) assumeFamily(mapping []int, active []bool, steps, rounds 
 
 // MegaSession is the pooled per-topology incremental solver every mapped
 // family projects into. One session serves every (collective, C <=
-// maxChunks) family at every (S <= horizon, R <= S+k) budget; concurrent
-// probes serialize internally like any Session.
+// maxChunks) family at every (S <= horizon, R <= S+k) budget, so learned
+// clauses and heuristic state transfer between probes instead of being
+// discarded after every solve. Concurrent probes serialize on the session
+// lock; the session is safe for concurrent use.
 type MegaSession struct {
 	topo      *topology.Topology
 	root      topology.Node
@@ -351,8 +399,8 @@ type MegaSession struct {
 	closed bool
 	// disabled marks a base whose emission turned out infeasible: some
 	// universe chunk's required placement is unreachable at the horizon.
-	// Unlike a per-family infeasible base this refutes nothing about any
-	// particular family, so the session declines and views fall back.
+	// That refutes nothing about any particular family, so the session
+	// declines and views fall back.
 	disabled bool
 	uni      *megaUniverse
 	enc      *megaEncoding
@@ -487,10 +535,7 @@ func (m *MegaSession) buildLocked() {
 	}
 	m.enc = encodeMegaBase(m.uni.spec, m.topo, m.opts, m.horizon, m.k, tmpl)
 	m.encodes++
-	if m.enc.infeasible {
-		m.disabled = true
-		m.enc = nil
-	}
+	m.disabled = m.enc == nil
 }
 
 // Stats returns the session's lifetime counters: base encodes performed
@@ -511,9 +556,8 @@ func (m *MegaSession) Close() error {
 }
 
 // View projects one family out of the session: non-nil when every family
-// chunk maps onto the universe. The view satisfies Session (and the
-// status-only probe interface), so the Pareto scheduler and the engine
-// route probes through it exactly like a per-family session.
+// chunk maps onto the universe. The Pareto scheduler and the engine route
+// probes through views.
 func (m *MegaSession) View(coll *collective.Spec) *MegaFamilyView {
 	if m == nil || coll == nil || coll.Kind.IsCombining() || coll.P != m.topo.P {
 		return nil
@@ -544,39 +588,32 @@ type MegaFamilyView struct {
 	active  []bool
 }
 
-func (v *MegaFamilyView) Family() Family {
-	return Family{Coll: v.coll, Topo: v.m.topo, MaxSteps: v.m.horizon, MaxExtraRounds: v.m.k}
-}
-
-// key is the view's stats identity — like a pool key, distinct per family
-// but marked as mega-routed.
-func (v *MegaFamilyView) key() string {
-	return "mega|" + v.coll.Fingerprint() + "|" + v.m.topo.Fingerprint() +
-		"|s" + strconv.Itoa(v.m.horizon) + "|k" + strconv.Itoa(v.m.k)
-}
-
-// Close is a no-op: the underlying session belongs to the pool.
-func (v *MegaFamilyView) Close() error { return nil }
-
 // oneShotSolve discharges a probe through the plain one-shot pipeline
 // with the shared Stage-0 template — the fallback for budgets outside
 // the session window and the canonical-witness re-solve for Sat probes.
 func (v *MegaFamilyView) oneShotSolve(ctx context.Context, in Instance, opts Options) (Result, error) {
-	var tmpl *Stage0Template
-	hit := false
 	v.m.mu.Lock()
 	tc := v.m.templates
 	v.m.mu.Unlock()
-	if tc != nil {
-		tmpl, hit = tc.Get(v.m.topo)
-	}
-	return synthesizeCDCLTemplate(ctx, in, opts, tmpl, hit)
+	return solveOneShot(ctx, in, opts, tc)
 }
+
+// probe modes returned by the locked portion of a view solve.
+const (
+	probeModeDone    = iota // the result is final
+	probeModeOneShot        // solve the instance one-shot, outside the lock
+	probeModeSat            // Sat under assumptions: materialize the witness
+)
 
 func (v *MegaFamilyView) instance(steps, rounds int) Instance {
 	return Instance{Coll: v.coll, Topo: v.m.topo, Steps: steps, Round: rounds}
 }
 
+// Solve discharges one (steps, rounds) budget of the view's family. opts
+// supplies the per-probe solver budgets (Timeout, MaxConflicts); its
+// lowering-relevant fields must match the ones the session was created
+// with. Budgets outside the session window, and every probe of a closed or
+// declined session, degrade to one-shot solving rather than failing.
 func (v *MegaFamilyView) Solve(ctx context.Context, steps, rounds int, opts Options) (Result, error) {
 	in := v.instance(steps, rounds)
 	if err := in.Validate(); err != nil {
@@ -589,10 +626,16 @@ func (v *MegaFamilyView) Solve(ctx context.Context, steps, rounds int, opts Opti
 	case probeModeOneShot:
 		return v.oneShotSolve(ctx, in, opts)
 	}
-	// Canonical witness, same contract as cdclSession.Solve: the mega
-	// model depends on everything the shared solver saw before, so a Sat
-	// budget is re-solved one-shot for a deterministic, byte-identical
-	// algorithm. Portfolio stays off — the budget is already known Sat.
+	// Canonical witness: the session's own model depends on everything the
+	// shared solver saw before (carried learnt clauses steer the search),
+	// so a Sat budget is re-solved one-shot to keep algorithms
+	// deterministic and byte-identical with the one-shot path. The
+	// incremental win is in the Unsat chain the sweep walks before each
+	// frontier point. This solve builds its own solver and runs outside
+	// the session lock, so concurrent probes are not serialized behind it.
+	// Portfolio escalation is disabled here: the budget is already known
+	// Sat, so replicas could never short-circuit (only an Unsat wins a
+	// race) and would burn workers against an irreducible witness solve.
 	canonOpts := opts
 	canonOpts.Portfolio = 0
 	canon, err := v.oneShotSolve(ctx, in, canonOpts)
@@ -614,8 +657,11 @@ func (v *MegaFamilyView) Solve(ctx context.Context, steps, rounds int, opts Opti
 	return res, nil
 }
 
-// SolveStatus answers satisfiability without materializing a witness —
-// the speculative chain-top flavor (see statusSolver).
+// SolveStatus answers a budget's satisfiability without materializing a
+// canonical witness: a Sat answer carries no Algorithm (and skips the
+// one-shot re-solve Solve performs). Unsat answers are identical to
+// Solve's, including the budget core. The Pareto scheduler uses it for
+// speculative chain-top probes whose Sat answers it discards.
 func (v *MegaFamilyView) SolveStatus(ctx context.Context, steps, rounds int, opts Options) (Result, error) {
 	in := v.instance(steps, rounds)
 	if err := in.Validate(); err != nil {
@@ -629,9 +675,8 @@ func (v *MegaFamilyView) SolveStatus(ctx context.Context, steps, rounds int, opt
 }
 
 // probeLocked discharges one view probe against the shared base, under
-// the session lock. It mirrors cdclSession.probeLocked minus lazy
-// adoption (a mega session is adopted once, for the whole topology) and
-// minus re-bases (the horizon is fixed at creation).
+// the session lock: it decides the probe mode and, on the incremental
+// path, discharges the budget assumptions against the live solver.
 func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps, rounds int, opts Options) (Result, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -640,7 +685,6 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 	}
 	var res Result
 	res.SessionProbe = true
-	res.MegaProbe = true
 	res.SessionWarm = m.enc != nil
 	t0 := time.Now()
 	if m.enc == nil {
@@ -650,7 +694,7 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 			res.SymmetryPerms = m.enc.symPerms
 		}
 		if quotientEligible(m.opts) {
-			// The mega base never quotients: activation families select
+			// The mega-base never quotients: activation families select
 			// arbitrary chunk subsets, and a subset that is not a union of
 			// orbits breaks the invariance the aliasing would bake in.
 			res.QuotientDeclined = 1

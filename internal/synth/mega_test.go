@@ -61,7 +61,7 @@ func TestMegaStatusMatchesOneShot(t *testing.T) {
 							t.Errorf("%s %v c=%d s=%d r=%d: mega algorithm differs from one-shot",
 								topo.Name, kind, c, s, r)
 						}
-						if got.MegaProbe {
+						if got.SessionProbe {
 							megaProbes++
 						}
 					}
@@ -129,7 +129,7 @@ func TestMegaFrontiersByteIdentical(t *testing.T) {
 						name, kind, gb, want[kind])
 				}
 			}
-			if stats.MegaProbes == 0 {
+			if stats.SessionProbes == 0 {
 				t.Errorf("%s: no probe used the mega-base path (%+v)", name, stats)
 			}
 			if stats.MegaEncodes > 1 {

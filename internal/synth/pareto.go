@@ -75,14 +75,15 @@ type ParetoStats struct {
 	SolveTime  time.Duration
 	// Wall is the end-to-end sweep wall clock.
 	Wall time.Duration
-	// Families counts the distinct (collective, chunking) solver-session
-	// families the sweep touched; 0 when sessions were disabled.
+	// Families counts the distinct (collective, chunking) families the
+	// sweep projected out of a mega-base; 0 when it stayed one-shot.
 	Families int
-	// SessionProbes counts completed probes discharged incrementally
-	// through a live session rather than a one-shot solve.
+	// SessionProbes counts completed probes discharged incrementally as
+	// assumption-selected projections of a shared per-topology mega-base
+	// (see MegaSession) rather than a one-shot solve.
 	SessionProbes int
 	// SessionReuses counts session probes that hit a warm solver — one
-	// that had already solved earlier budgets of the same family.
+	// whose base was already built.
 	SessionReuses int
 	// CarriedLearnts sums the learnt clauses already live in the session
 	// solver at the start of each completed probe: the knowledge that
@@ -99,9 +100,9 @@ type ParetoStats struct {
 	// (per (topology, step horizon), across the sweep's families) instead
 	// of re-deriving identical substructure (see Stage0Template).
 	TemplateHits int
-	// MigratedLearnts sums the learnt clauses translated through the
-	// stage variable map into rebuilt session solvers when probes stepped
-	// past their encoded window — lemmas a re-base used to drop.
+	// Deprecated: always 0. Learnt migration went with the per-family
+	// sessions whose re-bases it served; the field stays until the next
+	// revision of bench/, which reads it.
 	MigratedLearnts int64
 	// PortfolioSolves counts probes whose solve wall crossed the
 	// portfolio threshold and escalated into an intra-instance race of
@@ -113,12 +114,9 @@ type ParetoStats struct {
 	// CubeSplits sums the cubes raced by cube-and-conquer escalations
 	// (see Options.CubeDepth).
 	CubeSplits int
-	// MegaProbes counts completed probes discharged as assumption-selected
-	// projections of a shared per-topology mega-base (see MegaSession).
-	MegaProbes int
 	// MegaEncodes counts mega-base formula constructions the sweep's
-	// probes paid for — at most one per topology, against one base encode
-	// per (collective, C) family on the per-family path.
+	// probes paid for: 1 for the sweep that adopts a base, 0 for one that
+	// found it warm or stayed one-shot.
 	MegaEncodes int
 	// SymmetryPerms sums the node-orbit automorphism generators whose
 	// guarded equivariance restrictions the sweep's base encodes emitted
@@ -129,7 +127,7 @@ type ParetoStats struct {
 	// attempts that fell through to the full formula (quotient Unsat or
 	// conflict-cap exhaustion proves nothing about the instance);
 	// QuotientDeclined counts base encodes that declined to quotient
-	// (mega bases always do, family bases with singleton orbits do).
+	// (mega-bases always do).
 	QuotientProbes    int
 	QuotientFallbacks int
 	QuotientDeclined  int
@@ -244,7 +242,9 @@ type probeOutcome struct {
 	// returns the candidate to the pending pool.
 	escalated bool
 	dur       time.Duration
-	famKey    string // session family the probe routed to ("" for one-shot)
+	// family is the chunk count of the mega-base family the probe was
+	// projected from (a sweep has one family per C); 0 for one-shot.
+	family int
 }
 
 // stepSchedule tracks probe state for one step count S. All fields are
@@ -342,7 +342,7 @@ type paretoSweep struct {
 	// the pool, or ruled out because a probe engaged the orbit quotient).
 	oneShotUnsats int
 	adoptClosed   bool
-	fams          map[string]bool
+	fams          map[int]bool
 	// Budget-dominance regions learned from unsat cores. A sweep probes
 	// one collective kind on one topology, so a family is identified by
 	// its chunk count C alone. stepKill[C] is the largest S a
@@ -420,16 +420,13 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	// the pool's shared cache when sessions are on (derived at most once
 	// per topology across sweeps), otherwise derived here — still one
 	// walk for the whole sweep instead of one per (pre, post) pair.
-	var tmplDist [][]int
+	var tmpl *Stage0Template
 	if pool != nil {
-		if tmpl, _ := pool.Templates().Get(topo); tmpl != nil {
-			tmplDist = tmpl.Dist
-		}
+		tmpl, _ = pool.Templates().Get(topo)
+	} else {
+		tmpl = NewStage0Template(topo)
 	}
-	if tmplDist == nil {
-		tmplDist = NewStage0Template(topo).Dist
-	}
-	bounds, err := collective.EffectiveLowerBoundsDist(kind, topo.P, 1, root, topo, tmplDist)
+	bounds, err := collective.EffectiveLowerBoundsDist(kind, topo.P, 1, root, topo, tmpl.Dist)
 	if err != nil {
 		return nil, err
 	}
@@ -449,11 +446,11 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 		bl:        bl,
 		progress:  SerializedProgress(opts.Progress),
 		workers:   workers,
-		fams:      map[string]bool{},
+		pool:      pool,
+		fams:      map[int]bool{},
 		stepKill:  map[int]int{},
 		roundKill: map[[2]int]int{},
 	}
-	w.pool = pool
 	if pool != nil {
 		// A warm covering session (an earlier sweep's, a daemon warmer's)
 		// serves from the first probe; a cold pool changes nothing yet.
@@ -559,11 +556,9 @@ func (s *ParetoStats) add(o ParetoStats) {
 	s.CoreSolves += o.CoreSolves
 	s.PrunedProbes += o.PrunedProbes
 	s.TemplateHits += o.TemplateHits
-	s.MigratedLearnts += o.MigratedLearnts
 	s.PortfolioSolves += o.PortfolioSolves
 	s.SharedLearnts += o.SharedLearnts
 	s.CubeSplits += o.CubeSplits
-	s.MegaProbes += o.MegaProbes
 	s.MegaEncodes += o.MegaEncodes
 	s.SymmetryPerms += o.SymmetryPerms
 	s.QuotientProbes += o.QuotientProbes
@@ -675,13 +670,10 @@ func (w *paretoSweep) run(ctx context.Context) ([]ParetoPoint, error) {
 			// In particular a Sat answer must NOT move the Sat cut — the
 			// cut excludes its own index from dispatch, which would strand
 			// this candidate unsolved and truncate the frontier.
-			// Its cost is still the sweep's: fold all three walls, or the
-			// encode/solve split undercounts what ProbeTime reports.
+			// Its cost is still the sweep's.
 			st.dispatched[d.ci] = false
 			st.escalated[st.cands[d.ci].C] = escState{state: escalateDone}
-			w.stats.ProbeTime += d.out.dur
-			w.stats.EncodeTime += d.out.res.Encode
-			w.stats.SolveTime += d.out.res.Solve
+			w.accountWall(d.out)
 			if ctx.Err() != nil {
 				return points, fmt.Errorf("synth: pareto sweep cancelled: %w", ctx.Err())
 			}
@@ -758,8 +750,8 @@ func (w *paretoSweep) noteCore(c int, core *BudgetCore) {
 
 // account folds one finished probe into the sweep counters.
 func (w *paretoSweep) account(out *probeOutcome) {
-	if out.famKey != "" && !w.fams[out.famKey] {
-		w.fams[out.famKey] = true
+	if out.family != 0 && !w.fams[out.family] {
+		w.fams[out.family] = true
 		w.stats.Families++
 	}
 	if out.skipped {
@@ -771,11 +763,8 @@ func (w *paretoSweep) account(out *probeOutcome) {
 		return
 	}
 	w.stats.Probes++
-	w.stats.ProbeTime += out.dur
-	w.stats.EncodeTime += out.res.Encode
-	w.stats.SolveTime += out.res.Solve
+	w.accountWall(out)
 	w.stats.TemplateHits += out.res.TemplateHits
-	w.stats.MigratedLearnts += int64(out.res.MigratedLearnts)
 	// Portfolio counters ride the Result of each probe and merge here, on
 	// the coordinator goroutine — the scheduler's single merge point — so
 	// replica workers never touch shared counters directly.
@@ -789,14 +778,20 @@ func (w *paretoSweep) account(out *probeOutcome) {
 		}
 		w.stats.CarriedLearnts += int64(out.res.CarriedLearnts)
 	}
-	if out.res.MegaProbe {
-		w.stats.MegaProbes++
-	}
 	w.stats.MegaEncodes += out.res.MegaEncodes
 	w.stats.SymmetryPerms += out.res.SymmetryPerms
 	w.stats.QuotientProbes += out.res.QuotientProbes
 	w.stats.QuotientFallbacks += out.res.QuotientFallbacks
 	w.stats.QuotientDeclined += out.res.QuotientDeclined
+}
+
+// accountWall folds the wall clocks of a probe that ran — completed, or a
+// discarded chain-top gamble — into the sweep totals: all three together,
+// or the encode/solve split undercounts what ProbeTime reports.
+func (w *paretoSweep) accountWall(out *probeOutcome) {
+	w.stats.ProbeTime += out.dur
+	w.stats.EncodeTime += out.res.Encode
+	w.stats.SolveTime += out.res.Solve
 }
 
 // nextTask picks the globally first undispatched candidate: steps in
@@ -985,10 +980,10 @@ func (w *paretoSweep) probe(t probeTask) *probeOutcome {
 			opts.MaxConflicts = t.escCap
 		}
 		out.escalated = true
-		out.famKey = view.key()
+		out.family = cand.C
 		out.res, out.err = view.SolveStatus(t.ctx, st.S, cand.R, opts)
 	case view != nil:
-		out.famKey = view.key()
+		out.family = cand.C
 		out.res, out.err = view.Solve(t.ctx, st.S, cand.R, opts)
 	default:
 		inst := Instance{Coll: coll, Topo: w.topo, Steps: st.S, Round: cand.R}

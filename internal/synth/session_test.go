@@ -13,27 +13,28 @@ import (
 )
 
 // TestSessionStatusMatchesOneShot probes a full (S, R) budget grid through
-// one session per family and checks every answer — status and, on Sat, the
-// extracted algorithm — against an independent one-shot solve. This is the
-// contract that keeps the layered base encoder and encodePaper in lock
-// step: any divergence in the budget layering shows up here as a status
-// flip or a differing witness.
+// one kind-scoped session per topology and checks every answer — status
+// and, on Sat, the extracted algorithm — against an independent one-shot
+// solve. This is the contract that keeps the layered base and encodePaper
+// in lock step: any divergence in the budget layering shows up here as a
+// status flip or a differing witness. (TestMegaStatusMatchesOneShot runs
+// the same grid over all-kinds universes.)
 func TestSessionStatusMatchesOneShot(t *testing.T) {
-	backend, ok := NewCDCLBackend().(SessionBackend)
-	if !ok {
-		t.Fatal("CDCL backend lost its SessionBackend implementation")
-	}
+	kinds := []collective.Kind{collective.Allgather, collective.Broadcast}
 	for _, topo := range []*topology.Topology{topology.Ring(4), topology.Line(4), topology.BidirRing(5)} {
-		for _, kind := range []collective.Kind{collective.Allgather, collective.Broadcast} {
+		mega := NewMegaSession(topo, 0, Options{}, kinds, 2, 6, 2)
+		if mega == nil {
+			t.Fatalf("%s: no session", topo.Name)
+		}
+		for _, kind := range kinds {
 			for _, c := range []int{1, 2} {
 				coll, err := collective.New(kind, topo.P, c, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fam := Family{Coll: coll, Topo: topo, MaxSteps: 6, MaxExtraRounds: 2}
-				sess, err := backend.NewSession(fam, Options{})
-				if err != nil {
-					t.Fatal(err)
+				sess := mega.View(coll)
+				if sess == nil {
+					t.Fatalf("%s %v c=%d: no view", topo.Name, kind, c)
 				}
 				incremental := 0
 				for s := 1; s <= 6; s++ {
@@ -64,10 +65,10 @@ func TestSessionStatusMatchesOneShot(t *testing.T) {
 				if incremental == 0 {
 					t.Errorf("%s %v c=%d: no probe used the incremental path", topo.Name, kind, c)
 				}
-				if err := sess.Close(); err != nil {
-					t.Fatal(err)
-				}
 			}
+		}
+		if err := mega.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -171,22 +172,26 @@ func TestParetoSessionFrontierDGX1(t *testing.T) {
 	}
 }
 
-// TestSessionLifecycle checks the probe-by-probe reporting: lazy adoption
-// one-shots the first probes, the incremental path marks warmth and
-// carried clauses, a step past the window re-bases cold, and out-of-class
-// budgets fall back without touching the solver.
+// TestSessionLifecycle checks the probe-by-probe reporting of a session
+// view: the first probe builds the base cold, later ones reuse the warm
+// solver and report carried clauses, out-of-window and out-of-class
+// budgets fall back one-shot without touching it, and a closed session
+// keeps answering one-shot.
 func TestSessionLifecycle(t *testing.T) {
 	topo := topology.Ring(5)
 	coll, err := collective.New(collective.Broadcast, topo.P, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := Family{Coll: coll, Topo: topo, MaxSteps: 8, MaxExtraRounds: 2}
-	sess, err := NewCDCLBackend().(SessionBackend).NewSession(fam, Options{})
-	if err != nil {
-		t.Fatal(err)
+	mega := NewMegaSession(topo, 0, Options{}, []collective.Kind{collective.Broadcast}, 2, 6, 2)
+	if mega == nil {
+		t.Fatal("no session")
 	}
-	defer sess.Close()
+	defer mega.Close()
+	sess := mega.View(coll)
+	if sess == nil {
+		t.Fatal("no view")
+	}
 	ctx := context.Background()
 	solve := func(s, r int) Result {
 		t.Helper()
@@ -194,151 +199,164 @@ func TestSessionLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("solve s=%d r=%d: %v", s, r, err)
 		}
-		return res
-	}
-	if res := solve(4, 4); res.SessionProbe {
-		t.Errorf("probe 1 should one-shot under lazy adoption: %+v", res)
-	}
-	if res := solve(4, 5); res.SessionProbe {
-		t.Errorf("probe 2 should one-shot under lazy adoption: %+v", res)
-	}
-	res3 := solve(4, 6)
-	if !res3.SessionProbe || res3.SessionWarm {
-		t.Errorf("probe 3 should be the cold incremental adoption: %+v", res3)
-	}
-	res4 := solve(5, 5) // within the horizon window (4 + stepSlack)
-	if !res4.SessionProbe || !res4.SessionWarm {
-		t.Errorf("probe 4 should reuse the warm solver: %+v", res4)
-	}
-	if res4.CarriedLearnts < 0 {
-		t.Errorf("negative carried learnts: %+v", res4)
-	}
-	res5 := solve(7, 8) // past the window: re-base
-	if !res5.SessionProbe || res5.SessionWarm {
-		t.Errorf("probe 5 should re-base cold: %+v", res5)
-	}
-	// R outside the family's k-synchronous class: falls back one-shot but
-	// still answers correctly.
-	res6 := solve(4, 8)
-	if res6.SessionProbe {
-		t.Errorf("out-of-class budget should one-shot: %+v", res6)
-	}
-	one, err := Synthesize(Instance{Coll: coll, Topo: topo, Steps: 4, Round: 8}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res6.Status != one.Status {
-		t.Errorf("out-of-class status %v != one-shot %v", res6.Status, one.Status)
-	}
-	// A closed session keeps answering via one-shot fallback.
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	resClosed := solve(4, 4)
-	if resClosed.SessionProbe {
-		t.Errorf("closed session should one-shot: %+v", resClosed)
-	}
-}
-
-// TestSessionPool exercises get-or-create, LRU eviction, and close.
-func TestSessionPool(t *testing.T) {
-	topo := topology.Ring(4)
-	pool := NewSessionPool()
-	pool.cap = 1
-	famFor := func(c int) Family {
-		coll, err := collective.New(collective.Allgather, topo.P, c, 0)
+		one, err := Synthesize(Instance{Coll: coll, Topo: topo, Steps: s, Round: r}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Family{Coll: coll, Topo: topo, MaxSteps: 5, MaxExtraRounds: 1}
+		if res.Status != one.Status {
+			t.Errorf("s=%d r=%d: session %v, one-shot %v", s, r, res.Status, one.Status)
+		}
+		return res
 	}
-	s1, err := pool.Session(famFor(1), Options{})
+	res1 := solve(4, 4)
+	if !res1.SessionProbe || res1.SessionWarm || res1.MegaEncodes != 1 {
+		t.Errorf("probe 1 should build the base cold: %+v", res1)
+	}
+	res2 := solve(4, 5)
+	if !res2.SessionProbe || !res2.SessionWarm || res2.MegaEncodes != 0 {
+		t.Errorf("probe 2 should reuse the warm solver: %+v", res2)
+	}
+	if res3 := solve(5, 5); !res3.SessionWarm || res3.CarriedLearnts < res2.CarriedLearnts {
+		t.Errorf("probe 3 lost carried learnts: %+v after %+v", res3, res2)
+	}
+	// Past the step window, and R outside the k-synchronous class: both
+	// fall back one-shot but still answer correctly.
+	if res := solve(7, 8); res.SessionProbe {
+		t.Errorf("out-of-window budget should one-shot: %+v", res)
+	}
+	if res := solve(4, 8); res.SessionProbe {
+		t.Errorf("out-of-class budget should one-shot: %+v", res)
+	}
+	if encodes, selects := mega.Stats(); encodes != 1 || selects != 3 {
+		t.Errorf("session counted %d encodes / %d selects, want 1 / 3", encodes, selects)
+	}
+	// A closed session keeps answering via one-shot fallback, and hands
+	// out no new views.
+	if err := mega.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res := solve(4, 4); res.SessionProbe {
+		t.Errorf("closed session should one-shot: %+v", res)
+	}
+	if mega.View(coll) != nil {
+		t.Error("closed session handed out a view")
+	}
+}
+
+// TestSessionPool exercises get-or-create, growth, LRU eviction, and
+// close of the pool's mega-base sessions.
+func TestSessionPool(t *testing.T) {
+	pool := NewSessionPool()
+	bc := []collective.Kind{collective.Broadcast}
+	ring := topology.Ring(4)
+	if pool.Mega(ring, 0, Options{}, bc, 2, 5, 1, false) != nil {
+		t.Error("warm lookup on an empty pool built a session")
+	}
+	m1 := pool.Mega(ring, 0, Options{}, bc, 2, 5, 1, true)
+	if m1 == nil {
+		t.Fatal("no session")
+	}
+	if again := pool.Mega(ring, 0, Options{}, bc, 1, 4, 0, false); again != m1 {
+		t.Error("covered bounds should return the pooled session")
+	}
+	// Wider bounds and another kind: replaced by one session covering the
+	// union, and the outgrown one is closed.
+	if pool.Mega(ring, 0, Options{}, []collective.Kind{collective.Allgather}, 3, 5, 1, false) != nil {
+		t.Error("warm lookup returned a session that does not cover the request")
+	}
+	m2 := pool.Mega(ring, 0, Options{}, []collective.Kind{collective.Allgather}, 3, 5, 1, true)
+	if m2 == nil || m2 == m1 || !m2.Covers(bc, 2, 5, 1) || pool.MegaLen() != 1 {
+		t.Fatalf("grown session must cover old and new bounds (len %d)", pool.MegaLen())
+	}
+	coll, err := collective.New(collective.Broadcast, ring.P, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := pool.Session(famFor(1), Options{})
-	if err != nil {
-		t.Fatal(err)
+	if m1.View(coll) != nil {
+		t.Error("replaced session still hands out views")
 	}
-	if s1 != again {
-		t.Error("same family should return the pooled session")
+	// Past megaPoolCap the least recently used topology is evicted.
+	for n := 5; n < 5+megaPoolCap; n++ {
+		if pool.Mega(topology.Ring(n), 0, Options{}, bc, 1, n, 0, true) == nil {
+			t.Fatalf("ring:%d: no session", n)
+		}
 	}
-	if hits, misses := pool.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", hits, misses)
+	if pool.MegaLen() != megaPoolCap {
+		t.Errorf("pool kept %d sessions past capacity %d", pool.MegaLen(), megaPoolCap)
 	}
-	// Capacity 1: a second family evicts the first.
-	if _, err := pool.Session(famFor(2), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if pool.Len() != 1 {
-		t.Errorf("pool kept %d sessions past capacity 1", pool.Len())
-	}
-	// The evicted session still answers (one-shot fallback).
-	res, err := s1.Solve(context.Background(), 3, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SessionProbe {
-		t.Errorf("evicted session should one-shot: %+v", res)
+	if pool.Mega(ring, 0, Options{}, bc, 1, 4, 0, false) != nil {
+		t.Error("least recently used session survived eviction")
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Session(famFor(1), Options{}); err == nil {
+	if pool.Mega(ring, 0, Options{}, bc, 1, 4, 0, true) != nil {
 		t.Error("closed pool should refuse new sessions")
 	}
 }
 
 // TestSessionPoolKeyedByOptions checks that lowering-relevant options
-// separate sessions: a symmetry-broken base must not serve probes that
-// asked for the unbroken encoding.
+// separate sessions — a symmetry-broken base must not serve probes that
+// asked for the unbroken encoding — and that configurations no base can
+// serve are declined.
 func TestSessionPoolKeyedByOptions(t *testing.T) {
 	topo := topology.Ring(4)
-	coll, err := collective.New(collective.Allgather, topo.P, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fam := Family{Coll: coll, Topo: topo, MaxSteps: 5, MaxExtraRounds: 1}
+	bc := []collective.Kind{collective.Broadcast}
 	pool := NewSessionPool()
 	defer pool.Close()
-	a, err := pool.Session(fam, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pool.Session(fam, Options{NoSymmetryBreak: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
+	a := pool.Mega(topo, 0, Options{}, bc, 1, 5, 1, true)
+	b := pool.Mega(topo, 0, Options{NoSymmetryBreak: true}, bc, 1, 5, 1, true)
+	if a == nil || b == nil || a == b {
 		t.Error("options with different lowering must get distinct sessions")
+	}
+	if other := pool.Mega(topo, 1, Options{}, bc, 1, 5, 1, true); other == nil || other == a {
+		t.Error("a different root must get its own session")
+	}
+	for name, opts := range map[string]Options{
+		"direct encoding": {Encoding: EncodingDirect},
+		"proof recording": {ProveUnsat: true},
+		"foreign backend": {Backend: &SMTLIBBackend{Binary: "z3"}},
+	} {
+		if pool.Mega(topo, 0, opts, bc, 1, 5, 1, true) != nil {
+			t.Errorf("%s: pool built a mega-base it cannot serve", name)
+		}
 	}
 }
 
-// TestFamilyValidate covers the family coherence checks.
+// TestFamilyValidate covers the family coherence checks of a session: a
+// view exists exactly for the non-combining families on the session's
+// topology that its universe can host.
 func TestFamilyValidate(t *testing.T) {
 	topo := topology.Ring(4)
-	ag, err := collective.New(collective.Allgather, topo.P, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	mega := NewMegaSession(topo, 0, Options{}, []collective.Kind{collective.Allgather}, 2, 3, 0)
+	if mega == nil {
+		t.Fatal("no session")
 	}
-	red, err := collective.New(collective.Reduce, topo.P, 1, 0)
-	if err != nil {
-		t.Fatal(err)
+	defer mega.Close()
+	mk := func(kind collective.Kind, p, c int) *collective.Spec {
+		coll, err := collective.New(kind, p, c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coll
 	}
-	bad := []Family{
-		{},
-		{Coll: ag},
-		{Coll: ag, Topo: topo}, // MaxSteps 0
-		{Coll: ag, Topo: topo, MaxSteps: 3, MaxExtraRounds: -1}, // negative k
-		{Coll: red, Topo: topo, MaxSteps: 3},                    // combining
-		{Coll: ag, Topo: topology.Ring(5), MaxSteps: 3},         // P mismatch
+	bad := map[string]*collective.Spec{
+		"nil collective":   nil,
+		"combining":        mk(collective.Reduce, topo.P, 1),
+		"P mismatch":       mk(collective.Allgather, 5, 1),
+		"out-of-scope":     mk(collective.Scatter, topo.P, 1),
+		"past the C bound": mk(collective.Allgather, topo.P, 3),
 	}
-	for i, f := range bad {
-		if err := f.Validate(); err == nil {
-			t.Errorf("family %d should fail validation", i)
+	for name, coll := range bad {
+		if mega.View(coll) != nil {
+			t.Errorf("%s: session handed out a view", name)
 		}
 	}
-	if err := (Family{Coll: ag, Topo: topo, MaxSteps: 3}).Validate(); err != nil {
-		t.Errorf("valid family rejected: %v", err)
+	if mega.View(mk(collective.Allgather, topo.P, 2)) == nil {
+		t.Error("valid family rejected")
+	}
+	var none *MegaSession
+	if none.View(mk(collective.Allgather, topo.P, 1)) != nil || none.Covers(nil, 1, 1, 0) {
+		t.Error("nil session must cover and host nothing")
 	}
 }

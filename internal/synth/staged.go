@@ -10,9 +10,9 @@ import (
 // This file is the unified staged encoder: one parameterized,
 // clause-order-stable walker that emits the SCCL constraint system
 // (C1–C6 plus the minimality refinements) in three explicit stages,
-// consumed by pluggable sinks. It replaces the four deliberately forked
-// emitters (one-shot CDCL, layered session CDCL, one-shot SMT-LIB,
-// layered SMT-LIB) that previously had to be kept in lock step by hand.
+// consumed by pluggable sinks: the one-shot CDCL encoding, the mega-base's
+// layered CDCL base and the one-shot SMT-LIB script are one walk under
+// three plans, not three emitters kept in lock step by hand.
 //
 // The stages:
 //
@@ -29,9 +29,8 @@ import (
 //     R). In bound mode (EncodePlan.Budget non-nil) the stage is
 //     flattened into the stream at its canonical positions, reproducing
 //     the one-shot emissions byte for byte; in window mode it is left
-//     out, and sessions supply it per probe as assumption literals
-//     (sessionEncoding.assume) or (push)/(pop) assertion layers
-//     (EmitSMTLIBBudget).
+//     out, and the mega-base supplies it per probe as assumption
+//     literals (megaEncoding.assumeFamily).
 //
 // Order stability is the load-bearing property: the CDCL sink allocates
 // solver variables and emits clauses eagerly in walk order, so the walk
@@ -181,7 +180,7 @@ type TemplateCache struct {
 
 // templateCacheCap bounds how many topologies' templates a cache keeps:
 // each holds an O(P^2) distance matrix, and unlike the LRU-capped
-// session pool the cache would otherwise grow with every distinct
+// mega-base pool the cache would otherwise grow with every distinct
 // topology an engine ever probes. Evicted templates are simply
 // re-derived on the next miss.
 const templateCacheCap = 64
@@ -237,7 +236,7 @@ type EncodePlan struct {
 	Coll *collective.Spec
 	Topo *topology.Topology
 	// Window is the step bound B of Stage 1: the concrete S in bound
-	// mode, the session horizon H in window mode. Time domains span
+	// mode, the mega-base horizon H in window mode. Time domains span
 	// [dist, Window+1] (Window+1 encodes "never arrives"), bandwidth
 	// constraints cover steps 1..Window.
 	Window int
@@ -248,7 +247,7 @@ type EncodePlan struct {
 	// into the stream — C2 tightens the post-arrival time domains, C6 is
 	// asserted after the round variables — reproducing the one-shot
 	// emissions exactly. Nil selects window mode: Stage 2 is left to the
-	// session layers.
+	// mega-base's per-probe assumptions.
 	Budget *BudgetSpec
 	// NoSymmetryBreak disables the chunk-symmetry-breaking refinement.
 	NoSymmetryBreak bool
@@ -299,7 +298,7 @@ type StageSink interface {
 	RoundVar(s int)
 	// RoundTotal is the Stage-2 flattening point of C6: bound-mode sinks
 	// assert the round total here; window-mode emission defers it to the
-	// session budget layers.
+	// per-probe budget assumptions.
 	RoundTotal()
 	// Receive emits C3 (exactly-one receive) for the non-pre (c, n).
 	Receive(c, n int) bool

@@ -16,9 +16,9 @@ import (
 //
 // In bound mode (plan.Budget non-nil) the sink reproduces the historical
 // one-shot encoding exactly: post-arrival domains are tightened to S
-// (C2) and the round total R is asserted (C6). In window mode it
-// reproduces the layered session base: wide domains, no C2/C6 — those
-// arrive per probe as assumption literals (sessionEncoding.assume).
+// (C2) and the round total R is asserted (C6). In window mode it emits
+// the layered mega-base: wide domains, no C2/C6 — those arrive per probe
+// as assumption literals (megaEncoding.assumeFamily).
 type cdclStageSink struct {
 	e   *StagedEncoder
 	ctx *smt.Context
@@ -33,7 +33,7 @@ type cdclStageSink struct {
 	// snds[c][edgeIndex]: 0 means the variable was pruned away.
 	snds [][]sat.Lit
 	rs   []*smt.IntVar
-	// infeasible marks an instance (or, in window mode, a whole session
+	// infeasible marks an instance (or, in window mode, a whole mega-base
 	// window) proven unsatisfiable by pruning alone.
 	infeasible bool
 	// arrival-literal cache for C5, keyed (c, edgeIndex, s): a literal
@@ -42,7 +42,7 @@ type cdclStageSink struct {
 	// acts[c], when set, guards chunk c's send variables for the
 	// mega-base: ¬acts[c] propagates every send of the chunk off, letting
 	// a probe deactivate universe chunks by assumption (mega.go). Nil for
-	// ordinary per-family encodings — no guards, byte-identical output.
+	// one-shot encodings — no guards, byte-identical output.
 	acts []sat.Lit
 	// Node-symmetry emission state (see NodeSymmetry): the emitted plan,
 	// the per-generator selector guards (parallel to symPlan.perms —
@@ -318,8 +318,9 @@ func (k *cdclStageSink) SendVar(c, ei int) {
 	k.snds[c][ei] = k.ctx.BoolVar()
 	if k.acts != nil {
 		// Activation guard: deactivated chunks cannot send. Inert while
-		// act is assumed true, so an active projection matches the
-		// per-family base constraint-for-constraint.
+		// act is assumed true, so an active projection matches an
+		// unguarded window-mode emission of the family
+		// constraint-for-constraint.
 		k.ctx.AddClause(k.acts[c], k.snds[c][ei].Neg())
 	}
 }

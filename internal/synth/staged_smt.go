@@ -7,15 +7,41 @@ import (
 	"repro/internal/smt"
 )
 
+// EmitSMTLIB renders the SynColl instance as an SMT-LIB2 (QF_LIA) script
+// semantically mirroring constraints C1–C6 of the paper — the exact form
+// SCCL hands to Z3. The script can be discharged to an external solver via
+// smt.RunExternal to cross-check the built-in SAT backend.
+//
+// The document is produced by the staged emitter in bound mode (Stage 2
+// flattened: C2 and C6 asserted inline); see StagedEncoder and
+// smtStageSink. The emission is byte-for-byte the historical one-shot
+// script (pinned by TestStagedEncoderGoldens).
+func EmitSMTLIB(in Instance) (*smt.Script, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	enc := NewStagedEncoder(EncodePlan{
+		Coll:    in.Coll,
+		Topo:    in.Topo,
+		Window:  in.Steps,
+		RoundHi: in.Round - in.Steps + 1,
+		Budget:  &BudgetSpec{Steps: in.Steps, Rounds: in.Round},
+	})
+	sink := newSMTStageSink(enc)
+	enc.Emit(sink)
+	return sink.script, nil
+}
+
 // smtStageSink lowers the staged constraint stream into an SMT-LIB2
 // (QF_LIA) script — the exact form SCCL hands to Z3. Unlike the CDCL
 // sink it emits the paper's constraints C1–C6 verbatim (no pruning, no
 // minimality or symmetry refinements: external solvers take the pure
-// encoding), and the document's assertion order is fixed by SMT-LIB
-// convention rather than the walk order. The sink therefore buffers each
-// constraint family as ops arrive and assembles the canonical document
-// in Finish: declarations (times, sends, rounds, with their bound
-// assertions), then C1, C2 (bound mode), C3, C4, C5, C6 (bound mode).
+// encoding), only ever in bound mode (EmitSMTLIB is its one caller), and
+// the document's assertion order is fixed by SMT-LIB convention rather
+// than the walk order. The sink therefore buffers each constraint family
+// as ops arrive and assembles the canonical document in Finish:
+// declarations (times, sends, rounds, with their bound assertions), then
+// C1, C2, C3, C4, C5, C6.
 type smtStageSink struct {
 	e      *StagedEncoder
 	script *smt.Script
@@ -35,14 +61,14 @@ func smtSndName(c, src, dst int) string {
 func smtRName(s int) string { return fmt.Sprintf("r_%d", s) }
 
 // TimeVar declares time(c, n) over [0, Window+1] and buffers C1 (pre
-// nodes at time 0) and, in bound mode, C2 (post arrival within S).
+// nodes at time 0) and C2 (post arrival within S).
 func (k *smtStageSink) TimeVar(c, n int) bool {
 	coll := k.e.Plan.Coll
 	k.script.DeclareInt(smtTimeName(c, n), 0, k.e.Plan.Window+1)
 	if coll.Pre[c][n] {
 		k.c1 = append(k.c1, fmt.Sprintf("(= %s 0)", smtTimeName(c, n)))
 	}
-	if k.e.bound() && coll.Post[c][n] {
+	if coll.Post[c][n] {
 		k.c2 = append(k.c2, fmt.Sprintf("(<= %s %d)", smtTimeName(c, n), k.e.Plan.Budget.Steps))
 	}
 	return true
@@ -66,11 +92,8 @@ func (k *smtStageSink) RoundVar(s int) {
 	k.script.DeclareInt(smtRName(s), 1, k.e.Plan.RoundHi)
 }
 
-// RoundTotal buffers C6 in bound mode.
+// RoundTotal buffers C6.
 func (k *smtStageSink) RoundTotal() {
-	if !k.e.bound() {
-		return
-	}
 	S := k.e.Plan.Budget.Steps
 	terms := make([]string, S)
 	for s := 0; s < S; s++ {

@@ -96,16 +96,8 @@ type (
 	// Backend is a pluggable synthesis solver backend (built-in CDCL or
 	// an external SMT solver subprocess).
 	Backend = synth.Backend
-	// SessionBackend is a Backend that can keep per-family incremental
-	// solver sessions (both shipped backends do).
-	SessionBackend = synth.SessionBackend
-	// Session incrementally solves the (S, R) budgets of one instance
-	// family over a persistent solver.
-	Session = synth.Session
-	// SessionFamily names one incremental-session instance family.
-	SessionFamily = synth.Family
-	// SessionPool caches live solver sessions across sweeps; an Engine
-	// owns one unless sessions are disabled.
+	// SessionPool caches live mega-base sessions and Stage-0 templates
+	// across sweeps; an Engine owns one unless sessions are disabled.
 	SessionPool = synth.SessionPool
 	// SMTLIBBackend is the external SMT solver subprocess backend.
 	SMTLIBBackend = synth.SMTLIBBackend
