@@ -228,13 +228,14 @@ func BenchmarkLoweringAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionSweeps runs the one-shot vs incremental-session Pareto
-// sweep suite (the synthesis hot path this repository optimizes) and
-// writes the rows to BENCH_sessions.json — the machine-readable artifact
-// CI uploads so the performance trajectory is tracked over time. The
-// headline metric is the summed solver wall: sessions carry learnt
-// clauses across the closely related (S, R) probes of one family, so the
-// bidir-ring Broadcast sweep's Unsat chains refute measurably faster.
+// BenchmarkSessionSweeps runs the one-shot vs default-path Pareto sweep
+// suite (the synthesis hot path this repository optimizes) and writes the
+// rows to BENCH_sessions.json — the machine-readable artifact CI uploads
+// so the performance trajectory is tracked over time. The headline metric
+// is the summed solver wall: a sweep that adopts the mega-base carries
+// learnt clauses across its closely related (S, R) probes and prunes by
+// unsat cores, so the bidir-ring Broadcast sweep's Unsat chains refute
+// measurably faster.
 func BenchmarkSessionSweeps(b *testing.B) {
 	var rows []eval.SweepRow
 	for i := 0; i < b.N; i++ {

@@ -9,7 +9,7 @@
 //	scclbench -table 4          # DGX-1 synthesis table (paper Table 4)
 //	scclbench -table 5          # AMD Z52 synthesis table (paper Table 5)
 //	scclbench -figure 4|5|6     # speedup series
-//	scclbench -sweeps           # one-shot vs session Pareto sweep suite
+//	scclbench -sweeps           # one-shot vs default-path Pareto sweep suite
 //	scclbench -all              # everything
 //	scclbench -table 4 -slow    # include the minutes-long Alltoall row
 //	scclbench -table 4 -workers 4          # synthesize rows concurrently
@@ -45,7 +45,7 @@ import (
 func main() {
 	table := flag.Int("table", 0, "regenerate table 3, 4 or 5")
 	figure := flag.Int("figure", 0, "regenerate figure 4, 5 or 6")
-	sweeps := flag.Bool("sweeps", false, "run the one-shot vs session Pareto sweep suite")
+	sweeps := flag.Bool("sweeps", false, "run the one-shot vs default-path (mega-base adoption) Pareto sweep suite")
 	all := flag.Bool("all", false, "regenerate everything")
 	slow := flag.Bool("slow", false, "include slow synthesis instances")
 	timeout := flag.Duration("timeout", 15*time.Minute, "per-instance synthesis timeout")
@@ -159,7 +159,7 @@ func main() {
 		progress := func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}
-		fmt.Println("Session sweep suite: one-shot vs incremental sessions")
+		fmt.Println("Session sweep suite: one-shot vs the default path (mega-base adoption)")
 		sweepRows, err := eval.RunSessionSweeps(eval.SessionSweeps(), backend, *workers, *timeout, progress)
 		if err != nil {
 			fail(err)

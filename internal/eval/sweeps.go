@@ -14,8 +14,9 @@ import (
 )
 
 // SweepSpec names one Pareto sweep of the session benchmark: the
-// one-shot/session comparison that tracks the synthesizer's hot path over
-// time. Both cmd/scclbench -sweeps and the top-level BenchmarkSessionSweeps
+// comparison of the all-one-shot reference (NoSessions) with the default
+// path (one-shot until the sweep adopts the shared mega-base) that tracks
+// the synthesizer's hot path over time. Both cmd/scclbench -sweeps and the top-level BenchmarkSessionSweeps
 // run the same specs so the BENCH_*.json rows are comparable across
 // entry points.
 type SweepSpec struct {
@@ -53,11 +54,11 @@ type SweepSpec struct {
 }
 
 // SessionSweeps returns the default benchmark sweep suite. The bidir-ring
-// Broadcast sweep is the headline case — its per-step Unsat chains revisit
-// the same (collective, chunking) family often enough that carried learnt
-// clauses cut the solve wall — while the unidirectional ring shows the
-// shared-base encode win and the DGX-1 sweep guards against regression on
-// sparse probe streams (most families probed once).
+// Broadcast sweep is the headline case — its per-step Unsat chains adopt
+// the mega-base early, so carried learnt clauses and core pruning cut the
+// solve wall — while the unidirectional ring shows the shared-base encode
+// win and the DGX-1 sweep guards against regression on sparse probe
+// streams (every probe Sat on first try: the sweep never adopts).
 func SessionSweeps() []SweepSpec {
 	return []SweepSpec{
 		{Name: "bidir-ring10-broadcast-k3", Kind: collective.Broadcast, Topo: topology.BidirRing(10), K: 3, MaxSteps: 7, MaxChunks: 12},

@@ -126,3 +126,19 @@ func TestFindExternalSolverNoCrash(t *testing.T) {
 	// Just make sure it runs; environment may or may not have a solver.
 	_ = FindExternalSolver()
 }
+
+func TestScriptPrelude(t *testing.T) {
+	s := NewScript()
+	s.DeclareInt("x", 0, 3)
+	s.DeclareBool("b")
+	s.Assertf("(=> b (= x 1))")
+	p := s.Prelude()
+	for _, want := range []string{"(set-logic QF_LIA)", "(declare-const x Int)", "(declare-const b Bool)", "(assert (=> b (= x 1)))"} {
+		if !strings.Contains(p, want) {
+			t.Errorf("prelude missing %q:\n%s", want, p)
+		}
+	}
+	if strings.Contains(p, "(check-sat)") || strings.Contains(p, "(get-value") {
+		t.Errorf("prelude must not issue queries:\n%s", p)
+	}
+}

@@ -158,29 +158,32 @@ func TestMegaAdoptionHandOffConcurrent(t *testing.T) {
 	pool := NewSessionPool()
 	defer pool.Close()
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	var fronts [2][]ParetoPoint
+	var stats [2]ParetoStats
+	var errs [2]error
+	for i := range fronts {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			opts := base
 			opts.Workers = 4
 			opts.Pool = pool
-			var stats ParetoStats
-			opts.Stats = &stats
-			got, err := ParetoSynthesize(collective.Broadcast, topo, 0, opts)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if string(frontierBytes(t, got)) != string(frontierBytes(t, want)) {
-				t.Errorf("hand-off frontier differs from one-shot:\n got %v\nwant %v", got, want)
-			}
-			if stats.SessionProbes == 0 {
-				t.Errorf("sweep never adopted: %+v", stats)
-			}
-		}()
+			opts.Stats = &stats[i]
+			fronts[i], errs[i] = ParetoSynthesize(collective.Broadcast, topo, 0, opts)
+		}(i)
 	}
 	wg.Wait()
+	for i := range fronts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if string(frontierBytes(t, fronts[i])) != string(frontierBytes(t, want)) {
+			t.Errorf("hand-off frontier differs from one-shot:\n got %v\nwant %v", fronts[i], want)
+		}
+		if stats[i].SessionProbes == 0 {
+			t.Errorf("sweep never adopted: %+v", stats[i])
+		}
+	}
 	if pool.MegaLen() != 1 {
 		t.Errorf("%d mega sessions for one topology, want 1", pool.MegaLen())
 	}

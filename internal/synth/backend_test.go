@@ -217,6 +217,29 @@ func TestParetoWithExplicitBackend(t *testing.T) {
 	}
 }
 
+// TestSMTLIBSessionFallsBackOneShot checks that a sweep over the SMT-LIB
+// backend — which has no incremental mode — degrades to per-probe
+// one-shot solving: however many refutations it sees, it never asks the
+// pool for a mega-base.
+func TestSMTLIBSessionFallsBackOneShot(t *testing.T) {
+	pool := NewSessionPool()
+	defer pool.Close()
+	var stats ParetoStats
+	pts, err := ParetoSynthesize(collective.Allgather, topology.Ring(4), 0, ParetoOptions{
+		K: 1, MaxSteps: 4, MaxChunks: 3, Pool: pool, Stats: &stats,
+		Instance: Options{Backend: &SMTLIBBackend{Binary: fakeSolver(t, "unsat")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 0 || stats.Probes <= megaAdoptUnsats {
+		t.Fatalf("want an all-Unsat sweep past the adoption threshold, got %v after %d probes", pts, stats.Probes)
+	}
+	if stats.SessionProbes != 0 || stats.Families != 0 || stats.MegaEncodes != 0 || pool.MegaLen() != 0 {
+		t.Errorf("SMT-LIB sweep left the one-shot path: %+v (%d pooled sessions)", stats, pool.MegaLen())
+	}
+}
+
 func TestBackendNameFormat(t *testing.T) {
 	b, err := NewSMTLIBBackend("z3")
 	if err != nil {

@@ -408,12 +408,12 @@ func SynthesizeContext(ctx context.Context, in Instance, opts Options) (Result, 
 }
 
 // solveOneShot is SynthesizeContext for callers that hold a Stage-0
-// template cache (the sweep's pool, a mega-base view): the built-in
-// pipeline then shares the topology's routing template instead of
-// re-deriving it per probe. A nil cache, or a foreign backend, is plain
+// template cache (the sweep's pool, a mega-base view — both exist only
+// over the built-in pipeline): the encode shares the topology's routing
+// template instead of re-deriving it per probe. A nil cache is plain
 // SynthesizeContext.
 func solveOneShot(ctx context.Context, in Instance, opts Options, tc *TemplateCache) (Result, error) {
-	if tc == nil || !isCDCL(opts.Backend) || ctx.Err() != nil {
+	if tc == nil || ctx.Err() != nil {
 		return SynthesizeContext(ctx, in, opts)
 	}
 	tmpl, hit := tc.Get(in.Topo)

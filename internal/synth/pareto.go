@@ -473,6 +473,7 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	points, err := w.run(ctx)
 	if opts.Stats != nil {
 		w.stats.Wall = time.Since(t0)
+		w.stats.Families = len(w.fams)
 		*opts.Stats = w.stats
 	}
 	return points, err
@@ -750,9 +751,8 @@ func (w *paretoSweep) noteCore(c int, core *BudgetCore) {
 
 // account folds one finished probe into the sweep counters.
 func (w *paretoSweep) account(out *probeOutcome) {
-	if out.family != 0 && !w.fams[out.family] {
+	if out.family != 0 {
 		w.fams[out.family] = true
-		w.stats.Families++
 	}
 	if out.skipped {
 		w.stats.PrunedProbes++

@@ -122,9 +122,6 @@ func (p *SessionPool) Mega(topo *topology.Topology, root topology.Node, opts Opt
 	if have, ok := p.megas[key]; ok {
 		evicted = append(evicted, have)
 	} else {
-		if p.megas == nil {
-			p.megas = map[string]*MegaSession{}
-		}
 		p.megaOrder = append(p.megaOrder, key)
 	}
 	p.megas[key] = m
