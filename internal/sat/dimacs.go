@@ -65,19 +65,12 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 // DIMACS CNF format.
 func (s *Solver) WriteDIMACS(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	n := 0
-	for i := range s.clauses {
-		if !s.clauses[i].deleted && !s.clauses[i].learnt {
-			n++
-		}
-	}
-	fmt.Fprintf(bw, "p cnf %d %d\n", s.numVars, n)
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		if c.deleted || c.learnt {
+	fmt.Fprintf(bw, "p cnf %d %d\n", s.numVars, s.live-len(s.learnts))
+	for r := 1; r < len(s.arena); r += footprint(s.arena[r]) {
+		if s.arena[r]&(hdrLearnt|hdrDeleted) != 0 {
 			continue
 		}
-		for _, l := range c.lits {
+		for _, l := range s.lits(clauseRef(r)) {
 			if l.Sign() {
 				fmt.Fprintf(bw, "-%d ", l.Var())
 			} else {

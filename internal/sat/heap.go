@@ -2,30 +2,34 @@ package sat
 
 // activityHeap is a binary max-heap of variables ordered by VSIDS activity.
 // It maintains an index map so membership tests and targeted updates are
-// O(1)/O(log n).
+// O(1)/O(log n). The activities live here, beside the heap, so a sift
+// compares them without a second pointer hop. The sift code decides how
+// equal activities order and must not change: branching ties follow it.
 type activityHeap struct {
 	heap     []Var
-	indices  []int // var -> heap position, -1 if absent
-	activity *[]float64
+	indices  []int32   // var -> heap position, -1 if absent
+	activity []float64 // var -> VSIDS activity
 }
 
-func newActivityHeap(act *[]float64) *activityHeap {
-	return &activityHeap{activity: act}
+// addVar extends the heap's tables by one variable (activity 0, absent).
+func (h *activityHeap) addVar() {
+	h.indices = append(h.indices, -1)
+	h.activity = append(h.activity, 0)
 }
 
-func (h *activityHeap) grow(n int) {
-	for len(h.indices) <= n {
-		h.indices = append(h.indices, -1)
+// clear empties the heap; activities are untouched.
+func (h *activityHeap) clear() {
+	h.heap = h.heap[:0]
+	for i := range h.indices {
+		h.indices[i] = -1
 	}
 }
 
 func (h *activityHeap) less(a, b Var) bool {
-	return (*h.activity)[a] > (*h.activity)[b]
+	return h.activity[a] > h.activity[b]
 }
 
-func (h *activityHeap) contains(v Var) bool {
-	return int(v) < len(h.indices) && h.indices[v] >= 0
-}
+func (h *activityHeap) contains(v Var) bool { return h.indices[v] >= 0 }
 
 func (h *activityHeap) empty() bool { return len(h.heap) == 0 }
 
@@ -33,8 +37,7 @@ func (h *activityHeap) push(v Var) {
 	if h.contains(v) {
 		return
 	}
-	h.grow(int(v))
-	h.indices[v] = len(h.heap)
+	h.indices[v] = int32(len(h.heap))
 	h.heap = append(h.heap, v)
 	h.siftUp(len(h.heap) - 1)
 }
@@ -55,7 +58,7 @@ func (h *activityHeap) pop() Var {
 // update restores the heap invariant after v's activity increased.
 func (h *activityHeap) update(v Var) {
 	if h.contains(v) {
-		h.siftUp(h.indices[v])
+		h.siftUp(int(h.indices[v]))
 	}
 }
 
@@ -67,11 +70,11 @@ func (h *activityHeap) siftUp(i int) {
 			break
 		}
 		h.heap[i] = h.heap[parent]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = parent
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }
 
 func (h *activityHeap) siftDown(i int) {
@@ -90,9 +93,9 @@ func (h *activityHeap) siftDown(i int) {
 			break
 		}
 		h.heap[i] = h.heap[best]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = best
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }

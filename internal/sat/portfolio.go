@@ -27,22 +27,28 @@ func (s *Solver) Clone() *Solver {
 	c := &Solver{
 		opts:       s.opts,
 		numVars:    s.numVars,
+		wasted:     s.wasted,
+		stored:     s.stored,
+		live:       s.live,
 		qhead:      s.qhead,
 		varInc:     s.varInc,
 		claInc:     s.claInc,
 		okay:       s.okay,
 		geomGrowth: s.geomGrowth,
 	}
-	c.clauses = make([]clause, len(s.clauses))
-	for i := range s.clauses {
-		cl := s.clauses[i]
-		cl.lits = append([]Lit(nil), cl.lits...)
-		c.clauses[i] = cl
-	}
+	c.arena = append([]Lit(nil), s.arena...)
 	c.learnts = append([]clauseRef(nil), s.learnts...)
+	// The watch lists are cut from one slab, each with no spare capacity,
+	// so a list that grows moves out on its own.
+	total := 0
+	for _, ws := range s.watches {
+		total += len(ws)
+	}
+	slab := make([]watcher, total)
 	c.watches = make([][]watcher, len(s.watches))
-	for i := range s.watches {
-		c.watches[i] = append([]watcher(nil), s.watches[i]...)
+	for i, ws := range s.watches {
+		n := copy(slab, ws)
+		c.watches[i], slab = slab[:n:n], slab[n:]
 	}
 	c.assigns = append([]lbool(nil), s.assigns...)
 	c.level = append([]int32(nil), s.level...)
@@ -50,13 +56,9 @@ func (s *Solver) Clone() *Solver {
 	c.trail = append([]Lit(nil), s.trail...)
 	c.polar = append([]bool(nil), s.polar...)
 	c.seen = make([]bool, len(s.seen))
-	c.activity = append([]float64(nil), s.activity...)
-	c.order = newActivityHeap(&c.activity)
-	for v := 1; v <= c.numVars; v++ {
-		if c.assigns[v] == lUndef {
-			c.order.push(Var(v))
-		}
-	}
+	c.order.activity = append([]float64(nil), s.order.activity...)
+	c.order.indices = make([]int32, len(s.order.indices))
+	c.refillOrder(1)
 	return c
 }
 
@@ -114,14 +116,9 @@ func (s *Solver) Diversify(d Diversification) {
 			rnd = splitmix64(rnd)
 			// Small positive perturbations below one bump: they break the
 			// all-zero tie without outranking genuinely bumped variables.
-			s.activity[v] += s.varInc * float64(rnd>>40) / float64(1<<24) * 1e-3
+			s.order.activity[v] += s.varInc * float64(rnd>>40) / float64(1<<24) * 1e-3
 		}
-		s.order = newActivityHeap(&s.activity)
-		for v := 1; v <= s.numVars; v++ {
-			if s.assigns[v] == lUndef {
-				s.order.push(Var(v))
-			}
-		}
+		s.refillOrder(1)
 	}
 }
 

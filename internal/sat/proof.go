@@ -121,7 +121,11 @@ func rupCheckOne(db [][]Lit, clause []Lit) error {
 					satisfied = true
 					break
 				}
-				if !assign[l.Neg()] {
+				if !assign[l.Neg()] && l != unit {
+					// Problem clauses are recorded as added, repeats and
+					// all; comparing with the last one counted makes the
+					// count 1 exactly when one distinct literal is
+					// unassigned, so (a ∨ b ∨ b) with a false is a unit.
 					unassigned++
 					unit = l
 				}

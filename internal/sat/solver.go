@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"errors"
-	"math"
 	"time"
 )
 
@@ -58,20 +57,22 @@ type Options struct {
 type Solver struct {
 	opts Options
 
-	numVars  int
-	clauses  []clause      // arena: problem + learnt clauses
-	learnts  []clauseRef   // refs of learnt clauses, for DB reduction
-	watches  [][]watcher   // literal -> watch list
-	assigns  []lbool       // var -> value
-	level    []int32       // var -> decision level
-	reason   []clauseRef   // var -> antecedent clause
-	trail    []Lit         // assignment stack
-	trailLo  []int32       // decision level -> trail index
-	qhead    int           // propagation queue head into trail
-	polar    []bool        // phase saving: var -> last sign
-	seen     []bool        // scratch for conflict analysis
-	activity []float64     // VSIDS activity
-	order    *activityHeap // branching order
+	numVars int
+	arena   []Lit        // problem + learnt clauses, see arena.go
+	wasted  int          // arena words under deleted clauses
+	stored  int          // clauses ever committed, deleted ones included
+	live    int          // clauses committed and not deleted
+	learnts []clauseRef  // refs of the live learnt clauses, for DB reduction
+	watches [][]watcher  // literal -> watch list
+	assigns []lbool      // var -> value
+	level   []int32      // var -> decision level
+	reason  []clauseRef  // var -> antecedent clause
+	trail   []Lit        // assignment stack
+	trailLo []int32      // decision level -> trail index
+	qhead   int          // propagation queue head into trail
+	polar   []bool       // phase saving: var -> last sign
+	seen    []bool       // scratch for conflict analysis
+	order   activityHeap // VSIDS activities and branching order
 
 	varInc    float64
 	claInc    float64
@@ -80,6 +81,13 @@ type Solver struct {
 	model     []lbool
 	conflictC []Lit // failed-assumption core of the last Unsat (analyzeFinal)
 
+	// Conflict-path scratch, reused so a conflict allocates nothing:
+	// analyze's output clause, litRedundant's stack, and computeLBD's
+	// per-level stamps (a level is counted when its stamp is not lbdGen).
+	learntBuf      []Lit
+	redundantStack []Lit
+	lbdStamp       []uint32
+	lbdGen         uint32
 	analyzeToClear []Lit
 	deadline       time.Time
 	proof          *Proof
@@ -113,14 +121,14 @@ func NewSolverOpts(opts Options) *Solver {
 		claInc: 1.0,
 		okay:   true,
 	}
-	s.order = newActivityHeap(&s.activity)
+	s.arena = append(s.arena, 0) // no clause at offset 0, see arena.go
 	// Variable 0 is reserved so literal indexing starts at 2.
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nilClause)
 	s.polar = append(s.polar, false)
 	s.seen = append(s.seen, false)
-	s.activity = append(s.activity, 0)
+	s.order.addVar()
 	s.watches = append(s.watches, nil, nil)
 	return s
 }
@@ -134,7 +142,7 @@ func (s *Solver) NewVar() Var {
 	s.reason = append(s.reason, nilClause)
 	s.polar = append(s.polar, true) // default phase: false (sign true)
 	s.seen = append(s.seen, false)
-	s.activity = append(s.activity, 0)
+	s.order.addVar()
 	s.watches = append(s.watches, nil, nil)
 	s.order.push(v)
 	return v
@@ -145,15 +153,7 @@ func (s *Solver) NumVars() int { return s.numVars }
 
 // NumClauses returns the number of live problem clauses plus learnt
 // clauses.
-func (s *Solver) NumClauses() int {
-	n := 0
-	for i := range s.clauses {
-		if !s.clauses[i].deleted {
-			n++
-		}
-	}
-	return n
-}
+func (s *Solver) NumClauses() int { return s.live }
 
 // Stats returns a copy of the solver counters.
 func (s *Solver) Stats() Stats { return s.stats }
@@ -162,15 +162,7 @@ func (s *Solver) Stats() Stats { return s.stats }
 // clause database. Between incremental Solve calls this is the knowledge
 // carried from earlier solves into the next one; the synthesis mega-base
 // reports it as its clause-reuse counter.
-func (s *Solver) LearntClauses() int {
-	n := 0
-	for _, r := range s.learnts {
-		if !s.clauses[r].deleted {
-			n++
-		}
-	}
-	return n
-}
+func (s *Solver) LearntClauses() int { return len(s.learnts) }
 
 // Entailed reports whether the clause is entailed by the current formula
 // under unit propagation: assuming the negation of every literal on a
@@ -234,53 +226,40 @@ func (s *Solver) AddLearnt(lits ...Lit) (imported, ok bool) {
 			panic(ErrBadLiteral)
 		}
 	}
-	out := make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			return false, true // already satisfied at top level
-		case lFalse:
-			continue // drop falsified literal
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Neg() {
-				return false, true // tautology
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
+	ref, n, keep := s.stageClause(lits)
+	if !keep {
+		return false, true
 	}
-	switch len(out) {
-	case 0:
-		s.okay = false
-		s.recordProof(nil)
-		return false, false
-	case 1:
-		s.recordProof(out[:1])
-		if !s.enqueue(out[0], nilClause) {
-			s.okay = false
-			s.recordProof(nil)
-			return false, false
-		}
-		if s.propagate() != nilClause {
-			s.okay = false
-			s.recordProof(nil)
-			return true, false
-		}
-		return true, true
+	if n < 2 {
+		return s.assertShort(ref, n)
 	}
 	// Entailed-by-propagation clauses are RUP steps, so recording them in
 	// a live proof keeps it checkable.
-	s.recordProof(out)
-	ref := s.pushClause(out, true)
-	s.clauses[ref].lbd = int32(len(out))
-	s.attachClause(ref)
+	s.recordProof(s.arena[ref+1:])
+	s.commitClause(ref, n, true, int32(n))
+	return true, true
+}
+
+// assertShort takes the n < 2 literals staged behind ref off the arena
+// and asserts them at the top level: none is the empty clause, one a unit.
+// reached reports that a unit entered the trail; ok is false once the
+// formula is unsatisfiable.
+func (s *Solver) assertShort(ref clauseRef, n int) (reached, ok bool) {
+	if n == 0 {
+		s.arena = s.arena[:ref]
+		s.okay = false
+		s.recordProof(nil)
+		return false, false
+	}
+	unit := s.arena[ref+1]
+	s.arena = s.arena[:ref]
+	s.recordProof([]Lit{unit})
+	s.enqueue(unit, nilClause) // cannot fail: stageClause keeps undefined literals only
+	if s.propagate() != nilClause {
+		s.okay = false
+		s.recordProof(nil)
+		return true, false
+	}
 	return true, true
 }
 
@@ -304,76 +283,22 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.proof != nil {
 		s.proof.problem = append(s.proof.problem, append([]Lit(nil), lits...))
 	}
-	// Normalize: sort-free dedup, drop false lits, detect tautology and
-	// satisfied clauses at level 0.
-	out := make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		switch s.value(l) {
-		case lTrue:
-			return true // already satisfied at top level
-		case lFalse:
-			continue // drop falsified literal
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Neg() {
-				return true // tautology
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-	switch len(out) {
-	case 0:
-		s.okay = false
-		s.recordProof(nil)
-		return false
-	case 1:
-		s.recordProof(out[:1])
-		if !s.enqueue(out[0], nilClause) {
-			s.okay = false
-			s.recordProof(nil)
-			return false
-		}
-		if s.propagate() != nilClause {
-			s.okay = false
-			s.recordProof(nil)
-			return false
-		}
+	ref, n, keep := s.stageClause(lits)
+	if !keep {
 		return true
 	}
-	s.attachClause(s.pushClause(out, false))
+	if n < 2 {
+		_, ok := s.assertShort(ref, n)
+		return ok
+	}
+	s.commitClause(ref, n, false, 0)
 	return true
 }
 
-func (s *Solver) pushClause(lits []Lit, learnt bool) clauseRef {
-	ref := clauseRef(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: lits, learnt: learnt})
-	if learnt {
-		s.learnts = append(s.learnts, ref)
-		s.stats.Learnt++
-	}
-	return ref
-}
-
-func (s *Solver) attachClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{ref, c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{ref, c.lits[0]})
-}
-
-func (s *Solver) value(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if l.Sign() {
-		return v.neg()
-	}
-	return v
-}
+// value is the literal's value: its variable's, flipped by the sign bit.
+// Undefined literals read lUndef or lUndef^1; compare against lTrue and
+// lFalse only.
+func (s *Solver) value(l Lit) lbool { return s.assigns[l>>1] ^ lbool(l&1) }
 
 func (s *Solver) decisionLevel() int32 { return int32(len(s.trailLo)) }
 
@@ -387,11 +312,7 @@ func (s *Solver) enqueue(l Lit, from clauseRef) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Sign() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.assigns[v] = lbool(l & 1) // the sign bit is the variable's lbool
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -399,85 +320,92 @@ func (s *Solver) enqueue(l Lit, from clauseRef) bool {
 }
 
 // propagate performs unit propagation over the two-watched-literal scheme.
-// It returns the conflicting clause reference, or nilClause.
+// It returns the conflicting clause reference, or nilClause. The conflicting
+// clause is left in the order a visit leaves any clause — its other
+// watched literal first, ¬p second — a two-literal one included: analyze
+// bumps variables in that order.
 func (s *Solver) propagate() clauseRef {
+	arena := s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
 		s.stats.Propagations++
+		notP := p.Neg()
 		ws := s.watches[p]
-		out := ws[:0]
-		var confl clauseRef = nilClause
+		j := 0 // ws[:j] is the list as kept so far
+	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
-				out = append(out, w)
+			bv := s.value(w.blocker)
+			if bv == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			c := &s.clauses[w.ref]
-			lits := c.lits
-			// Ensure the false literal (¬p) is at position 1.
-			notP := p.Neg()
-			if lits[0] == notP {
-				lits[0], lits[1] = lits[1], lits[0]
-			}
-			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				out = append(out, watcher{w.ref, first})
-				continue
-			}
-			// Look for a new literal to watch.
-			found := false
-			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
-					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{w.ref, first})
-					found = true
-					break
+			ref, first := w.ref, w.blocker
+			if ref < 0 {
+				// Two-literal clause {blocker, ¬p}: resolved here, at its
+				// place in the list, without a visit to the arena.
+				ref = ^ref
+				ws[j] = w
+				j++
+				if bv == lFalse {
+					arena[ref+1], arena[ref+2] = first, notP
 				}
-			}
-			if found {
-				continue
+			} else {
+				n := clauseRef(arena[ref] >> hdrShift)
+				lits := arena[ref+1 : ref+1+n]
+				// Ensure the false literal (¬p) is at position 1.
+				if lits[0] == notP {
+					lits[0], lits[1] = lits[1], notP
+				}
+				first = lits[0]
+				if first != w.blocker && s.value(first) == lTrue {
+					ws[j] = watcher{ref, first}
+					j++
+					continue
+				}
+				// Look for a new literal to watch.
+				for k := 2; k < len(lits); k++ {
+					if l := lits[k]; s.value(l) != lFalse {
+						lits[1], lits[k] = l, notP
+						s.watches[l.Neg()] = append(s.watches[l.Neg()], watcher{ref, first})
+						continue nextWatcher
+					}
+				}
+				ws[j] = watcher{ref, first}
+				j++
 			}
 			// Clause is unit or conflicting.
-			out = append(out, watcher{w.ref, first})
 			if s.value(first) == lFalse {
-				confl = w.ref
-				// Copy remaining watchers and bail.
-				for i++; i < len(ws); i++ {
-					out = append(out, ws[i])
-				}
+				// Keep the remaining watchers and bail.
+				j += copy(ws[j:], ws[i+1:])
+				s.watches[p] = ws[:j]
 				s.qhead = len(s.trail)
-				break
+				return ref
 			}
-			s.enqueue(first, w.ref)
+			s.enqueue(first, ref)
 		}
-		s.watches[p] = out
-		if confl != nilClause {
-			return confl
-		}
+		s.watches[p] = ws[:j]
 	}
 	return nilClause
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (asserting literal first) and the backtrack level.
+// (asserting literal first) and the backtrack level. The clause is the
+// solver's scratch buffer, valid until the next call.
 func (s *Solver) analyze(confl clauseRef) ([]Lit, int32) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
+	lits := s.lits(confl)
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.arena[confl]&hdrLearnt != 0 {
 			s.bumpClause(confl)
 		}
-		start := 0
-		if p != -1 {
-			start = 1 // skip the asserting literal itself
-		}
-		for _, q := range c.lits[start:] {
+		for _, q := range lits {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -503,6 +431,7 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int32) {
 			break
 		}
 		confl = s.reason[v]
+		lits = s.reasonLits(p)[1:] // skip the resolved literal itself
 	}
 	learnt[0] = p.Neg()
 
@@ -537,19 +466,20 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int32) {
 	for _, l := range s.analyzeToClear {
 		s.seen[l.Var()] = false
 	}
+	s.learntBuf = learnt
 	return learnt, btLevel
 }
 
 // litRedundant reports whether l is implied by the other literals of the
 // learnt clause (recursive reason-side check, conservative).
 func (s *Solver) litRedundant(l Lit) bool {
-	stack := []Lit{l}
+	stack := append(s.redundantStack[:0], l)
 	top := len(s.analyzeToClear)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := &s.clauses[s.reason[p.Var()]]
-		for _, q := range c.lits[1:] {
+		// The stacked literals are false; it is ¬p the reason implied.
+		for _, q := range s.reasonLits(p.Neg())[1:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -561,6 +491,7 @@ func (s *Solver) litRedundant(l Lit) bool {
 					s.seen[last.Var()] = false
 					s.analyzeToClear = s.analyzeToClear[:len(s.analyzeToClear)-1]
 				}
+				s.redundantStack = stack
 				return false
 			}
 			s.seen[v] = true
@@ -568,14 +499,16 @@ func (s *Solver) litRedundant(l Lit) bool {
 			stack = append(stack, q)
 		}
 	}
+	s.redundantStack = stack
 	return true
 }
 
 func (s *Solver) bumpVar(v Var) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
+	act := s.order.activity
+	act[v] += s.varInc
+	if act[v] > 1e100 {
+		for i := range act {
+			act[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
@@ -585,11 +518,11 @@ func (s *Solver) bumpVar(v Var) {
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
 
 func (s *Solver) bumpClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+	a := s.clauseActivity(ref) + s.claInc
+	s.setClauseActivity(ref, a)
+	if a > 1e20 {
 		for _, r := range s.learnts {
-			s.clauses[r].activity *= 1e-20
+			s.setClauseActivity(r, s.clauseActivity(r)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -627,11 +560,19 @@ func (s *Solver) pickBranch() Lit {
 
 // computeLBD counts distinct decision levels in a clause (quality metric).
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	seen := map[int32]struct{}{}
-	for _, l := range lits {
-		seen[s.level[l.Var()]] = struct{}{}
+	s.lbdGen++
+	if s.lbdGen == 0 { // wrapped: stale stamps could match again
+		clear(s.lbdStamp)
+		s.lbdGen = 1
 	}
-	return int32(len(seen))
+	n := int32(0)
+	for _, l := range lits {
+		if lv := s.level[l.Var()]; s.lbdStamp[lv] != s.lbdGen {
+			s.lbdStamp[lv] = s.lbdGen
+			n++
+		}
+	}
+	return n
 }
 
 // reduceDB removes roughly half of the learnt clauses, keeping the most
@@ -640,55 +581,24 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) < 100 {
 		return
 	}
-	// Sort learnt refs by (lbd asc, activity desc) via simple slice sort.
-	refs := make([]clauseRef, 0, len(s.learnts))
-	for _, r := range s.learnts {
-		if !s.clauses[r].deleted {
-			refs = append(refs, r)
+	// Worst first: highest LBD, then lowest activity.
+	sortRefs(s.learnts, func(a, b clauseRef) bool {
+		if la, lb := s.lbd(a), s.lbd(b); la != lb {
+			return la > lb
 		}
-	}
-	// insertion of quality order using sort-less approach: use sort.Slice
-	sortRefs(refs, func(a, b clauseRef) bool {
-		ca, cb := &s.clauses[a], &s.clauses[b]
-		if ca.lbd != cb.lbd {
-			return ca.lbd > cb.lbd // worse LBD first (delete candidates)
-		}
-		return ca.activity < cb.activity
+		return s.clauseActivity(a) < s.clauseActivity(b)
 	})
-	locked := make(map[clauseRef]bool)
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nilClause {
-			locked[r] = true
-		}
-	}
-	limit := len(refs) / 2
-	kept := refs[:0]
-	for i, r := range refs {
-		c := &s.clauses[r]
-		if i < limit && !locked[r] && c.lbd > 2 && len(c.lits) > 2 {
-			s.detachClause(r)
-			c.deleted = true
-			c.lits = nil
-			s.stats.Removed++
+	limit := len(s.learnts) / 2
+	kept := s.learnts[:0]
+	for i, r := range s.learnts {
+		if i < limit && s.lbd(r) > 2 && len(s.lits(r)) > 2 && !s.locked(r) {
+			s.removeClause(r)
 		} else {
 			kept = append(kept, r)
 		}
 	}
-	s.learnts = append(s.learnts[:0], kept...)
-}
-
-func (s *Solver) detachClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	for _, wl := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
-		ws := s.watches[wl]
-		for i, w := range ws {
-			if w.ref == ref {
-				ws[i] = ws[len(ws)-1]
-				s.watches[wl] = ws[:len(ws)-1]
-				break
-			}
-		}
-	}
+	s.learnts = kept
+	s.maybeCompact()
 }
 
 // luby computes the Luby restart sequence value for index i (1-based):
@@ -747,8 +657,14 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 	restartIdx := int64(1)
 	conflictBudget := s.opts.LubyUnit * luby(restartIdx)
 	conflictsThisRestart := int64(0)
-	learntCap := float64(len(s.clauses))/3 + 1000
+	// Sized from every clause ever committed, deleted ones included.
+	learntCap := float64(s.stored)/3 + 1000
 	sincePoll := 0
+	// A level is an assumption or a decision on a distinct variable
+	// (variable 0 included, see ResetSearchState).
+	if n := s.numVars + len(assumptions) + 2; len(s.lbdStamp) < n {
+		s.lbdStamp = append(s.lbdStamp, make([]uint32, n-len(s.lbdStamp))...)
+	}
 
 	interrupted := func() bool {
 		if ctx.Err() != nil {
@@ -781,14 +697,13 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 				s.exportLearnt(learnt, 0)
 				s.enqueue(learnt[0], nilClause)
 			} else {
-				ref := s.pushClause(learnt, true)
-				c := &s.clauses[ref]
-				c.lbd = s.computeLBD(learnt)
-				if int64(c.lbd) > s.stats.MaxLBD {
-					s.stats.MaxLBD = int64(c.lbd)
+				lbd := s.computeLBD(learnt)
+				if int64(lbd) > s.stats.MaxLBD {
+					s.stats.MaxLBD = int64(lbd)
 				}
-				s.exportLearnt(learnt, c.lbd)
-				s.attachClause(ref)
+				s.exportLearnt(learnt, lbd)
+				ref := s.storeClause(learnt)
+				s.commitClause(ref, len(learnt), true, lbd)
 				s.bumpClause(ref)
 				s.enqueue(learnt[0], ref)
 			}
@@ -894,9 +809,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 			}
 		} else {
 			// Implied literal: charge the conflict to its antecedents.
-			// The enqueued literal of a reason clause sits at index 0.
-			c := &s.clauses[s.reason[v]]
-			for _, q := range c.lits[1:] {
+			for _, q := range s.reasonLits(s.trail[i])[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -938,8 +851,9 @@ func (s *Solver) ValueLit(l Lit) bool {
 // top-level conflict has been derived).
 func (s *Solver) Okay() bool { return s.okay }
 
-// sortRefs is an insertion/shell hybrid small sort to avoid pulling in
-// package sort for one call site with closure overhead dominated cost.
+// sortRefs is a shell sort, unstable: which of two equally bad learnt
+// clauses reduceDB deletes depends on these exact gaps and moves, so it
+// stays as it is for as long as search is meant to stay as it is.
 func sortRefs(a []clauseRef, less func(x, y clauseRef) bool) {
 	// Shell sort with Ciura gaps; n is typically a few thousand.
 	gaps := []int{701, 301, 132, 57, 23, 10, 4, 1}
@@ -978,9 +892,7 @@ func (s *Solver) Budget() (int64, time.Duration) {
 // subspace can mislead the next search by orders of magnitude.
 func (s *Solver) ResetSearchState() {
 	s.backtrack(0)
-	for i := range s.activity {
-		s.activity[i] = 0
-	}
+	clear(s.order.activity)
 	for i := range s.polar {
 		s.polar[i] = true
 	}
@@ -989,19 +901,29 @@ func (s *Solver) ResetSearchState() {
 	// with equal activities the heap ties break by insertion order, and
 	// residual ordering from the abandoned search's trail unwinding would
 	// otherwise scramble the encoding's natural variable structure.
-	s.order = newActivityHeap(&s.activity)
-	s.order.grow(len(s.assigns))
-	for v := range s.assigns {
+	// The walk starts at the reserved variable 0, as it always has: every
+	// later solve spends one decision on it. Dropping it would move the
+	// pinned search counts, so it waits for a change that means to.
+	s.refillOrder(0)
+}
+
+// refillOrder rebuilds the branching heap from the unassigned variables
+// first, first+1, … in that order: with equal activities the heap breaks
+// ties by insertion order.
+func (s *Solver) refillOrder(first Var) {
+	s.order.clear()
+	for v := int(first); v < len(s.assigns); v++ {
 		if s.assigns[v] == lUndef {
 			s.order.push(Var(v))
 		}
 	}
 }
 
-// LearntMark returns a watermark identifying the current end of the
-// clause arena. Passing it to PurgeLearntsSince later deletes exactly
-// the learnt clauses recorded after this call.
-func (s *Solver) LearntMark() int { return len(s.clauses) }
+// LearntMark returns a watermark: the serial the next stored clause will
+// carry. Passing it to PurgeLearntsSince later deletes exactly the learnt
+// clauses recorded after this call, however often the arena has been
+// compacted in between.
+func (s *Solver) LearntMark() int { return s.stored }
 
 // PurgeLearntsSince deletes every learnt clause recorded after mark (a
 // LearntMark watermark), returning how many were removed. Learnt
@@ -1015,30 +937,18 @@ func (s *Solver) LearntMark() int { return len(s.clauses) }
 // session lemmas) keep their value.
 func (s *Solver) PurgeLearntsSince(mark int) int {
 	s.backtrack(0)
-	locked := make(map[clauseRef]bool)
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nilClause {
-			locked[r] = true
-		}
-	}
 	purged := 0
 	kept := s.learnts[:0]
 	for _, r := range s.learnts {
-		c := &s.clauses[r]
-		if c.deleted {
-			continue
-		}
-		if int(r) >= mark && !locked[r] {
-			s.detachClause(r)
-			c.deleted = true
-			c.lits = nil
-			s.stats.Removed++
+		if s.serial(r) >= mark && !s.locked(r) {
+			s.removeClause(r)
 			purged++
 		} else {
 			kept = append(kept, r)
 		}
 	}
 	s.learnts = kept
+	s.maybeCompact()
 	return purged
 }
 
@@ -1056,32 +966,3 @@ func (s *Solver) SolveWithBudgetContext(ctx context.Context, maxConflicts int64,
 	defer func() { s.opts.MaxConflicts = old }()
 	return s.SolveContext(ctx, assumptions...)
 }
-
-// Simplify removes clauses satisfied at the top level. Safe to call between
-// Solve invocations.
-func (s *Solver) Simplify() bool {
-	if !s.okay {
-		return false
-	}
-	if s.propagate() != nilClause {
-		s.okay = false
-		return false
-	}
-	for ref := range s.clauses {
-		c := &s.clauses[ref]
-		if c.deleted || len(c.lits) == 0 {
-			continue
-		}
-		for _, l := range c.lits {
-			if s.value(l) == lTrue && s.level[l.Var()] == 0 {
-				s.detachClause(clauseRef(ref))
-				c.deleted = true
-				c.lits = nil
-				break
-			}
-		}
-	}
-	return true
-}
-
-var _ = math.Inf // reserved for future heuristics

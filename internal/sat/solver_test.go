@@ -369,23 +369,6 @@ func TestDIMACSBadToken(t *testing.T) {
 	}
 }
 
-func TestSimplify(t *testing.T) {
-	s := NewSolver()
-	a, b := s.NewVar(), s.NewVar()
-	s.AddClause(PosLit(a))
-	s.AddClause(PosLit(a), PosLit(b)) // subsumed once a is fixed
-	before := s.NumClauses()
-	if !s.Simplify() {
-		t.Fatal("Simplify reported conflict")
-	}
-	if s.NumClauses() >= before && before > 0 {
-		t.Logf("clauses %d -> %d", before, s.NumClauses())
-	}
-	if s.Solve() != Sat {
-		t.Fatal("want Sat")
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	s := pigeonhole(6)
 	s.Solve()

@@ -14,12 +14,13 @@ import "fmt"
 
 // Var identifies a Boolean variable. Valid variables are >= 1; use
 // (*Solver).NewVar to allocate them.
-type Var int
+type Var int32
 
 // Lit is a literal: a variable or its negation. The encoding is
 // 2*v for the positive literal of v and 2*v+1 for the negation, which lets
-// a literal index arrays directly.
-type Lit int
+// a literal index arrays directly. Literals are 32-bit words so a clause
+// sits in the solver's arena as a run of them (see arena.go).
+type Lit int32
 
 // PosLit returns the positive literal of v.
 func PosLit(v Var) Lit { return Lit(v << 1) }
@@ -53,24 +54,18 @@ func (l Lit) String() string {
 	return fmt.Sprintf("%d", l.Var())
 }
 
-// lbool is a lifted Boolean: true, false or undefined.
-type lbool int8
+// lbool is a lifted Boolean: true, false or undefined. The values are
+// chosen so a literal's value is its variable's value XOR its sign bit
+// (see Solver.value): XOR maps lTrue and lFalse onto each other and
+// lUndef onto 3, so a literal's value is compared against lTrue and
+// lFalse only — anything else is undefined.
+type lbool uint8
 
 const (
-	lUndef lbool = iota
-	lTrue
+	lTrue lbool = iota
 	lFalse
+	lUndef
 )
-
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
 
 // Status is the result of a Solve call.
 type Status int
@@ -95,25 +90,19 @@ func (s Status) String() string {
 	return "UNKNOWN"
 }
 
-// clauseRef indexes into the solver's clause arena.
+// clauseRef locates a clause in the solver's arena: the offset of its
+// header word (see arena.go). Compaction moves clauses, so a ref is only
+// stable between two reductions of the learnt database.
 type clauseRef int32
 
 const nilClause clauseRef = -1
 
-// clause is a disjunction of literals. Learnt clauses carry an activity
-// used by the clause-database reduction heuristic and an LBD (literal block
-// distance) quality measure.
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int32
-	learnt   bool
-	deleted  bool
-}
-
 // watcher pairs a watching clause with a blocker literal: if the blocker is
 // already true the clause cannot be falsified and the watch list entry can
-// be skipped without touching the clause memory.
+// be skipped without touching the clause memory. A two-literal clause is
+// watched by the complement of its ref (always < nilClause, as no clause
+// sits at offset 0) and its blocker is its other literal, so propagation
+// resolves it from the watch entry alone.
 type watcher struct {
 	ref     clauseRef
 	blocker Lit
