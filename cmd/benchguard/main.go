@@ -11,19 +11,12 @@
 //	           -max-regress-pct 25 -max-encode-regress-pct 35 -min-wall 25ms
 //
 // Rows are matched by their sweep identity (topology, collective,
-// backend, k, maxSteps, maxChunks, workers, sessions, portfolio,
-// symmetry, quotient). Rows
-// whose metric sits under -min-wall in both files are reported but never
-// fail the gate: at that scale scheduler noise outweighs solver work. A
+// backend, k, maxSteps, maxChunks, workers, sessions, symmetry,
+// quotient). Rows whose metric sits under -min-wall in both files are
+// reported but never fail the gate: at that scale scheduler noise
+// outweighs solver work. A
 // baseline row missing from the fresh run fails the gate — the suite
 // changed and the baseline needs regenerating alongside it.
-//
-// Two row classes get special treatment. Multi-worker rows (workers > 1)
-// never fail the absolute regression gates: their walls move with core
-// count and scheduler load, not code quality. Instead, every fresh
-// portfolio row must beat its plain counterpart from the same run by
-// -min-portfolio-gain-pct on solve wall — a fresh-vs-fresh comparison
-// that needs no calibration and holds on any machine.
 package main
 
 import (
@@ -38,8 +31,8 @@ import (
 )
 
 func rowKey(r eval.SweepRow) string {
-	return fmt.Sprintf("%s|%s|%s|k%d|s%d|c%d|w%d|sessions=%v|portfolio=%v|symmetry=%v|quotient=%v",
-		r.Topology, r.Collective, r.Backend, r.K, r.MaxSteps, r.MaxChunks, r.Workers, r.Sessions, r.Portfolio, r.Symmetry, r.Quotient)
+	return fmt.Sprintf("%s|%s|%s|k%d|s%d|c%d|w%d|sessions=%v|symmetry=%v|quotient=%v",
+		r.Topology, r.Collective, r.Backend, r.K, r.MaxSteps, r.MaxChunks, r.Workers, r.Sessions, r.Symmetry, r.Quotient)
 }
 
 func loadRows(path string) (map[string]eval.SweepRow, error) {
@@ -110,13 +103,7 @@ func gate(m metric, baseline, fresh map[string]eval.SweepRow, scale float64, min
 		}
 		verdict := fmt.Sprintf("%+.0f%%", deltaPct)
 		tiny := baseNs < int64(minWall) && scaled < int64(minWall)
-		if base.Workers > 1 {
-			// Multi-worker rows race the scheduler's speculative dispatch;
-			// their absolute walls move with core count and load, not with
-			// code quality. They exist for the fresh-vs-fresh portfolio
-			// gain gate, which is immune to both.
-			verdict += " (w>1, gain-gated)"
-		} else if deltaPct > m.maxRegressPct && !tiny {
+		if deltaPct > m.maxRegressPct && !tiny {
 			verdict += " FAIL"
 			failures++
 		} else if tiny {
@@ -242,41 +229,6 @@ func samePoints(a, b []eval.SweepPoint) bool {
 	return true
 }
 
-// portfolioGate checks the intra-instance parallelism win fresh-vs-fresh:
-// every portfolio row must beat its plain counterpart (same sweep
-// identity, portfolio off, from the same run) by at least minGainPct on
-// solve wall. Both rows come from one process on one machine, so the
-// comparison needs no calibration and no committed absolute times.
-func portfolioGate(fresh map[string]eval.SweepRow, minGainPct float64) int {
-	failures := 0
-	for _, key := range sortedKeys(fresh) {
-		row := fresh[key]
-		if !row.Portfolio {
-			continue
-		}
-		plain := row
-		plain.Portfolio = false
-		counterpart, ok := fresh[rowKey(plain)]
-		if !ok {
-			fmt.Printf("portfolio-gain %-55s %12s FAIL (no plain counterpart row)\n", key, fmtNs(row.SolveWallNs))
-			failures++
-			continue
-		}
-		gainPct := 0.0
-		if counterpart.SolveWallNs > 0 {
-			gainPct = 100 * float64(counterpart.SolveWallNs-row.SolveWallNs) / float64(counterpart.SolveWallNs)
-		}
-		verdict := "ok"
-		if gainPct < minGainPct {
-			verdict = "FAIL"
-			failures++
-		}
-		fmt.Printf("portfolio-gain %-55s plain %s -> portfolio %s: %+.0f%% (need >= %.0f%%) %s\n",
-			key, fmtNs(counterpart.SolveWallNs), fmtNs(row.SolveWallNs), gainPct, minGainPct, verdict)
-	}
-	return failures
-}
-
 func main() {
 	baselinePath := flag.String("baseline", "ci/BENCH_sessions_baseline.json", "committed baseline rows")
 	freshPath := flag.String("fresh", "BENCH_sessions.json", "freshly generated rows")
@@ -284,7 +236,6 @@ func main() {
 	maxEncodePct := flag.Float64("max-encode-regress-pct", 35, "allowed encode-wall regression per row, percent (encode walls are smaller and noisier than solve walls)")
 	minWall := flag.Duration("min-wall", 25*time.Millisecond, "rows faster than this in both files never fail the gate")
 	calibrate := flag.Bool("calibrate", false, "scale fresh rows by the one-shot rows' aggregate speed ratio, so a slower/faster machine than the baseline's does not trip the gate")
-	minPortfolioGain := flag.Float64("min-portfolio-gain-pct", 25, "required solve-wall improvement of each fresh portfolio row over its same-run plain counterpart, percent")
 	minSymmetryGain := flag.Float64("min-symmetry-gain-pct", 25, "required solve-wall improvement of each fresh symmetry-on row over its same-run symmetry-off counterpart, percent (cost parity of the paired frontiers is enforced alongside)")
 	minQuotientGain := flag.Float64("min-quotient-gain-pct", 25, "required encode+solve wall improvement of each fresh quotient-on row over its same-run quotient-off counterpart, percent (cost parity of the paired frontiers is enforced alongside)")
 	flag.Parse()
@@ -313,7 +264,6 @@ func main() {
 		failures += gate(m, baseline, fresh, scale, *minWall)
 	}
 	fmt.Println()
-	failures += portfolioGate(fresh, *minPortfolioGain)
 	failures += symmetryGate(fresh, *minSymmetryGain)
 	failures += quotientGate(fresh, *minQuotientGain)
 	if failures > 0 {

@@ -104,11 +104,6 @@ common flags: -topology dgx1|dgx2|amd|ring:N|bidir-ring:N|line:N|fc:N|
               -collective Allgather|Allreduce|Broadcast|...  -root N
               -backend cdcl|smtlib[:binary]
               -workers N    engine worker pool (0 = all cores)
-              -portfolio N  race N diversified CDCL workers per slow solve
-                            (frontiers stay byte-identical; 0/1 = off)
-              -portfolio-threshold D  solo-solve grace before the race
-                            escalates (default 100ms)
-              -cube-depth N also cube-and-conquer on N Stage-2 literals
               -library FILE warm the cache from FILE, save updates back
               -v            print engine and probe progress`)
 }
@@ -127,26 +122,20 @@ type common struct {
 // parseCommon, the serve daemon directly — registers the same set, so
 // flag names and semantics never drift between them.
 type engineFlags struct {
-	backendSpec        *string
-	workers            *int
-	portfolio          *int
-	portfolioThreshold *time.Duration
-	cubeDepth          *int
-	noSymmetry         *bool
-	noQuotient         *bool
-	verbose            *bool
+	backendSpec *string
+	workers     *int
+	noSymmetry  *bool
+	noQuotient  *bool
+	verbose     *bool
 }
 
 func addEngineFlags(fs *flag.FlagSet) *engineFlags {
 	return &engineFlags{
-		backendSpec:        fs.String("backend", "cdcl", "solver backend: cdcl|smtlib[:binary]"),
-		workers:            fs.Int("workers", 0, "engine worker pool (0 = all cores)"),
-		portfolio:          fs.Int("portfolio", 0, "diversified CDCL workers raced per slow solve (0/1 = off)"),
-		portfolioThreshold: fs.Duration("portfolio-threshold", 0, "solo-solve grace before a portfolio race escalates (0 = default 100ms)"),
-		cubeDepth:          fs.Int("cube-depth", 0, "Stage-2 literals to cube-and-conquer on during a race (0 = off)"),
-		noSymmetry:         fs.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)"),
-		noQuotient:         fs.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)"),
-		verbose:            fs.Bool("v", false, "print engine and probe progress"),
+		backendSpec: fs.String("backend", "cdcl", "solver backend: cdcl|smtlib[:binary]"),
+		workers:     fs.Int("workers", 0, "engine worker pool (0 = all cores)"),
+		noSymmetry:  fs.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)"),
+		noQuotient:  fs.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)"),
+		verbose:     fs.Bool("v", false, "print engine and probe progress"),
 	}
 }
 
@@ -167,9 +156,7 @@ func (ef *engineFlags) build() (*sccl.Engine, error) {
 	}
 	return sccl.NewEngine(sccl.EngineOptions{
 		Backend: backend, Workers: *ef.workers, Progress: progress,
-		Portfolio: *ef.portfolio, PortfolioThreshold: *ef.portfolioThreshold,
-		CubeDepth: *ef.cubeDepth, NoSymmetryBreaking: *ef.noSymmetry,
-		NoQuotient: *ef.noQuotient,
+		NoSymmetryBreaking: *ef.noSymmetry, NoQuotient: *ef.noQuotient,
 	}), nil
 }
 
@@ -347,15 +334,11 @@ func cmdPareto(args []string) error {
 		fmt.Fprintf(statsOut, "cores: %d unsat probes yielded budget cores, %d candidates pruned by dominance (%.0f%% of the candidate load)\n",
 			s.CoreSolves, s.PrunedProbes, pruneRate)
 		fmt.Fprintf(statsOut, "staged encoder: %d Stage-0 template shares\n", s.TemplateHits)
-		fmt.Fprintf(statsOut, "portfolio: %d solves escalated to races, %d learnt clauses shared across workers, %d cubes split\n",
-			s.PortfolioSolves, s.SharedLearnts, s.CubeSplits)
 		fmt.Fprintf(statsOut, "quotient: %d orbit-quotient witnesses lifted, %d fallbacks to the full formula, %d declines\n",
 			s.QuotientProbes, s.QuotientFallbacks, s.QuotientDeclined)
 		cs := cm.eng.CacheStats()
 		fmt.Fprintf(statsOut, "engine: %d pooled mega-bases, %d cached algorithms, %d core solves / %d pruned probes / %d template hits lifetime\n",
 			cs.MegaSessions, cs.Algorithms, cs.CoreSolves, cs.PrunedProbes, cs.TemplateHits)
-		fmt.Fprintf(statsOut, "engine: %d portfolio races / %d shared learnts / %d cube splits lifetime\n",
-			cs.PortfolioSolves, cs.SharedLearnts, cs.CubeSplits)
 	}
 	return cm.finish()
 }

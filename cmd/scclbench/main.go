@@ -13,7 +13,6 @@
 //	scclbench -all              # everything
 //	scclbench -table 4 -slow    # include the minutes-long Alltoall row
 //	scclbench -table 4 -workers 4          # synthesize rows concurrently
-//	scclbench -table 4 -portfolio 4        # race diversified solvers per slow row
 //	scclbench -table 5 -backend smtlib:z3  # discharge to an external solver
 //	scclbench -sweeps -json     # also write BENCH_sweeps.json rows
 //
@@ -50,7 +49,6 @@ func main() {
 	slow := flag.Bool("slow", false, "include slow synthesis instances")
 	timeout := flag.Duration("timeout", 15*time.Minute, "per-instance synthesis timeout")
 	workers := flag.Int("workers", 1, "concurrent row synthesis workers")
-	portfolio := flag.Int("portfolio", 0, "diversified CDCL workers raced per slow solve (0/1 = off; results are byte-identical either way)")
 	backendSpec := flag.String("backend", "cdcl", "solver backend: cdcl|smtlib[:binary]")
 	noSymmetry := flag.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)")
 	noQuotient := flag.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)")
@@ -64,7 +62,7 @@ func main() {
 	}
 	// Rows go through a facade engine so identical budgets across tables
 	// and repeated runs within one process hit the algorithm cache.
-	eng := sccl.NewEngine(sccl.EngineOptions{Backend: backend, Workers: *workers, Portfolio: *portfolio, NoSymmetryBreaking: *noSymmetry, NoQuotient: *noQuotient})
+	eng := sccl.NewEngine(sccl.EngineOptions{Backend: backend, Workers: *workers, NoSymmetryBreaking: *noSymmetry, NoQuotient: *noQuotient})
 	opts := eval.Options{
 		Timeout:     *timeout,
 		IncludeSlow: *slow,

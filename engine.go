@@ -44,20 +44,6 @@ type EngineOptions struct {
 	// the pool only changes how fast a sweep discharges its Unsat chains
 	// (see synth.ParetoOptions.NoSessions).
 	NoSessions bool
-	// Portfolio, when > 1, enables intra-instance parallelism by default
-	// for every solve the engine runs — sweep probes and one-shot
-	// requests alike: a solve whose wall crosses PortfolioThreshold
-	// escalates into a race of that many CDCL solvers (canonical leader
-	// plus diversified replicas with vetted learnt sharing). Results and
-	// frontiers stay byte-identical; see SynthOptions.Portfolio.
-	// Per-request overrides go through Request.Options.
-	Portfolio int
-	// PortfolioThreshold is the default escalation threshold (0 selects
-	// the built-in default of 100ms).
-	PortfolioThreshold time.Duration
-	// CubeDepth, with Portfolio > 1, switches escalated races to
-	// cube-and-conquer over 2^CubeDepth lookahead-chosen cubes.
-	CubeDepth int
 	// NoSymmetryBreaking disables node-orbit symmetry exploitation (the
 	// guarded automorphism-equivariance restriction emitted on large
 	// fabrics; see SynthOptions.NoSymmetryBreaking) for every request the
@@ -109,13 +95,8 @@ type Engine struct {
 	cacheCap   int
 	cacheOff   bool
 	noSessions bool
-	// Portfolio defaults applied to sweeps that do not override them
-	// through Request.Options (see EngineOptions.Portfolio).
-	portfolio          int
-	portfolioThreshold time.Duration
-	cubeDepth          int
-	noSymmetry         bool
-	noQuotient         bool
+	noSymmetry bool
+	noQuotient bool
 	// sessions pools per-topology mega-base sessions and Stage-0 templates
 	// across Pareto sweeps (nil when sessions are off).
 	sessions *synth.SessionPool
@@ -133,13 +114,6 @@ type Engine struct {
 	// templateHits aggregates the Stage-0 template shares of every sweep
 	// and warm-base request (see ParetoStats and Stage0Template).
 	templateHits uint64
-	// portfolioSolves / sharedLearnts / cubeSplits aggregate the
-	// intra-instance parallelism counters of every sweep (see
-	// ParetoStats); merged under mu after each sweep returns, never
-	// touched by probe or replica workers.
-	portfolioSolves uint64
-	sharedLearnts   uint64
-	cubeSplits      uint64
 	// megaSelects / megaEncodes aggregate the per-topology mega-base
 	// counters: probes discharged by assumption over a shared pooled base,
 	// and base formulas built (see synth.MegaSession).
@@ -169,12 +143,8 @@ func NewEngine(opts EngineOptions) *Engine {
 		noSessions: opts.NoSessions,
 		algs:       map[string]*cacheEntry{},
 		frontiers:  map[string][]ParetoPoint{},
-
-		portfolio:          opts.Portfolio,
-		portfolioThreshold: opts.PortfolioThreshold,
-		cubeDepth:          opts.CubeDepth,
-		noSymmetry:         opts.NoSymmetryBreaking,
-		noQuotient:         opts.NoQuotient,
+		noSymmetry: opts.NoSymmetryBreaking,
+		noQuotient: opts.NoQuotient,
 	}
 	if !opts.NoSessions {
 		// The pool only ever serves the built-in pipeline; with a foreign
@@ -221,19 +191,6 @@ func (e *Engine) solveOptions(timeout time.Duration, override *SynthOptions) Syn
 		o.Timeout = timeout
 	} else if o.Timeout == 0 {
 		o.Timeout = e.timeout
-	}
-	// Engine portfolio defaults, applied to one-shot requests and sweeps
-	// alike. Cache fingerprints exclude these fields (like Workers):
-	// portfolio races are leader-anchored, so results and frontiers are
-	// byte-identical with and without them.
-	if o.Portfolio == 0 {
-		o.Portfolio = e.portfolio
-	}
-	if o.PortfolioThreshold == 0 {
-		o.PortfolioThreshold = e.portfolioThreshold
-	}
-	if o.CubeDepth == 0 {
-		o.CubeDepth = e.cubeDepth
 	}
 	if e.noSymmetry {
 		o.NoSymmetryBreaking = true
@@ -453,13 +410,6 @@ type CacheStats struct {
 	// (per topology, across families and budgets) instead of re-deriving
 	// it.
 	TemplateHits uint64
-	// PortfolioSolves, SharedLearnts and CubeSplits aggregate the
-	// intra-instance parallelism counters of every sweep: probes that
-	// escalated into a solver race, vetted learnt clauses the replicas
-	// imported, and cubes raced by cube-and-conquer (see ParetoStats).
-	PortfolioSolves uint64
-	SharedLearnts   uint64
-	CubeSplits      uint64
 	// MegaSessions is the number of live per-topology mega-base sessions
 	// in the pool; MegaSelects counts probes they discharged by assumption
 	// push (vs MegaEncodes fresh base constructions — the encode work the
@@ -485,19 +435,16 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 		return cur - old
 	}
 	return CacheStats{
-		Algorithms:      s.Algorithms,
-		Frontiers:       s.Frontiers,
-		Hits:            sub(s.Hits, prev.Hits),
-		Misses:          sub(s.Misses, prev.Misses),
-		CoreSolves:      sub(s.CoreSolves, prev.CoreSolves),
-		PrunedProbes:    sub(s.PrunedProbes, prev.PrunedProbes),
-		TemplateHits:    sub(s.TemplateHits, prev.TemplateHits),
-		PortfolioSolves: sub(s.PortfolioSolves, prev.PortfolioSolves),
-		SharedLearnts:   sub(s.SharedLearnts, prev.SharedLearnts),
-		CubeSplits:      sub(s.CubeSplits, prev.CubeSplits),
-		MegaSessions:    s.MegaSessions,
-		MegaSelects:     sub(s.MegaSelects, prev.MegaSelects),
-		MegaEncodes:     sub(s.MegaEncodes, prev.MegaEncodes),
+		Algorithms:   s.Algorithms,
+		Frontiers:    s.Frontiers,
+		Hits:         sub(s.Hits, prev.Hits),
+		Misses:       sub(s.Misses, prev.Misses),
+		CoreSolves:   sub(s.CoreSolves, prev.CoreSolves),
+		PrunedProbes: sub(s.PrunedProbes, prev.PrunedProbes),
+		TemplateHits: sub(s.TemplateHits, prev.TemplateHits),
+		MegaSessions: s.MegaSessions,
+		MegaSelects:  sub(s.MegaSelects, prev.MegaSelects),
+		MegaEncodes:  sub(s.MegaEncodes, prev.MegaEncodes),
 	}
 }
 
@@ -505,18 +452,15 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 func (e *Engine) CacheStats() CacheStats {
 	e.mu.Lock()
 	cs := CacheStats{
-		Algorithms:      len(e.algs),
-		Frontiers:       len(e.frontiers),
-		Hits:            e.hits,
-		Misses:          e.misses,
-		CoreSolves:      e.coreSolves,
-		PrunedProbes:    e.prunedProbes,
-		TemplateHits:    e.templateHits,
-		PortfolioSolves: e.portfolioSolves,
-		SharedLearnts:   e.sharedLearnts,
-		CubeSplits:      e.cubeSplits,
-		MegaSelects:     e.megaSelects,
-		MegaEncodes:     e.megaEncodes,
+		Algorithms:   len(e.algs),
+		Frontiers:    len(e.frontiers),
+		Hits:         e.hits,
+		Misses:       e.misses,
+		CoreSolves:   e.coreSolves,
+		PrunedProbes: e.prunedProbes,
+		TemplateHits: e.templateHits,
+		MegaSelects:  e.megaSelects,
+		MegaEncodes:  e.megaEncodes,
 	}
 	e.mu.Unlock()
 	if e.sessions != nil {
@@ -697,9 +641,6 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	e.coreSolves += uint64(stats.CoreSolves)
 	e.prunedProbes += uint64(stats.PrunedProbes)
 	e.templateHits += uint64(stats.TemplateHits)
-	e.portfolioSolves += uint64(stats.PortfolioSolves)
-	e.sharedLearnts += uint64(stats.SharedLearnts)
-	e.cubeSplits += uint64(stats.CubeSplits)
 	e.megaSelects += uint64(stats.SessionProbes)
 	e.megaEncodes += uint64(stats.MegaEncodes)
 	e.mu.Unlock()

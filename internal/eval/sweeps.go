@@ -27,15 +27,6 @@ type SweepSpec struct {
 	K         int
 	MaxSteps  int
 	MaxChunks int
-	// Workers overrides the runner's worker count for this spec; 0 keeps
-	// the caller's value. Portfolio specs pin Workers so the paired
-	// plain/portfolio rows measure the same dispatch budget.
-	Workers int
-	// Portfolio marks an intra-instance parallelism spec: the runner emits
-	// a plain row and a portfolio row (both with sessions on, at the same
-	// worker count) so the benchmark tracks the portfolio's solve-wall win
-	// against its own-run baseline instead of a stale calibration.
-	Portfolio bool
 	// Symmetry marks a node-orbit symmetry spec: the runner emits a
 	// symmetry-off row and a symmetry-on row (both fresh, sessions on,
 	// same worker count), so the benchmark tracks the automorphism
@@ -64,12 +55,6 @@ func SessionSweeps() []SweepSpec {
 		{Name: "bidir-ring10-broadcast-k3", Kind: collective.Broadcast, Topo: topology.BidirRing(10), K: 3, MaxSteps: 7, MaxChunks: 12},
 		{Name: "ring10-broadcast-k2", Kind: collective.Broadcast, Topo: topology.Ring(10), K: 2, MaxSteps: 12, MaxChunks: 18},
 		{Name: "dgx1-allgather-k2", Kind: collective.Allgather, Topo: topology.DGX1(), K: 2, MaxSteps: 7, MaxChunks: 16},
-		// The intra-instance parallelism benchmark: the same DGX-1 sweep at
-		// four dispatch workers, plain vs portfolio. The sweep is dominated
-		// by one slow Sat probe per family, so speculative across-probe
-		// breadth at w4 wastes most of the solver time it dispatches;
-		// trading it for intra-instance depth is the measured win.
-		{Name: "dgx1-allgather-k2-w4", Kind: collective.Allgather, Topo: topology.DGX1(), K: 2, MaxSteps: 7, MaxChunks: 16, Workers: 4, Portfolio: true},
 		// The node-symmetry benchmarks: fabric-scale sweeps whose budgets are
 		// chosen so every enumerated candidate is tractable symmetry-off and
 		// the frontier Sat probe collapses under the equivariance
@@ -123,7 +108,6 @@ type SweepRow struct {
 	MaxChunks      int          `json:"maxChunks"`
 	Workers        int          `json:"workers"`
 	Sessions       bool         `json:"sessions"`
-	Portfolio      bool         `json:"portfolio"`
 	Points         []SweepPoint `json:"points"`
 	Probes         int          `json:"probes"`
 	Pruned         int          `json:"pruned"`
@@ -139,13 +123,6 @@ type SweepRow struct {
 	// TemplateHits counts encodes that shared a Stage-0 routing template
 	// across families.
 	TemplateHits int `json:"templateHits"`
-	// PortfolioSolves, SharedLearnts and CubeSplits track intra-instance
-	// parallelism: probes that escalated into a race, learnt clauses
-	// imported across portfolio workers, and cubes raced by
-	// cube-and-conquer workers.
-	PortfolioSolves int   `json:"portfolioSolves"`
-	SharedLearnts   int64 `json:"sharedLearnts"`
-	CubeSplits      int   `json:"cubeSplits"`
 	// MegaEncodes counts the shared mega-base Stage-1 encodes the sweep
 	// paid: 1 when it adopted the base, 0 when it stayed one-shot.
 	MegaEncodes int `json:"megaEncodes"`
@@ -169,19 +146,12 @@ type SweepRow struct {
 
 // RunSweep executes one spec with sessions on or off and renders its
 // row. backend selects the solver backend for every probe; nil uses the
-// built-in CDCL solver. portfolio enables intra-instance parallelism
-// (a 4-worker diversified race per slow probe); symmetry enables
-// node-orbit symmetry breaking (inert below the node threshold);
-// quotient enables the chunk-orbit quotient encoding (inert when the
-// symmetry group leaves every orbit a singleton).
-func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmetry, quotient bool, workers int, timeout time.Duration) (SweepRow, error) {
-	if spec.Workers > 0 {
-		workers = spec.Workers
-	}
+// built-in CDCL solver. symmetry enables node-orbit symmetry breaking
+// (inert below the node threshold); quotient enables the chunk-orbit
+// quotient encoding (inert when the symmetry group leaves every orbit a
+// singleton).
+func RunSweep(spec SweepSpec, backend synth.Backend, sessions, symmetry, quotient bool, workers int, timeout time.Duration) (SweepRow, error) {
 	inst := synth.Options{Timeout: timeout, Backend: backend, NoSymmetryBreaking: !symmetry, NoQuotient: !quotient}
-	if portfolio {
-		inst.Portfolio = 4
-	}
 	var stats synth.ParetoStats
 	pts, err := synth.ParetoSynthesize(spec.Kind, spec.Topo, spec.Root, synth.ParetoOptions{
 		K: spec.K, MaxSteps: spec.MaxSteps, MaxChunks: spec.MaxChunks,
@@ -202,7 +172,6 @@ func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmet
 		K:          spec.K, MaxSteps: spec.MaxSteps, MaxChunks: spec.MaxChunks,
 		Workers:           workers,
 		Sessions:          sessions,
-		Portfolio:         portfolio,
 		Symmetry:          symmetry,
 		SymmetryPerms:     stats.SymmetryPerms,
 		Quotient:          quotient,
@@ -217,9 +186,6 @@ func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmet
 		CoreSolves:        stats.CoreSolves,
 		PrunedProbes:      stats.PrunedProbes,
 		TemplateHits:      stats.TemplateHits,
-		PortfolioSolves:   stats.PortfolioSolves,
-		SharedLearnts:     stats.SharedLearnts,
-		CubeSplits:        stats.CubeSplits,
 		MegaEncodes:       stats.MegaEncodes,
 		EncodeWallNs:      int64(stats.EncodeTime),
 		SolveWallNs:       int64(stats.SolveTime),
@@ -233,42 +199,37 @@ func RunSweep(spec SweepSpec, backend synth.Backend, sessions, portfolio, symmet
 
 // RunSessionSweeps runs every spec's comparison pair and returns the
 // rows; progress (if non-nil) receives a line per run. Plain specs run
-// one-shot then sessions (both without portfolio); portfolio specs run
-// sessions-on plain then sessions-on portfolio at the spec's worker
-// count, so the pair isolates the intra-instance parallelism effect in
-// one process on one machine.
+// one-shot then sessions; symmetry and quotient specs run their off/on
+// pairs (see SweepSpec).
 func RunSessionSweeps(specs []SweepSpec, backend synth.Backend, workers int, timeout time.Duration, progress func(format string, args ...any)) ([]SweepRow, error) {
 	if progress == nil {
 		progress = func(string, ...any) {}
 	}
 	var rows []SweepRow
 	for _, spec := range specs {
-		type run struct{ sessions, portfolio, symmetry, quotient bool }
-		runs := []run{{false, false, true, true}, {true, false, true, true}}
-		if spec.Portfolio {
-			runs = []run{{true, false, true, true}, {true, true, true, true}}
-		}
+		type run struct{ sessions, symmetry, quotient bool }
+		runs := []run{{false, true, true}, {true, true, true}}
 		if spec.Symmetry {
 			// Node-symmetry pair: off then on, both fresh with sessions, so
 			// the gate compares the equivariance win within one process.
 			// Quotienting stays off for both — it needs the symmetry plan the
 			// off row disables, and the pair isolates the restriction alone.
-			runs = []run{{true, false, false, false}, {true, false, true, false}}
+			runs = []run{{true, false, false}, {true, true, false}}
 		}
 		if spec.Quotient {
 			// Quotient pair: off then on, both fresh with sessions and
 			// symmetry, so the gate compares the orbit-collapse win within
 			// one process.
-			runs = []run{{true, false, true, false}, {true, false, true, true}}
+			runs = []run{{true, true, false}, {true, true, true}}
 		}
 		var pair []SweepRow
 		for _, r := range runs {
-			row, err := RunSweep(spec, backend, r.sessions, r.portfolio, r.symmetry, r.quotient, workers, timeout)
+			row, err := RunSweep(spec, backend, r.sessions, r.symmetry, r.quotient, workers, timeout)
 			if err != nil {
 				return rows, err
 			}
-			progress("sweep %-28s sessions=%-5v portfolio=%-5v symmetry=%-5v quotient=%-5v probes=%-3d pruned=%-3d families=%-2d reuses=%-3d perms=%-2d qprobes=%-2d encode=%.3fs solve=%.3fs wall=%.3fs",
-				spec.Name, r.sessions, r.portfolio, r.symmetry, r.quotient, row.Probes, row.PrunedProbes, row.Families, row.SessionReuses, row.SymmetryPerms, row.QuotientProbes,
+			progress("sweep %-28s sessions=%-5v symmetry=%-5v quotient=%-5v probes=%-3d pruned=%-3d families=%-2d reuses=%-3d perms=%-2d qprobes=%-2d encode=%.3fs solve=%.3fs wall=%.3fs",
+				spec.Name, r.sessions, r.symmetry, r.quotient, row.Probes, row.PrunedProbes, row.Families, row.SessionReuses, row.SymmetryPerms, row.QuotientProbes,
 				time.Duration(row.EncodeWallNs).Seconds(), time.Duration(row.SolveWallNs).Seconds(),
 				time.Duration(row.WallNs).Seconds())
 			rows = append(rows, row)

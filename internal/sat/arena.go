@@ -256,3 +256,50 @@ func (s *Solver) maybeCompact() {
 	s.arena = s.arena[:to]
 	s.wasted = 0
 }
+
+// Clone returns an independent deep copy of the solver: clause arena,
+// learnt database, watch lists, top-level trail, phase saving and VSIDS
+// state. The copy shares no mutable state with the original, so both can
+// solve concurrently. Must be called at decision level 0 (between Solve
+// calls); returns nil otherwise. The clone does not inherit a proof
+// recorder, and its counters start at zero.
+func (s *Solver) Clone() *Solver {
+	if s.decisionLevel() != 0 {
+		return nil
+	}
+	c := &Solver{
+		opts:    s.opts,
+		numVars: s.numVars,
+		wasted:  s.wasted,
+		stored:  s.stored,
+		live:    s.live,
+		qhead:   s.qhead,
+		varInc:  s.varInc,
+		claInc:  s.claInc,
+		okay:    s.okay,
+	}
+	c.arena = append([]Lit(nil), s.arena...)
+	c.learnts = append([]clauseRef(nil), s.learnts...)
+	// The watch lists are cut from one slab, each with no spare capacity,
+	// so a list that grows moves out on its own.
+	total := 0
+	for _, ws := range s.watches {
+		total += len(ws)
+	}
+	slab := make([]watcher, total)
+	c.watches = make([][]watcher, len(s.watches))
+	for i, ws := range s.watches {
+		n := copy(slab, ws)
+		c.watches[i], slab = slab[:n:n], slab[n:]
+	}
+	c.assigns = append([]lbool(nil), s.assigns...)
+	c.level = append([]int32(nil), s.level...)
+	c.reason = append([]clauseRef(nil), s.reason...)
+	c.trail = append([]Lit(nil), s.trail...)
+	c.polar = append([]bool(nil), s.polar...)
+	c.seen = make([]bool, len(s.seen))
+	c.order.activity = append([]float64(nil), s.order.activity...)
+	c.order.indices = make([]int32, len(s.order.indices))
+	c.refillOrder(1)
+	return c
+}

@@ -231,6 +231,54 @@ func TestLearntMarkSurvivesCompaction(t *testing.T) {
 	}
 }
 
+// TestCloneIndependent checks the deep-copy contract: a clone answers
+// the same query as the original, and mutating the clone's clause
+// database (to the point of unsatisfiability) leaves the original
+// untouched.
+func TestCloneIndependent(t *testing.T) {
+	s := pigeonhole(4)
+	c := s.Clone()
+	if c == nil {
+		t.Fatal("Clone returned nil at level 0")
+	}
+	if got := c.Solve(); got != Unsat {
+		t.Fatalf("clone solve = %v, want Unsat", got)
+	}
+
+	// A Sat formula: clone, poison the clone, original survives.
+	s2 := NewSolver()
+	a, b := s2.NewVar(), s2.NewVar()
+	s2.AddClause(PosLit(a), PosLit(b))
+	c2 := s2.Clone()
+	c2.AddClause(PosLit(a))
+	c2.AddClause(NegLit(a))
+	c2.AddClause(PosLit(b))
+	c2.AddClause(NegLit(b))
+	if got := c2.Solve(); got != Unsat {
+		t.Fatalf("poisoned clone = %v, want Unsat", got)
+	}
+	if got := s2.Solve(); got != Sat {
+		t.Fatalf("original after clone poisoning = %v, want Sat", got)
+	}
+}
+
+// TestCloneAfterSolve clones a solver that already carries learnt
+// clauses and a saved trail, then solves both under assumptions — the
+// answers must agree.
+func TestCloneAfterSolve(t *testing.T) {
+	s := pigeonhole(5)
+	s.SetBudget(200, 0)
+	s.Solve() // Unknown or Unsat; either way the solver now has learnts.
+	s.SetBudget(0, 0)
+	c := s.Clone()
+	if c == nil {
+		t.Fatal("Clone returned nil between solves")
+	}
+	if got, want := c.Solve(), s.Solve(); got != want {
+		t.Fatalf("clone = %v, original = %v", got, want)
+	}
+}
+
 // TestCloneAfterCompaction: a clone of a compacted solver searches exactly
 // like the original.
 func TestCloneAfterCompaction(t *testing.T) {

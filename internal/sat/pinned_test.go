@@ -13,6 +13,16 @@ func countsOf(st Stats) searchCounts {
 	return searchCounts{st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learnt, st.Removed}
 }
 
+// splitmix64 is the SplitMix64 PRNG step — deterministic, seedable, and
+// dependency-free.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	z := x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d4db3d33b27fb9
+	return z ^ (z >> 31)
+}
+
 // seeded3SAT builds a uniform random 3-SAT formula (three distinct
 // variables per clause) from a splitmix64 stream, so the instance depends
 // on nothing but the seed.

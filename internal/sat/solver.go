@@ -15,10 +15,6 @@ type Stats struct {
 	Learnt       int64
 	Removed      int64
 	MaxLBD       int64
-	// SharedOut / SharedIn count learnt clauses exported to and imported
-	// (after entailment vetting) from a portfolio exchange.
-	SharedOut int64
-	SharedIn  int64
 }
 
 // Since returns the counters accumulated after the earlier snapshot prev
@@ -31,8 +27,6 @@ func (s Stats) Since(prev Stats) Stats {
 	s.Restarts -= prev.Restarts
 	s.Learnt -= prev.Learnt
 	s.Removed -= prev.Removed
-	s.SharedOut -= prev.SharedOut
-	s.SharedIn -= prev.SharedIn
 	return s
 }
 
@@ -91,13 +85,6 @@ type Solver struct {
 	analyzeToClear []Lit
 	deadline       time.Time
 	proof          *Proof
-
-	// Portfolio state (see portfolio.go). geomGrowth > 1 selects geometric
-	// restarts; zero keeps the Luby schedule, preserving canonical search.
-	geomGrowth    float64
-	exch          *Exchange
-	exchConsumer  int
-	sharedImports [][]Lit
 }
 
 // NewSolver constructs an empty solver with default options.
@@ -694,14 +681,12 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 			s.recordProof(learnt)
 			s.backtrack(btLevel)
 			if len(learnt) == 1 {
-				s.exportLearnt(learnt, 0)
 				s.enqueue(learnt[0], nilClause)
 			} else {
 				lbd := s.computeLBD(learnt)
 				if int64(lbd) > s.stats.MaxLBD {
 					s.stats.MaxLBD = int64(lbd)
 				}
-				s.exportLearnt(learnt, lbd)
 				ref := s.storeClause(learnt)
 				s.commitClause(ref, len(learnt), true, lbd)
 				s.bumpClause(ref)
@@ -720,24 +705,12 @@ func (s *Solver) SolveContext(ctx context.Context, assumptions ...Lit) Status {
 		if conflictsThisRestart >= conflictBudget {
 			s.stats.Restarts++
 			restartIdx++
-			if s.geomGrowth > 1 {
-				// Diversified portfolio replicas may run a geometric
-				// schedule; the canonical configuration stays Luby.
-				conflictBudget = int64(float64(conflictBudget) * s.geomGrowth)
-			} else {
-				conflictBudget = s.opts.LubyUnit * luby(restartIdx)
-			}
+			conflictBudget = s.opts.LubyUnit * luby(restartIdx)
 			conflictsThisRestart = 0
 			s.backtrack(0)
 			sincePoll = 0
 			if interrupted() {
 				return Unknown
-			}
-			// Portfolio import point: the solver is at decision level 0, so
-			// vetted lemmas from the exchange enter exactly like its own
-			// top-level derivations.
-			if !s.importShared() {
-				return Unsat
 			}
 			continue
 		}

@@ -478,9 +478,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter(w, "sccl_engine_core_solves_total", "Unsat probes that yielded budget cores.", cs.CoreSolves)
 	writeCounter(w, "sccl_engine_pruned_probes_total", "Candidates answered by core dominance without solving.", cs.PrunedProbes)
 	writeCounter(w, "sccl_engine_template_hits_total", "Stage-0 template shares across encodes.", cs.TemplateHits)
-	writeCounter(w, "sccl_engine_portfolio_solves_total", "Solves escalated into portfolio races.", cs.PortfolioSolves)
-	writeCounter(w, "sccl_engine_shared_learnts_total", "Learnt clauses imported by portfolio replicas.", cs.SharedLearnts)
-	writeCounter(w, "sccl_engine_cube_splits_total", "Cubes raced by cube-and-conquer escalations.", cs.CubeSplits)
 	writeCounter(w, "sccl_engine_mega_selects_total", "Probes answered by mega-base activation selects.", cs.MegaSelects)
 	writeCounter(w, "sccl_engine_mega_encodes_total", "Mega-base Stage-1 encodes.", cs.MegaEncodes)
 	if win := delta.Hits + delta.Misses; win > 0 {

@@ -64,25 +64,6 @@ type Options struct {
 	// Backend selects the solver backend discharging the instance; nil
 	// selects the built-in CDCL encoder (see Backend, NewSMTLIBBackend).
 	Backend Backend
-	// Portfolio, when > 1, enables intra-instance parallelism on the
-	// built-in CDCL pipeline: a one-shot solve whose wall clock crosses
-	// PortfolioThreshold escalates into a race of Portfolio solvers — the
-	// canonical leader plus diversified replicas exchanging vetted learnt
-	// clauses (or cube workers, see CubeDepth). The answer and any Sat
-	// witness always come from the canonical leader unless a replica
-	// proves Unsat first, so results are byte-identical to the sequential
-	// solve. Ignored for the direct encoding and proof-recording solves.
-	Portfolio int
-	// PortfolioThreshold is the solve wall clock after which a portfolio
-	// escalates (0 selects the default, see defaultPortfolioThreshold).
-	// Probes that finish under the threshold never pay any portfolio cost.
-	PortfolioThreshold time.Duration
-	// CubeDepth, when > 0 with Portfolio > 1, makes the escalated replicas
-	// cube-and-conquer workers instead of diversified racers: the formula
-	// is split on 2^CubeDepth cubes over lookahead-chosen Stage-2 budget
-	// and chunk-placement literals, Unsat cubes combine into a
-	// formula-level Unsat, and a Sat cube stops the cube race.
-	CubeDepth int
 	// NoQuotient disables the chunk-orbit quotient encoding (see
 	// quotient.go): with it off, eligible solves first try a collapsed
 	// formula carrying variables only for chunk-orbit representatives,
@@ -127,16 +108,6 @@ type Result struct {
 	// Stage-0 routing template (see Stage0Template) instead of deriving
 	// their own — pooled one-shot probes and canonical witness re-solves.
 	TemplateHits int
-	// PortfolioSolves is 1 when this solve crossed the portfolio
-	// threshold and escalated into an intra-instance race (0 otherwise:
-	// the leader finished alone and no replica ever launched).
-	PortfolioSolves int
-	// SharedLearnts counts learnt clauses the race's replicas imported
-	// from the exchange after entailment vetting (see sat.Exchange).
-	SharedLearnts int64
-	// CubeSplits counts the cubes a cube-and-conquer escalation raced
-	// (0 when the escalation used diversified replicas instead).
-	CubeSplits int
 	// MegaEncodes counts mega-base formula constructions this probe paid
 	// for (1 when it was the probe that built the shared base).
 	MegaEncodes int
@@ -501,23 +472,11 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 		fres.QuotientFallbacks = 1
 		return fres, err
 	}
-	switch {
-	case len(e.symGuards) > 0:
-		// Node-symmetry restriction: phased assumption solve (the
-		// portfolio machinery replays plain solves, so restricted
-		// instances stay on the sequential path — the restriction is
-		// itself the parallelism substitute on symmetric fabrics).
+	if len(e.symGuards) > 0 {
+		// Node-symmetry restriction: phased assumption solve.
 		res.Status = solveSymPhased(ctx, e.ctx, nil, e.symGuards, nil,
 			restrictedPhaseConflicts(res.Clauses, e.symOrder))
-	case portfolioEligible(opts):
-		po := portfolioSolve(ctx, e, in, opts, tmpl)
-		res.Status = po.status
-		if po.escalated {
-			res.PortfolioSolves = 1
-			res.SharedLearnts = int64(po.shared.Imported)
-			res.CubeSplits = po.cubes
-		}
-	default:
+	} else {
 		res.Status = e.ctx.SolveContext(ctx)
 	}
 	res.Solve = time.Since(t1)

@@ -633,12 +633,7 @@ func (v *MegaFamilyView) Solve(ctx context.Context, steps, rounds int, opts Opti
 	// incremental win is in the Unsat chain the sweep walks before each
 	// frontier point. This solve builds its own solver and runs outside
 	// the session lock, so concurrent probes are not serialized behind it.
-	// Portfolio escalation is disabled here: the budget is already known
-	// Sat, so replicas could never short-circuit (only an Unsat wins a
-	// race) and would burn workers against an irreducible witness solve.
-	canonOpts := opts
-	canonOpts.Portfolio = 0
-	canon, err := v.oneShotSolve(ctx, in, canonOpts)
+	canon, err := v.oneShotSolve(ctx, in, opts)
 	if err != nil {
 		return res, err
 	}

@@ -33,9 +33,7 @@ type ParetoOptions struct {
 	// select a single worker. The per-S candidate probes are speculated
 	// out of order across the pool and merged deterministically in
 	// (S, bandwidth-cost) rank, so the returned frontier is identical for
-	// every worker count. With Instance.Portfolio > 1 the pool is divided
-	// by the portfolio width: probes dispatch (mostly) sequentially and
-	// the parallelism moves inside each escalated solve.
+	// every worker count.
 	Workers int
 	// Context, if non-nil, cancels the whole sweep early; in-flight
 	// probes are aborted at the solver's next restart/conflict boundary.
@@ -104,16 +102,6 @@ type ParetoStats struct {
 	// sessions whose re-bases it served; the field stays until the next
 	// revision of bench/, which reads it.
 	MigratedLearnts int64
-	// PortfolioSolves counts probes whose solve wall crossed the
-	// portfolio threshold and escalated into an intra-instance race of
-	// diversified solvers (see Options.Portfolio).
-	PortfolioSolves int
-	// SharedLearnts sums the learnt clauses portfolio replicas imported
-	// from the race exchange after entailment vetting.
-	SharedLearnts int64
-	// CubeSplits sums the cubes raced by cube-and-conquer escalations
-	// (see Options.CubeDepth).
-	CubeSplits int
 	// MegaEncodes counts mega-base formula constructions the sweep's
 	// probes paid for: 1 for the sweep that adopts a base, 0 for one that
 	// found it warm or stayed one-shot.
@@ -385,19 +373,6 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	if workers < 1 {
 		workers = 1
 	}
-	if opts.Instance.Portfolio > 1 {
-		// Intra-instance mode: the pool's parallelism goes into each
-		// probe's portfolio race instead of speculative across-probe
-		// dispatch. Speculation pays when many independent probes are
-		// plausible; the sweeps that want a portfolio are dominated by
-		// one hard instance, where speculative siblings only burn solver
-		// time that cancellation then discards. The frontier is identical
-		// either way — only the schedule changes.
-		workers = workers / opts.Instance.Portfolio
-		if workers < 1 {
-			workers = 1
-		}
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -557,9 +532,6 @@ func (s *ParetoStats) add(o ParetoStats) {
 	s.CoreSolves += o.CoreSolves
 	s.PrunedProbes += o.PrunedProbes
 	s.TemplateHits += o.TemplateHits
-	s.PortfolioSolves += o.PortfolioSolves
-	s.SharedLearnts += o.SharedLearnts
-	s.CubeSplits += o.CubeSplits
 	s.MegaEncodes += o.MegaEncodes
 	s.SymmetryPerms += o.SymmetryPerms
 	s.QuotientProbes += o.QuotientProbes
@@ -765,12 +737,6 @@ func (w *paretoSweep) account(out *probeOutcome) {
 	w.stats.Probes++
 	w.accountWall(out)
 	w.stats.TemplateHits += out.res.TemplateHits
-	// Portfolio counters ride the Result of each probe and merge here, on
-	// the coordinator goroutine — the scheduler's single merge point — so
-	// replica workers never touch shared counters directly.
-	w.stats.PortfolioSolves += out.res.PortfolioSolves
-	w.stats.SharedLearnts += out.res.SharedLearnts
-	w.stats.CubeSplits += out.res.CubeSplits
 	if out.res.SessionProbe {
 		w.stats.SessionProbes++
 		if out.res.SessionWarm {

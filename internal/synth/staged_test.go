@@ -81,9 +81,9 @@ func TestParetoTemplateHits(t *testing.T) {
 	}
 }
 
-// TestEntailedAndAddLearnt covers the sat-layer primitives portfolio
-// learnt sharing vets imports with: the failed-literal entailment test
-// and the learnt import.
+// TestEntailedAndAddLearnt covers the sat-layer primitives that add a
+// lemma from outside the search: the failed-literal entailment test that
+// vets it and the learnt import that adopts it.
 func TestEntailedAndAddLearnt(t *testing.T) {
 	s := sat.NewSolver()
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
