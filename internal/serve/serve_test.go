@@ -690,6 +690,58 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestServerMegaWarm pins the mega-base warmer: three solver-bound misses
+// on one topology warm exactly one shared base in the background, and a
+// later fresh budget inside the clamped window (C <= 4, k <= 4) is a miss
+// the warm base answers by an activation select.
+func TestServerMegaWarm(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	req := cheapRequest(t)
+	post := func(b sccl.Budget) {
+		t.Helper()
+		r := req
+		r.Budget = b
+		body, err := sccl.EncodeRequest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postDoc(t, ts.URL+"/v1/synthesize", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: %s: %s", b, resp.Status, data)
+		}
+		if got := resp.Header.Get("X-SCCL-Cache"); got != "miss" {
+			t.Fatalf("%v: X-SCCL-Cache = %q, want miss", b, got)
+		}
+	}
+	for _, b := range []sccl.Budget{{C: 1, S: 2, R: 2}, {C: 1, S: 2, R: 3}, {C: 2, S: 2, R: 4}} {
+		post(b)
+	}
+	// The warm runs in the background after the third miss.
+	deadline := time.Now().Add(30 * time.Second)
+	for srv.megaWarms.Load() == 0 || srv.eng.CacheStats().MegaSessions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no warm mega-base after 30s: warms %d, sessions %d",
+				srv.megaWarms.Load(), srv.eng.CacheStats().MegaSessions)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	_, data := postDocGet(t, ts.URL+"/metrics")
+	for _, want := range []string{"sccl_serve_mega_warms_total 1\n", "sccl_engine_mega_sessions 1\n"} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+
+	before := srv.eng.CacheStats().MegaSelects
+	post(sccl.Budget{C: 1, S: 2, R: 4})
+	if d := srv.eng.CacheStats().MegaSelects - before; d < 1 {
+		t.Fatalf("fresh in-window miss: mega selects +%d, want >= 1", d)
+	}
+	if n := srv.megaWarms.Load(); n != 1 {
+		t.Fatalf("mega warms = %d after an in-window miss, want 1", n)
+	}
+}
+
 // TestServerRejectsMalformed pins the 400 path for undecodable and
 // invalid documents.
 func TestServerRejectsMalformed(t *testing.T) {

@@ -47,9 +47,9 @@ func runWorkloadSweeps(t *testing.T, sweeps []workloadSweep) sccl.ParetoStats {
 }
 
 // TestWorkloadCountsPinned pins the scheduler counts of the pareto-rings
-// and pareto-fabrics benchmark workloads: their sweeps in the harness's
-// listed order on one Workers:1 engine, where no decision depends on the
-// wall clock. A change that is meant to leave the search alone must leave
+// and pareto-fabrics benchmark workloads and of three plain session
+// sweeps: their sweeps in the listed order on one Workers:1 engine, where
+// no decision depends on the wall clock. A change that is meant to leave the search alone must leave
 // these literals alone. The harness shuffles the sweep order by seed, and
 // the order decides which sweep adopts a pooled mega-base, so its seed-1
 // pareto-rings run reports session_probes 322 and core_solves 302 instead.
@@ -80,6 +80,22 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		want := [4]int{3, 1, 2, 2}
 		if got != want {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
+		}
+	})
+	// Three plain sweeps off the harness: the bidir-ring Broadcast's
+	// per-step Unsat chains adopt the mega-base early, the unidirectional
+	// ring's long chains adopt it too, and the dgx1 Allgather's probes are
+	// mostly Sat on first try.
+	t.Run("session-sweeps", func(t *testing.T) {
+		st := runWorkloadSweeps(t, []workloadSweep{
+			{topology: "bidir-ring:10", kind: sccl.Broadcast, k: 3, maxSteps: 7, maxChunks: 12},
+			{topology: "ring:10", kind: sccl.Broadcast, k: 2, maxSteps: 12, maxChunks: 18},
+			{topology: "dgx1", kind: sccl.Allgather, k: 2, maxSteps: 7, maxChunks: 16},
+		})
+		got := [4]int{st.Probes, st.SessionProbes, st.PrunedProbes, st.CoreSolves}
+		want := [4]int{140, 129, 69, 122}
+		if got != want {
+			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
 	})
 }
