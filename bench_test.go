@@ -5,9 +5,8 @@
 //	SCCL_SLOW=1 go test -bench=Table4     # include the minutes-long rows
 //
 // The same rows/series print from cmd/scclbench; here each experiment is
-// timed and its key numbers are attached as benchmark metrics. BENCH_*.json
-// artifacts land in the current directory unless SCCL_BENCH_DIR redirects
-// them (CI sets it so benchmark runs never dirty the checkout).
+// timed and its key numbers are attached as benchmark metrics. The
+// repository benchmark proper is bench/ (bash bench/run.sh).
 package sccl_test
 
 import (
@@ -226,44 +225,6 @@ func BenchmarkLoweringAblation(b *testing.B) {
 			b.ReportMetric(t*1e6, "model-us")
 		})
 	}
-}
-
-// BenchmarkSessionSweeps runs the one-shot vs default-path Pareto sweep
-// suite (the synthesis hot path this repository optimizes) and writes the
-// rows to BENCH_sessions.json — the machine-readable artifact CI uploads
-// so the performance trajectory is tracked over time. The headline metric
-// is the summed solver wall: a sweep that adopts the mega-base carries
-// learnt clauses across its closely related (S, R) probes and prunes by
-// unsat cores, so the bidir-ring Broadcast sweep's Unsat chains refute
-// measurably faster.
-func BenchmarkSessionSweeps(b *testing.B) {
-	var rows []eval.SweepRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = eval.RunSessionSweeps(eval.SessionSweeps(), nil, 1, 10*time.Minute, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var oneShotSolve, sessionSolve, oneShotWall, sessionWall time.Duration
-	for _, r := range rows {
-		if r.Sessions {
-			sessionSolve += time.Duration(r.SolveWallNs)
-			sessionWall += time.Duration(r.WallNs)
-		} else {
-			oneShotSolve += time.Duration(r.SolveWallNs)
-			oneShotWall += time.Duration(r.WallNs)
-		}
-	}
-	b.ReportMetric(oneShotSolve.Seconds(), "oneshot-solve-s")
-	b.ReportMetric(sessionSolve.Seconds(), "session-solve-s")
-	if sessionWall > 0 {
-		b.ReportMetric(oneShotWall.Seconds()/sessionWall.Seconds(), "sweep-speedup")
-	}
-	if err := eval.WriteBenchJSON("BENCH_sessions.json", rows); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote BENCH_sessions.json (%d rows)", len(rows))
 }
 
 // BenchmarkParetoAllgatherDGX1 runs the full Pareto-Synthesize procedure

@@ -1,9 +1,6 @@
 package eval
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -270,52 +267,4 @@ func TestParallelRowsMatchSequential(t *testing.T) {
 			t.Errorf("row %d: %+v != %+v", i, b, a)
 		}
 	}
-}
-
-// TestRunSweepRow checks the benchmark sweep runner produces coherent
-// rows for both modes on a small topology.
-func TestRunSweepRow(t *testing.T) {
-	spec := SweepSpec{
-		Name: "ring4-allgather", Kind: collective.Allgather,
-		Topo: topology.Ring(4), K: 1, MaxSteps: 5, MaxChunks: 3,
-	}
-	rows, err := RunSessionSweeps([]SweepSpec{spec}, nil, 1, time.Minute, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Sessions || !rows[1].Sessions {
-		t.Fatalf("want one-shot row then session row, got %+v", rows)
-	}
-	for i, r := range rows {
-		if r.Topology != "ring" || r.Collective != "Allgather" || r.Probes == 0 || len(r.Points) == 0 {
-			t.Errorf("row %d incoherent: %+v", i, r)
-		}
-	}
-	if string(mustJSON(t, rows[0].Points)) != string(mustJSON(t, rows[1].Points)) {
-		t.Errorf("session sweep changed the frontier: %v vs %v", rows[0].Points, rows[1].Points)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := WriteBenchJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []SweepRow
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 {
-		t.Fatalf("round-trip lost rows: %d", len(back))
-	}
-}
-
-func mustJSON(t *testing.T, v any) []byte {
-	t.Helper()
-	data, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }

@@ -82,10 +82,10 @@ func TestWorkloadCountsPinned(t *testing.T) {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
 		}
 	})
-	// Three plain sweeps off the harness: the bidir-ring Broadcast's
-	// per-step Unsat chains adopt the mega-base early, the unidirectional
-	// ring's long chains adopt it too, and the dgx1 Allgather's probes are
-	// mostly Sat on first try.
+	// Three plain sweeps off the harness: both ring Broadcasts adopt the
+	// mega-base after their first three refutations (60 of 63 and 69 of 72
+	// probes by activation select), and the dgx1 Allgather never does (5
+	// probes, no Unsat).
 	t.Run("session-sweeps", func(t *testing.T) {
 		st := runWorkloadSweeps(t, []workloadSweep{
 			{topology: "bidir-ring:10", kind: sccl.Broadcast, k: 3, maxSteps: 7, maxChunks: 12},
