@@ -125,6 +125,38 @@ func (a *Algorithm) SendsAtStep(s int) []Send {
 	return out
 }
 
+// stepSends groups the sends by step in one counting pass: stepSends()[s]
+// holds the sends of step s in their order in Sends. Sends whose step is
+// out of range belong to no group; Validate rejects them before grouping.
+// The groups share one backing array and are capped, so appending to one
+// cannot write into the next.
+func (a *Algorithm) stepSends() [][]Send {
+	S := a.Steps()
+	// start[s] is where step s's group begins in the shared array.
+	start := make([]int, S+1)
+	for _, snd := range a.Sends {
+		if snd.Step >= 0 && snd.Step < S {
+			start[snd.Step+1]++
+		}
+	}
+	for s := 0; s < S; s++ {
+		start[s+1] += start[s]
+	}
+	buf := make([]Send, start[S])
+	next := append([]int(nil), start[:S]...)
+	for _, snd := range a.Sends {
+		if snd.Step >= 0 && snd.Step < S {
+			buf[next[snd.Step]] = snd
+			next[snd.Step]++
+		}
+	}
+	groups := make([][]Send, S)
+	for s := range groups {
+		groups[s] = buf[start[s]:start[s+1]:start[s+1]]
+	}
+	return groups
+}
+
 // CSR formats the (C, S, R) triple used throughout the paper's tables.
 func (a *Algorithm) CSR() string {
 	return fmt.Sprintf("(%d,%d,%d)", a.C, a.Steps(), a.TotalRounds())
@@ -135,9 +167,9 @@ func (a *Algorithm) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s on %s: S=%d R=%d C=%d k=%d\n",
 		a.Name, a.CollKind, a.Topo.Name, a.Steps(), a.TotalRounds(), a.C, a.KSync())
-	for s := 0; s < a.Steps(); s++ {
+	for s, sends := range a.stepSends() {
 		fmt.Fprintf(&b, "  step %d (%d round(s)):\n", s, a.Rounds[s])
-		for _, snd := range a.SendsAtStep(s) {
+		for _, snd := range sends {
 			op := "->"
 			if snd.Reduce {
 				op = "+>"
@@ -155,9 +187,10 @@ func (a *Algorithm) Run() collective.Rel {
 	for c := 0; c < a.G; c++ {
 		copy(v[c], a.Coll.Pre[c])
 	}
-	for s := 0; s < a.Steps(); s++ {
-		var arrivals []Send
-		for _, snd := range a.SendsAtStep(s) {
+	var arrivals []Send
+	for _, sends := range a.stepSends() {
+		arrivals = arrivals[:0]
+		for _, snd := range sends {
 			if snd.Chunk < a.G && v[snd.Chunk][snd.From] {
 				arrivals = append(arrivals, snd)
 			}

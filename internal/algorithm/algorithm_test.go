@@ -12,7 +12,7 @@ import (
 
 // ringAllgather builds the classic ring Allgather with C=1 on a
 // unidirectional ring of n nodes: n-1 steps, one chunk forwarded per step.
-func ringAllgather(t *testing.T, n int) *Algorithm {
+func ringAllgather(t testing.TB, n int) *Algorithm {
 	t.Helper()
 	topo := topology.Ring(n)
 	coll, err := collective.New(collective.Allgather, n, 1, 0)
@@ -159,7 +159,7 @@ func TestValidateRejectsBandwidthViolation(t *testing.T) {
 	// The same sends with 2 rounds are fine bandwidth-wise (though the
 	// postcondition still fails, bandwidth must pass first).
 	a2 := New("ok-bw", coll, topo, []int{2}, sends)
-	if err := a2.validateBandwidth(); err != nil {
+	if err := a2.validateBandwidth(indexLinks(topo), a2.stepSends()); err != nil {
 		t.Fatalf("2-round step should absorb 2 sends: %v", err)
 	}
 }

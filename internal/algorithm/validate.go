@@ -19,23 +19,59 @@ import (
 //     accumulates all P contributions exactly once;
 //   - per-step bandwidth: for every step s and relation (L, b), the sends
 //     crossing L at s number at most b*r_s (C5).
+//
+// It runs in time linear in the sends, the topology's links and the
+// collective's relations: each send is looked up once in an index of the
+// topology's links and charged to the relations that contain its link.
 func (a *Algorithm) Validate() error {
 	if a.Coll == nil || a.Topo == nil {
 		return fmt.Errorf("algorithm %q: missing collective or topology", a.Name)
 	}
-	if err := a.validateBasics(); err != nil {
+	links := indexLinks(a.Topo)
+	if err := a.validateBasics(links); err != nil {
 		return err
 	}
-	if err := a.validateBandwidth(); err != nil {
+	steps := a.stepSends()
+	if err := a.validateBandwidth(links, steps); err != nil {
 		return err
 	}
 	if a.Coll.Kind.IsCombining() {
-		return a.validateCombining()
+		return a.validateCombining(steps)
 	}
-	return a.validateNonCombining()
+	return a.validateNonCombining(steps)
 }
 
-func (a *Algorithm) validateBasics() error {
+// linkIndex maps every link of a topology to the indices of the relations
+// that contain it, each relation once.
+type linkIndex map[topology.Link][]int32
+
+func indexLinks(t *topology.Topology) linkIndex {
+	ix := linkIndex{}
+	for ri, rel := range t.Relations {
+		for _, l := range rel.Links {
+			// A relation's links are walked together, so a link it lists
+			// twice shows up as a repeat of the last index.
+			if rs := ix[l]; len(rs) == 0 || rs[len(rs)-1] != int32(ri) {
+				ix[l] = append(rs, int32(ri))
+			}
+		}
+	}
+	return ix
+}
+
+// usable reports whether l is in the topology's edge set E: in at least
+// one relation and in no zero-bandwidth one (see Topology.Edges).
+func (ix linkIndex) usable(t *topology.Topology, l topology.Link) bool {
+	rels := ix[l]
+	for _, ri := range rels {
+		if t.Relations[ri].Bandwidth == 0 {
+			return false
+		}
+	}
+	return len(rels) > 0
+}
+
+func (a *Algorithm) validateBasics(links linkIndex) error {
 	S := a.Steps()
 	for _, r := range a.Rounds {
 		if r < 1 {
@@ -49,35 +85,32 @@ func (a *Algorithm) validateBasics() error {
 		if snd.Step < 0 || snd.Step >= S {
 			return fmt.Errorf("algorithm %q: step %d out of range [0,%d)", a.Name, snd.Step, S)
 		}
-		if !a.Topo.HasEdge(snd.From, snd.To) {
+		if !links.usable(a.Topo, topology.Link{Src: snd.From, Dst: snd.To}) {
 			return fmt.Errorf("algorithm %q: send %v uses missing link", a.Name, snd)
 		}
 	}
 	return nil
 }
 
-func (a *Algorithm) validateNonCombining() error {
-	if err := a.validateBasics(); err != nil {
-		return err
-	}
+func (a *Algorithm) validateNonCombining(steps [][]Send) error {
 	// Causality + final coverage via step-wise execution.
 	v := a.Coll.Pre
 	have := make([][]bool, a.G)
 	for c := range have {
 		have[c] = append([]bool(nil), v[c]...)
 	}
-	for s := 0; s < a.Steps(); s++ {
-		var newly []Send
-		for _, snd := range a.SendsAtStep(s) {
+	for _, sends := range steps {
+		// Every send of a step is checked against the placement before the
+		// step: a chunk received in step s cannot be forwarded within s.
+		for _, snd := range sends {
 			if snd.Reduce {
 				return fmt.Errorf("algorithm %q: reduce send %v in non-combining collective", a.Name, snd)
 			}
 			if !have[snd.Chunk][snd.From] {
 				return fmt.Errorf("algorithm %q: %v sends chunk not yet present at source", a.Name, snd)
 			}
-			newly = append(newly, snd)
 		}
-		for _, snd := range newly {
+		for _, snd := range sends {
 			have[snd.Chunk][snd.To] = true
 		}
 	}
@@ -98,10 +131,7 @@ func (a *Algorithm) validateNonCombining() error {
 // the destination's set (used by the Allgather phase of Allreduce, which
 // moves fully-reduced chunks). Outputs required by post must hold the full
 // contribution set.
-func (a *Algorithm) validateCombining() error {
-	if err := a.validateBasics(); err != nil {
-		return err
-	}
+func (a *Algorithm) validateCombining(steps [][]Send) error {
 	full := (uint64(1) << uint(a.P)) - 1
 	if a.P > 64 {
 		return fmt.Errorf("algorithm %q: combining validation supports P <= 64", a.Name)
@@ -117,31 +147,29 @@ func (a *Algorithm) validateCombining() error {
 			}
 		}
 	}
-	for s := 0; s < a.Steps(); s++ {
-		type update struct {
-			snd Send
-			val uint64
-		}
-		var ups []update
-		for _, snd := range a.SendsAtStep(s) {
+	var vals []uint64
+	for _, sends := range steps {
+		// Every send of a step reads the contributions from before it.
+		vals = vals[:0]
+		for _, snd := range sends {
 			src := contrib[snd.Chunk][snd.From]
 			if src == 0 {
 				return fmt.Errorf("algorithm %q: %v sends absent chunk", a.Name, snd)
 			}
-			ups = append(ups, update{snd, src})
+			vals = append(vals, src)
 		}
-		for _, u := range ups {
-			dst := &contrib[u.snd.Chunk][u.snd.To]
-			if u.snd.Reduce {
-				if *dst&u.val != 0 {
-					return fmt.Errorf("algorithm %q: %v double-counts contributions", a.Name, u.snd)
+		for i, snd := range sends {
+			dst := &contrib[snd.Chunk][snd.To]
+			if snd.Reduce {
+				if *dst&vals[i] != 0 {
+					return fmt.Errorf("algorithm %q: %v double-counts contributions", a.Name, snd)
 				}
-				*dst |= u.val
+				*dst |= vals[i]
 			} else {
-				if u.val != full {
-					return fmt.Errorf("algorithm %q: %v copies a partial result (contributions %b)", a.Name, u.snd, u.val)
+				if vals[i] != full {
+					return fmt.Errorf("algorithm %q: %v copies a partial result (contributions %b)", a.Name, snd, vals[i])
 				}
-				*dst = u.val
+				*dst = vals[i]
 			}
 		}
 	}
@@ -156,24 +184,35 @@ func (a *Algorithm) validateCombining() error {
 	return nil
 }
 
-func (a *Algorithm) validateBandwidth() error {
-	for s := 0; s < a.Steps(); s++ {
-		stepSends := a.SendsAtStep(s)
-		for ri, rel := range a.Topo.Relations {
-			inRel := map[topology.Link]bool{}
-			for _, l := range rel.Links {
-				inRel[l] = true
-			}
-			count := 0
-			for _, snd := range stepSends {
-				if inRel[topology.Link{Src: snd.From, Dst: snd.To}] {
-					count++
+// validateBandwidth charges each send to the relations containing its
+// link and reports the first (step, relation) pair, in that order, whose
+// count exceeds b*r_s.
+func (a *Algorithm) validateBandwidth(links linkIndex, steps [][]Send) error {
+	count := make([]int, len(a.Topo.Relations))
+	var touched []int32
+	for s, sends := range steps {
+		touched = touched[:0]
+		for _, snd := range sends {
+			for _, ri := range links[topology.Link{Src: snd.From, Dst: snd.To}] {
+				if count[ri] == 0 {
+					touched = append(touched, ri)
 				}
+				count[ri]++
 			}
-			if count > rel.Bandwidth*a.Rounds[s] {
-				return fmt.Errorf("algorithm %q: step %d exceeds relation %d bandwidth: %d sends > %d*%d",
-					a.Name, s, ri, count, rel.Bandwidth, a.Rounds[s])
+		}
+		over := -1
+		for _, ri := range touched {
+			if count[ri] > a.Topo.Relations[ri].Bandwidth*a.Rounds[s] && (over < 0 || int(ri) < over) {
+				over = int(ri)
 			}
+		}
+		if over >= 0 {
+			rel := a.Topo.Relations[over]
+			return fmt.Errorf("algorithm %q: step %d exceeds relation %d bandwidth: %d sends > %d*%d",
+				a.Name, s, over, count[over], rel.Bandwidth, a.Rounds[s])
+		}
+		for _, ri := range touched {
+			count[ri] = 0
 		}
 	}
 	return nil

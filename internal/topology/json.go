@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -55,7 +56,7 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	if in.Version != jsonVersion {
 		return fmt.Errorf("topology: unsupported JSON version %d (want %d)", in.Version, jsonVersion)
 	}
-	dec := Topology{Name: in.Name, P: in.P, Blocks: in.Blocks}
+	dec := &Topology{Name: in.Name, P: in.P, Blocks: in.Blocks}
 	for _, rj := range in.Relations {
 		r := Relation{Bandwidth: rj.Bandwidth, Links: make([]Link, 0, len(rj.Links))}
 		for _, lp := range rj.Links {
@@ -66,25 +67,60 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	if err := dec.Validate(); err != nil {
 		return fmt.Errorf("topology: decoded JSON invalid: %w", err)
 	}
-	*t = dec
+	// Field by field: a Topology carries its fingerprint memo and is not
+	// copied whole.
+	t.Name, t.P, t.Relations, t.Blocks = dec.Name, dec.P, dec.Relations, dec.Blocks
 	return nil
+}
+
+// fingerprint is one memoized Fingerprint: the digest and the node count
+// and relation slice it was computed from.
+type fingerprint struct {
+	p      int
+	rels   []Relation
+	digest string
 }
 
 // Fingerprint returns a canonical, name-independent digest of the
 // topology structure: two topologies with the same node count and the
 // same bandwidth relation share a fingerprint regardless of their names
 // or of relation/link ordering. Engines key their algorithm caches on it.
+//
+// The digest is computed on the first call and memoized, so later calls
+// (every engine cache lookup makes one) cost the same on every fabric
+// size. Assigning a new P or Relations slice is noticed and digested
+// afresh; editing a relation in place is not, so build a new topology
+// instead of changing one in use.
 func (t *Topology) Fingerprint() string {
+	if m := t.fp.Load(); m != nil && m.p == t.P && sameSlice(m.rels, t.Relations) {
+		return m.digest
+	}
+	m := &fingerprint{p: t.P, rels: t.Relations, digest: t.digest()}
+	t.fp.Store(m)
+	return m.digest
+}
+
+// sameSlice reports whether a and b are one slice: the same length over
+// the same backing array.
+func sameSlice(a, b []Relation) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// digest hashes the canonical text of the structure: each relation as its
+// sorted "src>dst" links and "@bandwidth", the relations sorted and joined
+// behind the node count.
+func (t *Topology) digest() string {
 	rels := make([]string, len(t.Relations))
+	var links []string
 	for i, r := range t.Relations {
-		links := make([]string, len(r.Links))
-		for j, l := range r.Links {
-			links[j] = fmt.Sprintf("%d>%d", l.Src, l.Dst)
+		links = links[:0]
+		for _, l := range r.Links {
+			links = append(links, strconv.Itoa(int(l.Src))+">"+strconv.Itoa(int(l.Dst)))
 		}
 		sort.Strings(links)
-		rels[i] = fmt.Sprintf("%s@%d", strings.Join(links, ","), r.Bandwidth)
+		rels[i] = strings.Join(links, ",") + "@" + strconv.Itoa(r.Bandwidth)
 	}
 	sort.Strings(rels)
-	sum := sha256.Sum256([]byte(fmt.Sprintf("topology/v1|p=%d|%s", t.P, strings.Join(rels, ";"))))
+	sum := sha256.Sum256([]byte("topology/v1|p=" + strconv.Itoa(t.P) + "|" + strings.Join(rels, ";")))
 	return hex.EncodeToString(sum[:16])
 }

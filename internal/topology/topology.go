@@ -9,6 +9,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Node identifies a GPU / endpoint in [0, P).
@@ -29,7 +30,8 @@ type Relation struct {
 }
 
 // Topology is a communication topology: P nodes and the bandwidth
-// relation.
+// relation. A topology is immutable once in use: Fingerprint memoizes its
+// digest, so build a new topology instead of editing one.
 type Topology struct {
 	Name      string
 	P         int
@@ -41,6 +43,10 @@ type Topology struct {
 	// where exhaustive node-subset enumeration is infeasible. Nil means a
 	// flat (single-machine) topology.
 	Blocks []int
+
+	// fp memoizes Fingerprint. It also makes a Topology unsafe to copy by
+	// value once in use; pass *Topology.
+	fp atomic.Pointer[fingerprint]
 }
 
 // BlockCount returns the number of blocks in the hierarchical partition,
@@ -84,14 +90,16 @@ func (t *Topology) Validate() error {
 		if len(t.Blocks) != t.P {
 			return fmt.Errorf("topology %q: blocks length %d != P %d", t.Name, len(t.Blocks), t.P)
 		}
-		seen := map[int]bool{}
+		seen := make([]bool, t.P)
+		last := 0
 		for n, b := range t.Blocks {
 			if b < 0 || b >= t.P {
 				return fmt.Errorf("topology %q: node %d in out-of-range block %d", t.Name, n, b)
 			}
 			seen[b] = true
+			last = max(last, b)
 		}
-		for b := 0; b < len(seen); b++ {
+		for b := 0; b < last; b++ {
 			if !seen[b] {
 				return fmt.Errorf("topology %q: block ids not contiguous (missing %d)", t.Name, b)
 			}
