@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
@@ -55,18 +57,25 @@ type cacheShard struct {
 // selects 65536. Capacity is rounded up to a whole number of entries
 // per shard.
 func NewShardedCache(shards, capacity int) *ShardedCache {
+	shards, perShard := cacheGeometry(shards, capacity)
+	c := &ShardedCache{shards: make([]cacheShard, shards), perShardCap: perShard}
+	for i := range c.shards {
+		c.shards[i].entries = make(map[string]cacheEntry)
+	}
+	return c
+}
+
+// cacheGeometry resolves the Shards/CacheEntries defaults into a shard
+// count and a per-shard entry cap, shared by the response cache and the
+// alias table in front of it.
+func cacheGeometry(shards, capacity int) (n, perShard int) {
 	if shards < 1 {
 		shards = 64
 	}
 	if capacity < 1 {
 		capacity = 1 << 16
 	}
-	perShard := (capacity + shards - 1) / shards
-	c := &ShardedCache{shards: make([]cacheShard, shards), perShardCap: perShard}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]cacheEntry)
-	}
-	return c
+	return shards, (capacity + shards - 1) / shards
 }
 
 // shard picks the stripe for a key. Keys are engine fingerprints —
@@ -158,4 +167,93 @@ func (c *ShardedCache) Len() int {
 // Stats returns the lifetime hit and miss counts.
 func (c *ShardedCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
+}
+
+// aliasKey names one request document: the endpoint it was posted to and
+// the SHA-256 of its exact bytes. A fixed-size key, so a lookup does not
+// allocate.
+type aliasKey struct {
+	endpoint uint8
+	digest   [sha256.Size]byte
+}
+
+// Endpoints of an aliasKey. The same bytes posted to another endpoint are
+// another request (a pareto-request document is a 400 on /v1/synthesize).
+const (
+	aliasSynthesize uint8 = iota
+	aliasPareto
+)
+
+// aliasTable maps request-body digests to the engine fingerprints those
+// bodies decoded to, so a replayed document finds its cached response
+// without being decoded again. An entry is a pure function of the bytes —
+// decoding is deterministic and the fingerprint depends only on the
+// decoded request and the engine's fixed options — so a stale alias (its
+// response evicted, or never cached because the answer was Unknown) costs
+// a decode, never a wrong answer. It is striped and capped like the
+// response cache, with plain FIFO eviction per shard.
+type aliasTable struct {
+	shards      []aliasShard
+	perShardCap int
+}
+
+type aliasShard struct {
+	mu  sync.Mutex
+	fps map[aliasKey]string
+	// order holds the resident keys in insertion order; once the shard
+	// is full it is a ring whose oldest key is at next.
+	order []aliasKey
+	next  int
+}
+
+func newAliasTable(shards, capacity int) *aliasTable {
+	shards, perShard := cacheGeometry(shards, capacity)
+	a := &aliasTable{shards: make([]aliasShard, shards), perShardCap: perShard}
+	for i := range a.shards {
+		a.shards[i].fps = make(map[aliasKey]string)
+	}
+	return a
+}
+
+// shard picks the stripe for a key; a SHA-256 digest is already uniform.
+func (a *aliasTable) shard(k aliasKey) *aliasShard {
+	return &a.shards[binary.LittleEndian.Uint64(k.digest[:8])%uint64(len(a.shards))]
+}
+
+// get returns the fingerprint a request document decoded to.
+func (a *aliasTable) get(k aliasKey) (string, bool) {
+	s := a.shard(k)
+	s.mu.Lock()
+	fp, ok := s.fps[k]
+	s.mu.Unlock()
+	return fp, ok
+}
+
+// put records that the document k decoded to fingerprint fp, evicting the
+// shard's oldest alias when it is full.
+func (a *aliasTable) put(k aliasKey, fp string) {
+	s := a.shard(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, exists := s.fps[k]; !exists {
+		if len(s.order) < a.perShardCap {
+			s.order = append(s.order, k)
+		} else {
+			delete(s.fps, s.order[s.next])
+			s.order[s.next] = k
+			s.next = (s.next + 1) % len(s.order)
+		}
+	}
+	s.fps[k] = fp
+}
+
+// len returns the number of aliases across all shards.
+func (a *aliasTable) len() int {
+	n := 0
+	for i := range a.shards {
+		a.shards[i].mu.Lock()
+		n += len(a.shards[i].fps)
+		a.shards[i].mu.Unlock()
+	}
+	return n
 }

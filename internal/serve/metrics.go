@@ -105,6 +105,9 @@ type Metrics struct {
 	Abandoned atomic.Uint64
 	// Errors counts requests answered with a 4xx/5xx other than 429.
 	Errors atomic.Uint64
+	// Decodes counts request documents decoded; a replayed document is
+	// answered by the digest of its bytes and does not count.
+	Decodes atomic.Uint64
 
 	// QueueWait observes the admission wait of each solve leader;
 	// SolveWall the engine wall of each solve; HitLatency the
@@ -169,6 +172,7 @@ func (m *Metrics) write(w io.Writer) {
 	writeCounter(w, "sccl_serve_overload_total", "Requests rejected 429 at admission.", m.Overloads.Load())
 	writeCounter(w, "sccl_serve_abandoned_total", "Requests whose client disconnected before the answer.", m.Abandoned.Load())
 	writeCounter(w, "sccl_serve_errors_total", "Requests answered with an error other than 429.", m.Errors.Load())
+	writeCounter(w, "sccl_serve_request_decodes_total", "Request documents decoded (replayed documents are answered by body digest).", m.Decodes.Load())
 	m.QueueWait.write(w, "sccl_serve_queue_wait_seconds", "Admission wait before each solve.")
 	m.SolveWall.write(w, "sccl_serve_solve_wall_seconds", "Engine wall clock of each solve.")
 	m.HitLatency.write(w, "sccl_serve_hit_latency_seconds", "Handler time of response-cache hits.")

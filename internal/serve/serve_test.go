@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -426,7 +428,9 @@ func TestServerSynthesizeCoalesce(t *testing.T) {
 		t.Fatalf("status = %v (alg %v), want Sat", res.Status, res.Algorithm != nil)
 	}
 
-	// A replay is a response-cache hit serving the very same bytes.
+	// A replay is a response-cache hit serving the very same bytes,
+	// found by the digest of the request body without a decode.
+	decodes := srv.metrics.Decodes.Load()
 	resp, data := postDoc(t, ts.URL+"/v1/synthesize", body)
 	if got := resp.Header.Get("X-SCCL-Cache"); got != "hit" {
 		t.Fatalf("replay X-SCCL-Cache = %q, want hit", got)
@@ -436,6 +440,9 @@ func TestServerSynthesizeCoalesce(t *testing.T) {
 	}
 	if n := srv.metrics.Solves.Load(); n != 1 {
 		t.Fatalf("replay re-solved: solves = %d", n)
+	}
+	if d := srv.metrics.Decodes.Load() - decodes; d != 0 {
+		t.Fatalf("replay decoded %d times, want 0", d)
 	}
 }
 
@@ -465,13 +472,17 @@ func TestServerParetoAndAlgorithmLookup(t *testing.T) {
 			t.Fatalf("frontier document carries wall clock %v; must be zeroed for determinism", p.SynthesisTime)
 		}
 	}
-	// Replay: cached bytes, no second sweep.
+	// Replay: cached bytes, no second sweep, no second decode.
+	decodes := srv.metrics.Decodes.Load()
 	resp2, data2 := postDoc(t, ts.URL+"/v1/pareto", body)
 	if got := resp2.Header.Get("X-SCCL-Cache"); got != "hit" {
 		t.Fatalf("replay X-SCCL-Cache = %q, want hit", got)
 	}
 	if !bytes.Equal(data2, data) {
 		t.Fatal("pareto replay bytes differ")
+	}
+	if d := srv.metrics.Decodes.Load() - decodes; d != 0 {
+		t.Fatalf("pareto replay decoded %d times, want 0", d)
 	}
 
 	// The sweep populated the engine's algorithm cache: fetch one entry
@@ -674,6 +685,7 @@ func TestServerMetricsExposition(t *testing.T) {
 		`sccl_serve_requests_total{endpoint="synthesize"} 2`,
 		"sccl_serve_solves_total 1",
 		"sccl_serve_response_cache_hits_total 1",
+		"sccl_serve_request_decodes_total 1",
 		"sccl_serve_hit_latency_seconds_count 1",
 		"sccl_serve_solve_wall_seconds_count 1",
 		"sccl_serve_queue_wait_seconds_bucket",
@@ -743,15 +755,487 @@ func TestServerMegaWarm(t *testing.T) {
 }
 
 // TestServerRejectsMalformed pins the 400 path for undecodable and
-// invalid documents.
+// invalid documents: the same bad bytes posted twice are decoded (and
+// rejected) twice, and leave no alias behind.
 func TestServerRejectsMalformed(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, _ := postDoc(t, ts.URL+"/v1/synthesize", []byte(`{"format":"nope"}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed synthesize = %s, want 400", resp.Status)
+	srv, ts := newTestServer(t, Config{})
+	bad := [][]byte{
+		[]byte(`{"format":"nope"}`),
+		[]byte(`not json`),
+		// Well-formed, but the root is out of range.
+		bytes.Replace(encodeReq(t, cheapRequest(t)), []byte(`"root":0`), []byte(`"root":7`), 1),
 	}
-	resp2, _ := postDoc(t, ts.URL+"/v1/pareto", []byte(`not json`))
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed pareto = %s, want 400", resp2.Status)
+	for _, path := range []string{"/v1/synthesize", "/v1/pareto"} {
+		for _, doc := range bad {
+			before := srv.metrics.Decodes.Load()
+			for i := 0; i < 2; i++ {
+				if code, _, _, data := postTo(t, ts, path, doc); code != http.StatusBadRequest {
+					t.Fatalf("%s %s (post %d): %d %s, want 400", path, doc, i, code, data)
+				}
+			}
+			if d := srv.metrics.Decodes.Load() - before; d != 2 {
+				t.Fatalf("%s %s: %d decodes for two posts, want 2", path, doc, d)
+			}
+		}
+	}
+	if n := srv.aliases.len(); n != 0 {
+		t.Fatalf("%d aliases after only malformed requests, want 0", n)
+	}
+}
+
+// --- panics ---
+
+// TestGroupRecoversPanic pins that a panicking computation is an error,
+// not a crash: the caller gets it, the key leaves the in-flight table,
+// and a later Do on the same key runs afresh.
+func TestGroupRecoversPanic(t *testing.T) {
+	var g Group
+	var execs atomic.Int64
+	boom := func(context.Context) ([]byte, error) {
+		execs.Add(1)
+		panic("sat: literal references unallocated variable")
+	}
+	_, _, err := g.Do(context.Background(), context.Background(), "k", boom)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want a recovered panic", err)
+	}
+	if n := g.Inflight(); n != 0 {
+		t.Fatalf("inflight = %d after a panic, want 0", n)
+	}
+	val, _, err := g.Do(context.Background(), context.Background(), "k", func(context.Context) ([]byte, error) {
+		execs.Add(1)
+		return []byte("ok"), nil
+	})
+	if err != nil || string(val) != "ok" || execs.Load() != 2 {
+		t.Fatalf("rerun after a panic: %q, %v, %d runs; want ok, nil, 2", val, err, execs.Load())
+	}
+}
+
+// TestServerSolvePanicIs500 drives a panicking solve through the
+// server's answer path with two coalesced waiters: both get a 500, the
+// error counter counts both, and nothing is cached.
+func TestServerSolvePanicIs500(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	gate := make(chan struct{})
+	boom := func(context.Context) ([]byte, error) {
+		<-gate
+		panic(errors.New("sat: literal references unallocated variable"))
+	}
+	recs := []*httptest.ResponseRecorder{httptest.NewRecorder(), httptest.NewRecorder()}
+	var wg sync.WaitGroup
+	for _, rec := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", nil)
+			srv.answer(rec, req, "poisoned", "family", time.Now(), boom)
+		}()
+	}
+	waitWaiters(t, srv, len(recs))
+	close(gate)
+	wg.Wait()
+	for i, rec := range recs {
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("waiter %d: %d %q, want 500", i, rec.Code, rec.Body.String())
+		}
+	}
+	if n := srv.metrics.Errors.Load(); n != uint64(len(recs)) {
+		t.Fatalf("errors = %d, want %d", n, len(recs))
+	}
+	if srv.cache.Len() != 0 || srv.flights.Inflight() != 0 {
+		t.Fatalf("after a panic: %d cached, %d in flight; want 0 and 0", srv.cache.Len(), srv.flights.Inflight())
+	}
+}
+
+// waitWaiters blocks until the server's one in-flight computation has n
+// waiters attached.
+func waitWaiters(t *testing.T, srv *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		srv.flights.mu.Lock()
+		got := 0
+		for _, c := range srv.flights.calls {
+			got = c.waiters
+		}
+		srv.flights.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters on the in-flight computation after 30s, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// --- answering by body digest ---
+
+// postTo posts body to path and returns the status, the cache and
+// fingerprint headers, and the response bytes.
+func postTo(t *testing.T, ts *httptest.Server, path string, body []byte) (code int, source, fp string, data []byte) {
+	t.Helper()
+	resp, data := postDoc(t, ts.URL+path, body)
+	return resp.StatusCode, resp.Header.Get("X-SCCL-Cache"), resp.Header.Get("X-SCCL-Fingerprint"), data
+}
+
+func encodeReq(t *testing.T, req sccl.Request) []byte {
+	t.Helper()
+	body, err := sccl.EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestServerAliasScopedByEndpoint: a sweep document answered on
+// /v1/pareto is still a 400 on /v1/synthesize, never the frontier.
+func TestServerAliasScopedByEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := cheapRequest(t)
+	sweep, err := sccl.EncodeParetoRequest(sccl.ParetoRequest{Kind: req.Kind, Topo: req.Topo, K: 1, MaxSteps: 3, MaxChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if code, _, _, data := postTo(t, ts, "/v1/pareto", sweep); code != http.StatusOK {
+			t.Fatalf("pareto: %d %s", code, data)
+		}
+	}
+	if code, _, _, data := postTo(t, ts, "/v1/synthesize", sweep); code != http.StatusBadRequest {
+		t.Fatalf("sweep document on /v1/synthesize: %d %.80s, want 400", code, data)
+	}
+}
+
+// TestServerRespelledRequestHits: the same request with different
+// whitespace pays one decode, is answered as a hit with the same
+// fingerprint and bytes, and is aliased from then on.
+func TestServerRespelledRequestHits(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	body := encodeReq(t, cheapRequest(t))
+	code, _, fp, first := postTo(t, ts, "/v1/synthesize", body)
+	if code != http.StatusOK {
+		t.Fatalf("%d %s", code, first)
+	}
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, body, " ", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	decodes := srv.metrics.Decodes.Load()
+	for i := 0; i < 3; i++ {
+		code, source, gotFP, data := postTo(t, ts, "/v1/synthesize", spaced.Bytes())
+		if code != http.StatusOK || source != "hit" || gotFP != fp || !bytes.Equal(data, first) {
+			t.Fatalf("respelled post %d: %d %q %q, want a byte-identical 200 hit under %s", i, code, source, gotFP, fp)
+		}
+	}
+	if d := srv.metrics.Decodes.Load() - decodes; d != 1 {
+		t.Fatalf("respelled request decoded %d times over three posts, want 1", d)
+	}
+	if n := srv.aliases.len(); n != 2 {
+		t.Fatalf("%d aliases, want 2 (one per spelling)", n)
+	}
+}
+
+// TestServerStaleAliasDecodes evicts the response an alias points at
+// (CacheEntries: 1 leaves one entry per shard) and checks the alias then
+// costs a decode and still answers correctly.
+func TestServerStaleAliasDecodes(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheEntries: 1})
+	base := cheapRequest(t)
+	// Two requests whose responses share a cache shard while their
+	// aliases do not: answering the second evicts the first response and
+	// leaves the first alias resident.
+	type cand struct {
+		body []byte
+		fp   string
+		key  aliasKey
+	}
+	var cands []cand
+	for c := 1; c <= 3; c++ {
+		for s := 2; s <= 4; s++ {
+			for r := s; r <= s+2; r++ {
+				req := base
+				req.Budget = sccl.Budget{C: c, S: s, R: r}
+				fp, err := srv.eng.Fingerprint(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body := encodeReq(t, req)
+				cands = append(cands, cand{body, fp, aliasKey{aliasSynthesize, sha256.Sum256(body)}})
+			}
+		}
+	}
+	var a, b *cand
+	for i := range cands {
+		for j := i + 1; j < len(cands) && a == nil; j++ {
+			if srv.cache.shard(cands[i].fp) == srv.cache.shard(cands[j].fp) && srv.aliases.shard(cands[i].key) != srv.aliases.shard(cands[j].key) {
+				a, b = &cands[i], &cands[j]
+			}
+		}
+	}
+	if a == nil {
+		t.Fatal("no two candidate requests share a response-cache shard")
+	}
+	code, _, _, first := postTo(t, ts, "/v1/synthesize", a.body)
+	if code != http.StatusOK {
+		t.Fatalf("%d %s", code, first)
+	}
+	if code, _, _, data := postTo(t, ts, "/v1/synthesize", b.body); code != http.StatusOK {
+		t.Fatalf("%d %s", code, data)
+	}
+	if fp, ok := srv.aliases.get(a.key); !ok || fp != a.fp {
+		t.Fatalf("alias of the first request = %q, %v; want %s", fp, ok, a.fp)
+	}
+	if _, ok := srv.cache.Get(a.fp); ok {
+		t.Fatal("the first response survived; the test needs it evicted")
+	}
+	decodes := srv.metrics.Decodes.Load()
+	code, source, fp, data := postTo(t, ts, "/v1/synthesize", a.body)
+	if code != http.StatusOK || source != "miss" || fp != a.fp {
+		t.Fatalf("stale alias: %d %q %q, want a 200 miss under %s", code, source, fp, a.fp)
+	}
+	if d := srv.metrics.Decodes.Load() - decodes; d != 1 {
+		t.Fatalf("stale alias: %d decodes, want 1", d)
+	}
+	want, err := sccl.DecodeResult(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sccl.DecodeResult(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAlg, _ := sccl.EncodeAlgorithm(want.Algorithm)
+	gotAlg, _ := sccl.EncodeAlgorithm(got.Algorithm)
+	if got.Status != want.Status || got.Fingerprint != want.Fingerprint || !bytes.Equal(gotAlg, wantAlg) {
+		t.Fatalf("stale alias answered %v %s, want %v %s with the same algorithm", got.Status, got.Fingerprint, want.Status, want.Fingerprint)
+	}
+	if code, source, _, again := postTo(t, ts, "/v1/synthesize", a.body); code != http.StatusOK || source != "hit" || !bytes.Equal(again, data) {
+		t.Fatalf("after the re-answer: %d %q, want a byte-identical 200 hit", code, source)
+	}
+}
+
+// TestServerUnknownNeverAliased: a request whose solve runs out of time
+// answers Unknown, is not cached, and its replay solves again instead of
+// being served from the alias its first decode recorded.
+func TestServerUnknownNeverAliased(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	topo, err := sccl.ParseTopology("dgx1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := encodeReq(t, sccl.Request{Kind: sccl.Allgather, Topo: topo, Budget: sccl.Budget{C: 6, S: 3, R: 7}, Timeout: time.Nanosecond})
+	for i := 0; i < 2; i++ {
+		code, source, _, data := postTo(t, ts, "/v1/synthesize", body)
+		if code != http.StatusOK || source != "miss" {
+			t.Fatalf("post %d: %d %q %.80s, want a 200 miss", i, code, source, data)
+		}
+		res, err := sccl.DecodeResult(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != sccl.Unknown {
+			t.Fatalf("post %d: status %v, want Unknown under a 1ns timeout", i, res.Status)
+		}
+	}
+	if s, d := srv.metrics.Solves.Load(), srv.metrics.Decodes.Load(); s != 2 || d != 2 {
+		t.Fatalf("%d solves and %d decodes for two timed-out posts, want 2 and 2", s, d)
+	}
+}
+
+// TestServerHitCostIndependentOfFabric pins what a daemon hit costs
+// server-side: the same allocations for a ring:4 request document as for
+// a torus:6x6 or torus3d:4x4x4 one, many times its size. Every answer
+// comes from a loaded library entry, so nothing is solved.
+func TestServerHitCostIndependentOfFabric(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	h := srv.Handler()
+	specs := []string{"ring:4", "torus:6x6", "torus3d:4x4x4"}
+	allocs := map[string]float64{}
+	for _, spec := range specs {
+		topo, err := sccl.ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := sccl.Request{Kind: sccl.Allgather, Topo: topo, Budget: sccl.Budget{C: 1, S: 1, R: 1}}
+		fp, err := srv.eng.Fingerprint(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib := fmt.Sprintf(`{"format":%q,"entries":[{"fingerprint":%q,"kind":"Allgather","topology":%q,"root":0,"budget":{"c":1,"s":1,"r":1},"status":"UNSAT"}]}`,
+			sccl.FormatLibrary, fp, topo.Name)
+		if _, err := srv.eng.LoadLibrary(strings.NewReader(lib)); err != nil {
+			t.Fatal(err)
+		}
+		body := encodeReq(t, req)
+		serve := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/synthesize", bytes.NewReader(body)))
+			return rec
+		}
+		if rec := serve(); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", spec, rec.Code, rec.Body)
+		}
+		allocs[spec] = testing.AllocsPerRun(50, func() {
+			if rec := serve(); rec.Header().Get("X-SCCL-Cache") != "hit" {
+				t.Fatalf("%s: not a hit", spec)
+			}
+		})
+	}
+	for _, spec := range specs[1:] {
+		if allocs[spec] != allocs[specs[0]] {
+			t.Fatalf("allocations per daemon hit %v; want one figure for every fabric", allocs)
+		}
+	}
+}
+
+// --- the serve-replay script, reduced ---
+
+// metricValue scrapes one unlabelled series from a daemon's /metrics.
+func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
+	t.Helper()
+	_, data := postDocGet(t, ts.URL+"/metrics")
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			var f float64
+			if _, err := fmt.Sscan(v, &f); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics carry no %s", name)
+	return 0
+}
+
+// TestServerReplayCountsPinned runs a reduced serve-replay script (the
+// benchmark's serving day) on an in-process daemon configured like the
+// harness's and pins its counts: cold misses, a two-client herd that
+// costs exactly one solve, replays that neither solve nor decode, and a
+// snapshot whose warm-restarted daemon answers every request without an
+// engine miss. The requests are taken from the harness's cold set.
+func TestServerReplayCountsPinned(t *testing.T) {
+	rows := []struct {
+		topo string
+		kind sccl.Kind
+		b    sccl.Budget
+		want sccl.Status
+	}{
+		{"dgx1", sccl.Allgather, sccl.Budget{C: 6, S: 3, R: 7}, sccl.Sat},
+		{"hypercube:3", sccl.Allgather, sccl.Budget{C: 3, S: 3, R: 7}, sccl.Sat},
+		{"hypercube:3", sccl.Alltoall, sccl.Budget{C: 3, S: 3, R: 3}, sccl.Unsat},
+		{"torus:3x3", sccl.Alltoall, sccl.Budget{C: 4, S: 3, R: 5}, sccl.Sat},
+		{"ring:9", sccl.Alltoall, sccl.Budget{C: 1, S: 8, R: 36}, sccl.Sat},
+		// The herd request, on a topology of its own.
+		{"fc:8", sccl.Alltoall, sccl.Budget{C: 8, S: 2, R: 2}, sccl.Sat},
+	}
+	bodies := make([][]byte, len(rows))
+	for i, row := range rows {
+		topo, err := sccl.ParseTopology(row.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = encodeReq(t, sccl.Request{Kind: row.kind, Topo: topo, Budget: row.b})
+	}
+	herd := len(rows) - 1
+	lib := filepath.Join(t.TempDir(), "lib.json")
+	start := func() (*Server, *httptest.Server) {
+		return newTestServer(t, Config{Engine: sccl.NewEngine(sccl.EngineOptions{Workers: 1}), SolveSlots: 1, LibraryPath: lib})
+	}
+	srv, ts := start()
+
+	// Cold misses.
+	first := make([][]byte, len(rows))
+	for i := range rows[:herd] {
+		code, source, _, data := postTo(t, ts, "/v1/synthesize", bodies[i])
+		if code != http.StatusOK || source != "miss" {
+			t.Fatalf("cold %s: %d %q %.80s", rows[i].topo, code, source, data)
+		}
+		first[i] = data
+	}
+
+	// The herd: hold the one solve slot so the leader queues inside its
+	// flight, attach the second client, then let the solve run.
+	release, err := srv.adm.Acquire(context.Background(), "hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := metricValue(t, ts, "sccl_serve_solves_total")
+	herdData := make([][]byte, 2)
+	var wg sync.WaitGroup
+	for c := range herdData {
+		for c == 1 && srv.flights.Inflight() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code, _, _, data := postTo(t, ts, "/v1/synthesize", bodies[herd]); code == http.StatusOK {
+				herdData[c] = data
+			}
+		}()
+	}
+	waitWaiters(t, srv, 2)
+	release()
+	wg.Wait()
+	if herdData[0] == nil || !bytes.Equal(herdData[0], herdData[1]) {
+		t.Fatal("the herd's two clients did not read the same 200 body")
+	}
+	first[herd] = herdData[0]
+	if n := metricValue(t, ts, "sccl_serve_solves_total") - solves; n != 1 {
+		t.Fatalf("herd solves = %g, want 1", n)
+	}
+	if n := metricValue(t, ts, "sccl_serve_coalesced_total"); n != 1 {
+		t.Fatalf("coalesced = %g, want 1", n)
+	}
+	for i, row := range rows {
+		res, err := sccl.DecodeResult(first[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != row.want {
+			t.Fatalf("%s %v %v: %v, want %v", row.topo, row.kind, row.b, res.Status, row.want)
+		}
+	}
+
+	// Replays, round robin over every solved request.
+	solves = metricValue(t, ts, "sccl_serve_solves_total")
+	decodes := metricValue(t, ts, "sccl_serve_request_decodes_total")
+	for i := 0; i < 100; i++ {
+		j := i % len(rows)
+		if code, source, _, data := postTo(t, ts, "/v1/synthesize", bodies[j]); code != http.StatusOK || source != "hit" || !bytes.Equal(data, first[j]) {
+			t.Fatalf("replay %d of %s: %d %q, want a byte-identical 200 hit", i, rows[j].topo, code, source)
+		}
+	}
+	if n := metricValue(t, ts, "sccl_serve_solves_total") - solves; n != 0 {
+		t.Fatalf("replays solved %g times, want 0", n)
+	}
+	if n := metricValue(t, ts, "sccl_serve_request_decodes_total") - decodes; n != 0 {
+		t.Fatalf("replays decoded %g times, want 0", n)
+	}
+
+	// Snapshot, warm restart on a fresh engine, every request again.
+	if err := srv.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := start()
+	for i, row := range rows {
+		code, _, _, data := postTo(t, ts2, "/v1/synthesize", bodies[i])
+		if code != http.StatusOK {
+			t.Fatalf("warm %s: %d %s", row.topo, code, data)
+		}
+		got, err := sccl.DecodeResult(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := sccl.DecodeResult(first[i])
+		gotAlg, _ := sccl.EncodeAlgorithm(got.Algorithm)
+		wantAlg, _ := sccl.EncodeAlgorithm(want.Algorithm)
+		if got.Status != want.Status || !bytes.Equal(gotAlg, wantAlg) {
+			t.Fatalf("warm %s: %v, want %v with the same algorithm", row.topo, got.Status, want.Status)
+		}
+	}
+	if n := metricValue(t, ts2, "sccl_engine_misses_total"); n != 0 {
+		t.Fatalf("restarted daemon: %g engine misses, want 0", n)
 	}
 }

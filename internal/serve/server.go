@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -32,7 +33,8 @@ type Config struct {
 	// on shutdown.
 	SnapshotEvery time.Duration
 	// Shards stripes the response cache (< 1 selects 64); CacheEntries
-	// caps its total entries (< 1 selects 65536).
+	// caps its total entries (< 1 selects 65536). The table of request-body
+	// digests in front of the cache has the same geometry.
 	Shards       int
 	CacheEntries int
 	// SolveSlots caps concurrently running solves (< 1 selects
@@ -55,6 +57,7 @@ type Server struct {
 	cfg     Config
 	eng     *sccl.Engine
 	cache   *ShardedCache
+	aliases *aliasTable
 	flights Group
 	adm     *Admission
 	metrics *Metrics
@@ -101,6 +104,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		eng:       cfg.Engine,
 		cache:     NewShardedCache(cfg.Shards, cfg.CacheEntries),
+		aliases:   newAliasTable(cfg.Shards, cfg.CacheEntries),
 		adm:       NewAdmission(cfg.SolveSlots, cfg.QueuePerFamily),
 		metrics:   NewMetrics(),
 		mux:       http.NewServeMux(),
@@ -212,8 +216,46 @@ func (s *Server) writeBody(w http.ResponseWriter, fp, source string, body []byte
 	w.Write(body)
 }
 
+// readRequest reads the request document posted to endpoint and answers
+// it if its exact bytes were decoded before and the response is still
+// cached: a digest, an alias lookup and a cache lookup, with no decode,
+// validation or fingerprint. Otherwise (an unknown document, or a stale
+// alias, which also counts one response-cache miss) ok reports that the
+// caller must decode data — counted here — and, once the document has
+// fingerprinted, record the alias under key.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, endpoint uint8, t0 time.Time) (data []byte, key aliasKey, ok bool) {
+	data, ok = s.readBody(w, r)
+	if !ok {
+		return nil, key, false
+	}
+	key = aliasKey{endpoint: endpoint, digest: sha256.Sum256(data)}
+	if fp, hit := s.aliases.get(key); hit {
+		if body, hit := s.cache.Get(fp); hit {
+			s.metrics.HitLatency.Observe(time.Since(t0))
+			s.writeBody(w, fp, "hit", body)
+			return nil, key, false
+		}
+	}
+	s.metrics.Decodes.Add(1)
+	return data, key, true
+}
+
+// readBody reads a request document into one buffer sized from
+// Content-Length, so the allocations of a hit do not grow with the
+// document; a body of unknown length is read incrementally. Either way
+// the body is capped at maxBodyBytes.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var data []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > maxBodyBytes:
+		err = &http.MaxBytesError{Limit: maxBodyBytes}
+	case n >= 0:
+		data = make([]byte, n)
+		_, err = io.ReadFull(r.Body, data)
+	default:
+		data, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
 	if err != nil {
 		s.metrics.Errors.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -325,13 +367,15 @@ func (s *Server) noteMegaMiss(req sccl.Request) {
 }
 
 // handleSynthesize answers POST /v1/synthesize: body is a
-// sccl.request/v1 document, response a sccl.result/v1 document. A
-// response-cache hit costs one striped map lookup; concurrent identical
-// misses coalesce onto one engine solve and share one serialized body.
+// sccl.request/v1 document, response a sccl.result/v1 document. A replayed
+// document is answered by the digest of its bytes (see readRequest);
+// any other is decoded and fingerprinted, and its response-cache hit costs
+// one striped map lookup. Concurrent identical misses coalesce onto one
+// engine solve and share one serialized body.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.metrics.CountRequest("synthesize")
-	data, ok := s.readBody(w, r)
+	data, key, ok := s.readRequest(w, r, aliasSynthesize, t0)
 	if !ok {
 		return
 	}
@@ -347,6 +391,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.aliases.put(key, fp)
 	s.answer(w, r, fp, familyKey(req.Kind, req.Topo), t0, func(ctx context.Context) ([]byte, error) {
 		s.noteMegaMiss(req)
 		res, err := s.eng.Synthesize(ctx, req)
@@ -377,11 +422,12 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // sccl.pareto-request/v1 document, response a sccl.frontier/v1 document
 // with per-point synthesis times zeroed — the same determinism contract
 // as `sccl pareto -json`, so every client of the same sweep reads
-// byte-identical bytes.
+// byte-identical bytes. A replayed document is answered by its digest, as
+// on /v1/synthesize.
 func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.metrics.CountRequest("pareto")
-	data, ok := s.readBody(w, r)
+	data, key, ok := s.readRequest(w, r, aliasPareto, t0)
 	if !ok {
 		return
 	}
@@ -397,6 +443,7 @@ func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.aliases.put(key, fp)
 	s.answer(w, r, fp, familyKey(req.Kind, req.Topo), t0, func(ctx context.Context) ([]byte, error) {
 		res, err := s.eng.Pareto(ctx, req)
 		if err != nil {

@@ -3,13 +3,15 @@
 // service needs on top of the engine's caches — per-fingerprint request
 // coalescing (a thundering herd on one hard instance runs exactly one
 // solve), a mutex-striped response cache so cache-hit lookups never
-// contend on the engine lock or re-encode JSON, admission control so
-// one pathological sweep cannot starve lookups, Prometheus-style
-// metrics, and library-backed warm start and snapshots.
+// contend on the engine lock or re-encode JSON (and a replayed request
+// document is found by the digest of its bytes, without a decode),
+// admission control so one pathological sweep cannot starve lookups,
+// Prometheus-style metrics, and library-backed warm start and snapshots.
 package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -40,7 +42,8 @@ type Group struct {
 // Do returns the result of fn for key, coalescing concurrent callers:
 // the first caller runs fn in a fresh goroutine, later callers share
 // the one result. shared reports whether this caller joined an already
-// in-flight computation.
+// in-flight computation. A panic in fn becomes every waiter's error, and
+// the key is free for a fresh computation afterwards.
 //
 // fn runs under a context derived from base (the server's lifetime, not
 // any single request): one impatient client must not cancel a solve
@@ -63,7 +66,7 @@ func (g *Group) Do(ctx, base context.Context, key string, fn func(context.Contex
 	g.calls[key] = c
 	g.mu.Unlock()
 	go func() {
-		c.val, c.err = fn(cctx)
+		c.val, c.err = run(cctx, fn)
 		g.mu.Lock()
 		delete(g.calls, key)
 		g.mu.Unlock()
@@ -71,6 +74,18 @@ func (g *Group) Do(ctx, base context.Context, key string, fn func(context.Contex
 		cancel()
 	}()
 	return g.wait(ctx, c, false)
+}
+
+// run calls fn and turns a panic into its error, so a poisoned solve (a
+// solver invariant tripping on one request) costs that request's waiters
+// an error instead of taking the daemon down.
+func run(ctx context.Context, fn func(context.Context) ([]byte, error)) (val []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			val, err = nil, fmt.Errorf("serve: solve panicked: %v", p)
+		}
+	}()
+	return fn(ctx)
 }
 
 func (g *Group) wait(ctx context.Context, c *call, shared bool) ([]byte, bool, error) {
