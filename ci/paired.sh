@@ -3,7 +3,7 @@
 #
 #   bash ci/paired.sh PARENT_REV [workload...]      (default: every workload)
 #
-# Builds PARENT_REV in a temporary git worktree, then runs each workload in
+# Extracts PARENT_REV into a temporary directory (git archive), then runs each workload in
 # six pairs of `bench/run.sh --seconds 4 --trace 0`, seeds 1-6, the parent
 # first on odd seeds and the change first on even ones, so a drift of the
 # machine falls on both sides alike. Every run's result line is printed.
@@ -22,12 +22,9 @@ pairs=6
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 work=$(mktemp -d)
 parent="$work/parent"
-cleanup() {
-  git -C "$root" worktree remove --force "$parent" >/dev/null 2>&1 || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$parent" "$rev"
+trap 'rm -rf "$work"' EXIT
+mkdir "$parent"
+git -C "$root" archive "$rev" | tar -x -C "$parent"
 
 workloads=("$@")
 if [ ${#workloads[@]} -eq 0 ]; then

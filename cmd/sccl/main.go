@@ -102,7 +102,6 @@ common flags: -topology dgx1|dgx2|amd|ring:N|bidir-ring:N|line:N|fc:N|
               star:N|hypercube:D|torus:RxC|bus:N:BW|
               multinode:BASE:COUNT:NICS:BW
               -collective Allgather|Allreduce|Broadcast|...  -root N
-              -backend cdcl|smtlib[:binary]
               -workers N    engine worker pool (0 = all cores)
               -library FILE warm the cache from FILE, save updates back
               -v            print engine and probe progress`)
@@ -122,20 +121,18 @@ type common struct {
 // parseCommon, the serve daemon directly — registers the same set, so
 // flag names and semantics never drift between them.
 type engineFlags struct {
-	backendSpec *string
-	workers     *int
-	noSymmetry  *bool
-	noQuotient  *bool
-	verbose     *bool
+	workers    *int
+	noSymmetry *bool
+	noQuotient *bool
+	verbose    *bool
 }
 
 func addEngineFlags(fs *flag.FlagSet) *engineFlags {
 	return &engineFlags{
-		backendSpec: fs.String("backend", "cdcl", "solver backend: cdcl|smtlib[:binary]"),
-		workers:     fs.Int("workers", 0, "engine worker pool (0 = all cores)"),
-		noSymmetry:  fs.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)"),
-		noQuotient:  fs.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)"),
-		verbose:     fs.Bool("v", false, "print engine and probe progress"),
+		workers:    fs.Int("workers", 0, "engine worker pool (0 = all cores)"),
+		noSymmetry: fs.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)"),
+		noQuotient: fs.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)"),
+		verbose:    fs.Bool("v", false, "print engine and probe progress"),
 	}
 }
 
@@ -143,11 +140,7 @@ func addEngineFlags(fs *flag.FlagSet) *engineFlags {
 // touch any library file — one-shot commands load eagerly via
 // parseCommon, while serve hands the path to the daemon for warm start
 // and snapshots.
-func (ef *engineFlags) build() (*sccl.Engine, error) {
-	backend, err := sccl.ParseBackend(*ef.backendSpec)
-	if err != nil {
-		return nil, err
-	}
+func (ef *engineFlags) build() *sccl.Engine {
 	var progress func(format string, args ...any)
 	if *ef.verbose {
 		progress = func(format string, a ...any) {
@@ -155,9 +148,9 @@ func (ef *engineFlags) build() (*sccl.Engine, error) {
 		}
 	}
 	return sccl.NewEngine(sccl.EngineOptions{
-		Backend: backend, Workers: *ef.workers, Progress: progress,
+		Workers: *ef.workers, Progress: progress,
 		NoSymmetryBreaking: *ef.noSymmetry, NoQuotient: *ef.noQuotient,
-	}), nil
+	})
 }
 
 func parseCommon(fs *flag.FlagSet, args []string) (*common, error) {
@@ -177,11 +170,7 @@ func parseCommon(fs *flag.FlagSet, args []string) (*common, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := ef.build()
-	if err != nil {
-		return nil, err
-	}
-	cm := &common{topo: topo, kind: kind, root: *root, libPath: *library, eng: eng}
+	cm := &common{topo: topo, kind: kind, root: *root, libPath: *library, eng: ef.build()}
 	if cm.libPath != "" {
 		if err := loadLibraryIfExists(cm.eng, cm.libPath); err != nil {
 			return nil, err

@@ -35,10 +35,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	eng, err := ef.build()
-	if err != nil {
-		return err
-	}
+	eng := ef.build()
 	slots := *solveSlots
 	if slots < 1 {
 		slots = runtime.GOMAXPROCS(0)

@@ -11,8 +11,7 @@
 //	scclbench -figure 4|5|6     # speedup series
 //	scclbench -all              # everything
 //	scclbench -table 4 -slow    # include the minutes-long Alltoall row
-//	scclbench -table 4 -workers 4          # synthesize rows concurrently
-//	scclbench -table 5 -backend smtlib:z3  # discharge to an external solver
+//	scclbench -table 4 -workers 4  # synthesize rows concurrently
 package main
 
 import (
@@ -38,24 +37,17 @@ func main() {
 	slow := flag.Bool("slow", false, "include slow synthesis instances")
 	timeout := flag.Duration("timeout", 15*time.Minute, "per-instance synthesis timeout")
 	workers := flag.Int("workers", 1, "concurrent row synthesis workers")
-	backendSpec := flag.String("backend", "cdcl", "solver backend: cdcl|smtlib[:binary]")
 	noSymmetry := flag.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)")
 	noQuotient := flag.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)")
 	flag.Parse()
 
-	backend, err := synth.ParseBackend(*backendSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scclbench:", err)
-		os.Exit(1)
-	}
 	// Rows go through a facade engine so identical budgets across tables
 	// and repeated runs within one process hit the algorithm cache.
-	eng := sccl.NewEngine(sccl.EngineOptions{Backend: backend, Workers: *workers, NoSymmetryBreaking: *noSymmetry, NoQuotient: *noQuotient})
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: *workers, NoSymmetryBreaking: *noSymmetry, NoQuotient: *noQuotient})
 	opts := eval.Options{
 		Timeout:     *timeout,
 		IncludeSlow: *slow,
 		Workers:     *workers,
-		Backend:     backend,
 		Progress: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -18,10 +18,6 @@ import (
 
 // EngineOptions configures a synthesis Engine.
 type EngineOptions struct {
-	// Backend is the solver backend shared by every request; nil selects
-	// the built-in CDCL solver. Per-request overrides go through
-	// Request.Options.
-	Backend Backend
 	// Workers sizes the worker pool used by SynthesizeAll and as the
 	// default Pareto probe concurrency; values < 1 select the number of
 	// CPUs.
@@ -78,17 +74,15 @@ type cacheEntry struct {
 }
 
 // Engine is the sessionful entry point to the synthesizer: it owns a
-// solver Backend, a worker pool, a progress sink, and an in-memory
-// algorithm cache keyed by canonical fingerprints of (topology,
-// collective, budget, lowering-relevant options). Engines are safe for
-// concurrent use; cached algorithms are shared and must be treated as
-// immutable.
+// worker pool, a progress sink, and an in-memory algorithm cache keyed by
+// canonical fingerprints of (topology, collective, budget,
+// lowering-relevant options). Engines are safe for concurrent use; cached
+// algorithms are shared and must be treated as immutable.
 //
 // Engine.Synthesize, Engine.Pareto and Engine.SynthesizeAll are the
 // primary entry points; the package-level free functions are deprecated
 // wrappers over DefaultEngine.
 type Engine struct {
-	backend    Backend
 	workers    int
 	timeout    time.Duration
 	progress   func(format string, args ...any)
@@ -122,8 +116,7 @@ type Engine struct {
 }
 
 // NewEngine builds an Engine from options; the zero EngineOptions value
-// selects the built-in CDCL backend, one worker per CPU, and a bounded
-// cache.
+// selects one worker per CPU, pooled sessions and a bounded cache.
 func NewEngine(opts EngineOptions) *Engine {
 	workers := opts.Workers
 	if workers < 1 {
@@ -134,7 +127,6 @@ func NewEngine(opts EngineOptions) *Engine {
 		cacheCap = defaultCacheSize
 	}
 	e := &Engine{
-		backend:    opts.Backend,
 		workers:    workers,
 		timeout:    opts.Timeout,
 		progress:   synth.SerializedProgress(opts.Progress),
@@ -147,8 +139,6 @@ func NewEngine(opts EngineOptions) *Engine {
 		noQuotient: opts.NoQuotient,
 	}
 	if !opts.NoSessions {
-		// The pool only ever serves the built-in pipeline; with a foreign
-		// engine backend every lookup declines and it stays empty.
 		e.sessions = synth.NewSessionPool()
 	}
 	return e
@@ -184,9 +174,6 @@ func (e *Engine) solveOptions(timeout time.Duration, override *SynthOptions) Syn
 	if override != nil {
 		o = *override
 	}
-	if o.Backend == nil {
-		o.Backend = e.backend
-	}
 	if timeout > 0 {
 		o.Timeout = timeout
 	} else if o.Timeout == 0 {
@@ -199,13 +186,6 @@ func (e *Engine) solveOptions(timeout time.Duration, override *SynthOptions) Syn
 		o.NoQuotient = true
 	}
 	return o
-}
-
-func backendName(o SynthOptions) string {
-	if o.Backend == nil {
-		return "cdcl"
-	}
-	return o.Backend.Name()
 }
 
 func fingerprintKey(parts ...string) string {
@@ -223,7 +203,9 @@ func optionParts(o SynthOptions) []string {
 		"sym=" + strconv.FormatBool(!o.NoSymmetryBreak),
 		"nodesym=" + strconv.FormatBool(!o.NoSymmetryBreaking),
 		"quotient=" + strconv.FormatBool(!o.NoQuotient),
-		"backend=" + backendName(o),
+		// Every solve runs the built-in CDCL pipeline. The literal stays
+		// because saved libraries and snapshots are keyed by these bytes.
+		"backend=cdcl",
 	}
 }
 
@@ -496,8 +478,8 @@ func (e *Engine) answerRequest(ctx context.Context, req Request, o SynthOptions,
 
 // Synthesize answers one request: on a cache hit the stored algorithm is
 // returned with Result.CacheHit set and no solver work; otherwise the
-// instance is discharged to the backend and the outcome (Sat or Unsat,
-// never Unknown) is cached under the request's canonical fingerprint.
+// instance is solved and the outcome (Sat or Unsat, never Unknown) is
+// cached under the request's canonical fingerprint.
 func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -532,10 +514,10 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 
 // megaView resolves a warm (never freshly built) mega-base projection for
 // one exact-budget request, or nil when the request cannot route through
-// one: combining kinds, overridden backends, no pool, no covering warm
-// session, or an unmappable family.
+// one: combining kinds, no pool, no covering warm session, or an
+// unmappable family.
 func (e *Engine) megaView(req Request, o SynthOptions) *synth.MegaFamilyView {
-	if e.sessions == nil || req.Kind.IsCombining() || o.Backend != e.backend {
+	if e.sessions == nil || req.Kind.IsCombining() {
 		return nil
 	}
 	k := req.Budget.R - req.Budget.S
@@ -623,11 +605,10 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	}
 	// Route the sweep through the engine's persistent pool so a mega-base
 	// one sweep adopts (or a daemon warmed) serves the next from its first
-	// probe — unless the request overrode the backend (the pooled bases
-	// belong to the engine's).
+	// probe.
 	noSessions := req.NoSessions || e.noSessions
 	pool := e.sessions
-	if noSessions || (req.Options != nil && req.Options.Backend != nil) {
+	if noSessions {
 		pool = nil
 	}
 	var stats ParetoStats
@@ -665,9 +646,8 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 // background once a topology's miss traffic proves hot, so later cache
 // misses pay assumption-push + solve instead of encode + solve (see
 // synth.MegaSession). It reports whether a live covering session is now
-// warm; false means the configuration cannot host one (no pool, non-CDCL
-// backend, oversized chunk universe, infeasible base) and misses stay on
-// the one-shot path.
+// warm; false means the configuration cannot host one (no pool, oversized
+// chunk universe, infeasible base) and misses stay on the one-shot path.
 func (e *Engine) WarmMegaBase(topo *Topology, root Node, maxChunks, maxSteps, k int) bool {
 	if e.sessions == nil || topo == nil {
 		return false

@@ -545,3 +545,37 @@ func testEngineSessionPool(t *testing.T, workers int) {
 		t.Fatalf("sweep after Close: %v", err)
 	}
 }
+
+// TestRequestFingerprintsStable pins the request and frontier
+// fingerprints of three requests. Saved libraries and daemon snapshots
+// are keyed by these bytes (SaveLibrary writes them, LoadLibrary looks
+// entries up by them), so any change to a key part — including the
+// "backend=cdcl" option literal — would make every previously saved
+// library silently miss.
+func TestRequestFingerprintsStable(t *testing.T) {
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	for _, tc := range []struct {
+		name string
+		req  sccl.Request
+		want string
+	}{
+		{"dgx1 Allgather (1,2,2)", sccl.Request{Kind: sccl.Allgather, Topo: sccl.DGX1(), Budget: sccl.Budget{C: 1, S: 2, R: 2}}, "79015bb1c805169b777c7bea550cdd19"},
+		{"ring:4 Broadcast (2,3,4)", sccl.Request{Kind: sccl.Broadcast, Topo: sccl.Ring(4), Root: 0, Budget: sccl.Budget{C: 2, S: 3, R: 4}}, "080a37b11e789b9362b35643146b2c7d"},
+	} {
+		got, err := eng.Fingerprint(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+	got, err := eng.ParetoFingerprint(sccl.ParetoRequest{Kind: sccl.Allgather, Topo: sccl.Ring(4), K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "d59f8a86e20597077b19453890c11f4f"; got != want {
+		t.Errorf("ring:4 Allgather K=1: ParetoFingerprint = %s, want %s", got, want)
+	}
+}

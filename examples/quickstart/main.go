@@ -28,7 +28,7 @@ func main() {
 	}
 	fmt.Printf("lower bounds: S >= %d, R/C >= %s\n", steps, bw.RatString())
 
-	// The engine owns the solver backend, a worker pool, and an in-memory
+	// The engine owns a worker pool, pooled solver sessions and an in-memory
 	// algorithm cache keyed by canonical request fingerprints.
 	eng := sccl.NewEngine(sccl.EngineOptions{})
 

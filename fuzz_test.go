@@ -8,11 +8,12 @@ import (
 )
 
 // The request decoders see untrusted bytes: every document a daemon is
-// posted goes through one of them. Each target must never panic, and a
-// document that decodes must re-encode to bytes that survive another
-// decode and encode unchanged. The committed seed corpus under
-// testdata/fuzz holds EncodeRequest and EncodeParetoRequest outputs;
-// explore further with
+// posted goes through one of them, and the topology and algorithm
+// decoders read documents and libraries from disk. Each target must never
+// panic, and a document that decodes must re-encode to bytes that survive
+// another decode and encode unchanged. The committed seed corpus under
+// testdata/fuzz holds EncodeRequest, EncodeParetoRequest, EncodeTopology
+// and EncodeAlgorithm outputs; explore further with
 //
 //	go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s .
 
@@ -44,6 +45,38 @@ func FuzzDecodeParetoRequest(f *testing.F) {
 				return nil, err
 			}
 			return sccl.EncodeParetoRequest(again)
+		})
+	})
+}
+
+func FuzzDecodeTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo, err := sccl.DecodeTopology(data)
+		if err != nil {
+			return
+		}
+		roundTrip(t, data, func() ([]byte, error) { return sccl.EncodeTopology(topo) }, func(enc []byte) ([]byte, error) {
+			again, err := sccl.DecodeTopology(enc)
+			if err != nil {
+				return nil, err
+			}
+			return sccl.EncodeTopology(again)
+		})
+	})
+}
+
+func FuzzDecodeAlgorithm(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		alg, err := sccl.DecodeAlgorithm(data)
+		if err != nil {
+			return
+		}
+		roundTrip(t, data, func() ([]byte, error) { return sccl.EncodeAlgorithm(alg) }, func(enc []byte) ([]byte, error) {
+			again, err := sccl.DecodeAlgorithm(enc)
+			if err != nil {
+				return nil, err
+			}
+			return sccl.EncodeAlgorithm(again)
 		})
 	})
 }

@@ -46,11 +46,14 @@ func relFromStrings(rows []string, g, p int, which string) (Rel, error) {
 	if len(rows) != g {
 		return nil, fmt.Errorf("collective: %s relation has %d rows, want G=%d", which, len(rows), g)
 	}
-	r := NewRel(g, p)
+	// Rows are allocated as they are checked, so the claimed P never
+	// sizes an allocation the document's own bytes do not back.
+	r := make(Rel, g)
 	for c, row := range rows {
 		if len(row) != p {
 			return nil, fmt.Errorf("collective: %s row %d has width %d, want P=%d", which, c, len(row), p)
 		}
+		r[c] = make([]bool, p)
 		for n := 0; n < p; n++ {
 			switch row[n] {
 			case '1':
@@ -138,13 +141,18 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
+	// Check G before New builds the registry relations: G rows of P were
+	// read above, while a forged C could otherwise size a G x P
+	// allocation far beyond the document. New itself rejects P or C < 1.
+	if in.P > 0 && in.C > 0 {
+		if g, err := ToGlobal(kind, in.P, in.C); err == nil && g != in.G {
+			return fmt.Errorf("collective: JSON G=%d inconsistent with %v(P=%d, C=%d) which has G=%d",
+				in.G, kind, in.P, in.C, g)
+		}
+	}
 	dec, err := New(kind, in.P, in.C, topology.Node(in.Root))
 	if err != nil {
 		return fmt.Errorf("collective: decoded JSON invalid: %w", err)
-	}
-	if dec.G != in.G {
-		return fmt.Errorf("collective: JSON G=%d inconsistent with %v(P=%d, C=%d) which has G=%d",
-			in.G, kind, in.P, in.C, dec.G)
 	}
 	if !relEqual(dec.Pre, pre) || !relEqual(dec.Post, post) {
 		return fmt.Errorf("collective: JSON pre/post do not match the %v registry relations", kind)

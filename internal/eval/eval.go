@@ -35,9 +35,6 @@ type Options struct {
 	// Workers synthesizes table rows concurrently; the printed row order
 	// is unchanged. Values <= 1 keep the sequential sweep.
 	Workers int
-	// Backend selects the solver backend for every synthesis call; nil
-	// uses the built-in CDCL solver.
-	Backend synth.Backend
 	// Synthesize, if non-nil, replaces the direct call to
 	// synth.SynthesizeCollectiveContext for every row. cmd/scclbench
 	// injects the facade engine here so repeated budgets across tables
@@ -246,7 +243,7 @@ func synthesizeRow(ctx context.Context, topo *topology.Topology, dist [][]int, s
 	}
 	t0 := time.Now()
 	alg, status, err := synthesize(ctx, spec.kind, topo, 0, c, s, r,
-		synth.Options{Timeout: opts.Timeout, Backend: opts.Backend})
+		synth.Options{Timeout: opts.Timeout})
 	row.Time = time.Since(t0)
 	row.Status = status.String()
 	if err != nil {

@@ -346,9 +346,9 @@ func (s *Server) noteMegaMiss(req sccl.Request) {
 		live := s.eng.WarmMegaBase(w.topo, w.root, wc, ws, wk)
 		s.warmMu.Lock()
 		w.warming = false
-		// Record the attempted bounds either way: a declined warm (wrong
-		// backend, oversized universe) should not be retried until a
-		// request actually outgrows what was tried.
+		// Record the attempted bounds either way: a declined warm (no
+		// pool, oversized universe) should not be retried until a request
+		// actually outgrows what was tried.
 		if wc > w.warmedC {
 			w.warmedC = wc
 		}

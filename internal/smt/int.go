@@ -1,9 +1,10 @@
 // Package smt layers bounded-integer arithmetic on top of the SAT solver
 // using the order (unary) encoding, and provides an SMT-LIB2 (QF_LIA)
 // script builder plus an external-solver subprocess driver. The SCCL paper
-// discharges its encoding to Z3; Go has no maintained Z3 bindings, so the
-// built-in SAT backend is the default and the external solver is an
-// optional cross-check invoked as a subprocess (see Script and RunExternal).
+// discharges its encoding to Z3; Go has no maintained Z3 bindings, so
+// synthesis always solves with the built-in SAT solver. The script is an
+// export for reproducing the Z3 route by hand, and RunExternal lets tests
+// use an installed solver as an oracle (see Script and RunExternal).
 //
 // The fragment supported is exactly what the SCCL encoding (paper §3.4)
 // needs: bounded integer variables, comparisons with constants, strict

@@ -61,9 +61,6 @@ type Options struct {
 	// node-orbit exploitation additionally stays off below
 	// symmetryMinNodes nodes, where it cannot pay off.
 	NoSymmetryBreaking bool
-	// Backend selects the solver backend discharging the instance; nil
-	// selects the built-in CDCL encoder (see Backend, NewSMTLIBBackend).
-	Backend Backend
 	// NoQuotient disables the chunk-orbit quotient encoding (see
 	// quotient.go): with it off, eligible solves first try a collapsed
 	// formula carrying variables only for chunk-orbit representatives,
@@ -363,26 +360,20 @@ func Synthesize(in Instance, opts Options) (Result, error) {
 
 // SynthesizeContext is Synthesize with cooperative cancellation: the
 // context is threaded down to the solver's restart/conflict boundaries
-// (or the external solver subprocess) and a cancelled solve reports
-// Unknown. When opts.Backend is non-nil the instance is discharged to that
-// backend instead of the built-in CDCL pipeline.
+// and a cancelled solve reports Unknown.
 func SynthesizeContext(ctx context.Context, in Instance, opts Options) (Result, error) {
 	if ctx.Err() != nil {
 		// Bail before paying the encode cost: a cancelled probe should
 		// release its worker promptly, not build the formula first.
 		return Result{Status: sat.Unknown}, nil
 	}
-	if opts.Backend != nil {
-		return opts.Backend.Solve(ctx, in, opts)
-	}
 	return synthesizeCDCL(ctx, in, opts)
 }
 
 // solveOneShot is SynthesizeContext for callers that hold a Stage-0
-// template cache (the sweep's pool, a mega-base view — both exist only
-// over the built-in pipeline): the encode shares the topology's routing
-// template instead of re-deriving it per probe. A nil cache is plain
-// SynthesizeContext.
+// template cache (the sweep's pool or a mega-base view): the encode
+// shares the topology's routing template instead of re-deriving it per
+// probe. A nil cache is plain SynthesizeContext.
 func solveOneShot(ctx context.Context, in Instance, opts Options, tc *TemplateCache) (Result, error) {
 	if tc == nil || ctx.Err() != nil {
 		return SynthesizeContext(ctx, in, opts)

@@ -23,7 +23,7 @@ type ParetoOptions struct {
 	MaxSteps int
 	// MaxChunks caps the per-node chunk count C considered.
 	MaxChunks int
-	// Per-instance solving options (including the solver Backend).
+	// Per-instance solving options.
 	Instance Options
 	// Progress, if non-nil, receives a line per probe. Calls are routed
 	// through a mutex-guarded sink, so the callback never runs
@@ -318,7 +318,7 @@ type paretoSweep struct {
 	steps    []*stepSchedule
 	stats    ParetoStats
 	// pool supplies mega-base sessions and shared Stage-0 templates; nil
-	// (NoSessions, or a non-CDCL backend) keeps every probe one-shot.
+	// (NoSessions) keeps every probe one-shot.
 	pool *SessionPool
 	// mega is the mega-base session the sweep routes probes through: a
 	// warm covering session found in the pool at sweep start, or the one
@@ -379,12 +379,11 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	}
 	// The caller's pool (usually an Engine's) keeps mega-base sessions and
 	// Stage-0 templates across sweeps; otherwise a transient pool lives
-	// for this sweep only. Only the built-in CDCL pipeline can project
-	// probes out of a shared base; other backends stay one-shot. Set up
-	// before the lower bounds so their latency computation can reuse the
-	// pool's cached Stage-0 BFS distances.
+	// for this sweep only. Set up before the lower bounds so their
+	// latency computation can reuse the pool's cached Stage-0 BFS
+	// distances.
 	var pool *SessionPool
-	if !opts.NoSessions && isCDCL(opts.Instance.Backend) {
+	if !opts.NoSessions {
 		pool = opts.Pool
 		if pool == nil {
 			pool = NewSessionPool()
@@ -488,8 +487,8 @@ func ParetoSynthesizeKinds(kinds []collective.Kind, topo *topology.Topology, roo
 			defer opts.Pool.Close()
 		}
 		// Each kind's sweep finds this session warm; a declined build
-		// (foreign backend, oversized universe) leaves them on the default
-		// adoption rule.
+		// (direct encoding, proof recording, oversized universe) leaves
+		// them on the default adoption rule.
 		opts.Pool.Mega(topo, root, opts.Instance, kinds, opts.MaxChunks, opts.MaxSteps, opts.K, true)
 	}
 	var agg ParetoStats

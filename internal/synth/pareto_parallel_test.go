@@ -30,6 +30,7 @@ func TestParallelFrontierMatchesSequential(t *testing.T) {
 		{"ring4-broadcast", collective.Broadcast, topology.Ring(4)},
 		{"line4-allgather", collective.Allgather, topology.Line(4)},
 		{"line4-broadcast", collective.Broadcast, topology.Line(4)},
+		{"bidir4-allgather", collective.Allgather, topology.BidirRing(4)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -54,14 +54,14 @@ func megaKey(topo *topology.Topology, root topology.Node, opts Options) string {
 // bounded by (needChunks, needSteps, needK). With create set, a missing
 // or under-sized session is (re)built sized to the union of the old and
 // requested bounds and kind scopes; without it the call is a warm lookup
-// only. Returns nil when the backend or configuration cannot host a mega
-// base, or when the chunk universe would be too large to pay off —
-// callers stay on one-shot solving.
+// only. Returns nil when the configuration cannot host a mega base, or
+// when the chunk universe would be too large to pay off — callers stay
+// on one-shot solving.
 func (p *SessionPool) Mega(topo *topology.Topology, root topology.Node, opts Options, kinds []collective.Kind, needChunks, needSteps, needK int, create bool) *MegaSession {
 	if topo == nil || needChunks < 1 || needSteps < 1 || needK < 0 {
 		return nil
 	}
-	if !isCDCL(opts.Backend) || opts.Encoding != EncodingPaper || opts.ProveUnsat {
+	if opts.Encoding != EncodingPaper || opts.ProveUnsat {
 		// Projection needs the built-in solver's assumption plumbing over
 		// the layered paper encoding.
 		return nil

@@ -315,7 +315,6 @@ func TestSessionPoolKeyedByOptions(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"direct encoding": {Encoding: EncodingDirect},
 		"proof recording": {ProveUnsat: true},
-		"foreign backend": {Backend: &SMTLIBBackend{Binary: "z3"}},
 	} {
 		if pool.Mega(topo, 0, opts, bc, 1, 5, 1, true) != nil {
 			t.Errorf("%s: pool built a mega-base it cannot serve", name)

@@ -9,8 +9,10 @@ import (
 
 // EmitSMTLIB renders the SynColl instance as an SMT-LIB2 (QF_LIA) script
 // semantically mirroring constraints C1–C6 of the paper — the exact form
-// SCCL hands to Z3. The script can be discharged to an external solver via
-// smt.RunExternal to cross-check the built-in SAT backend.
+// SCCL hands to Z3. It is an export, not a solve route: `sccl smtlib`
+// prints it so the paper's Z3 run can be reproduced by hand, and tests
+// discharge it via smt.RunExternal as an oracle for the built-in solver
+// when an SMT solver is installed.
 //
 // The document is produced by the staged emitter in bound mode (Stage 2
 // flattened: C2 and C6 asserted inline); see StagedEncoder and

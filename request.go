@@ -58,8 +58,8 @@ type Request struct {
 	// default.
 	Timeout time.Duration
 	// Options overrides the engine's solver options (encoding, conflict
-	// budget, backend) for this request. Nil uses the engine defaults.
-	// Options are engine-local and not serialized.
+	// budget, symmetry, quotient) for this request. Nil uses the engine
+	// defaults. Options are engine-local and not serialized.
 	Options *SynthOptions
 }
 
@@ -279,9 +279,7 @@ type ParetoRequest struct {
 	// engine's sink does). Not serialized.
 	Progress func(format string, args ...any) `json:"-"`
 	// Options overrides the engine's solver options for this sweep. Nil
-	// uses the engine defaults. Not serialized. Overriding the Backend
-	// bypasses the engine's session pool (the pooled solvers belong to
-	// the engine backend); the sweep then uses a transient pool.
+	// uses the engine defaults. Not serialized.
 	Options *SynthOptions `json:"-"`
 	// NoSessions disables incremental solver sessions for this sweep;
 	// every probe solves one-shot. The frontier is byte-identical either

@@ -19,8 +19,8 @@
 // buffers, and a CUDA-flavored code generator.
 //
 // The primary entry points are the three nouns of the sessionful API:
-// an Engine owns a solver backend, a worker pool and an algorithm cache;
-// a Request names a collective, a topology, a root and a (C, S, R)
+// an Engine owns a worker pool, pooled solver sessions and an algorithm
+// cache; a Request names a collective, a topology, a root and a (C, S, R)
 // Budget; a Result carries the algorithm, the solver verdict and a
 // cache-hit flag. Algorithms, topologies, collectives, requests and
 // frontiers all have stable versioned JSON forms (EncodeAlgorithm and
@@ -93,14 +93,9 @@ type (
 	ParetoPoint = synth.ParetoPoint
 	// ParetoStats reports probe counts and aggregate speedup of a sweep.
 	ParetoStats = synth.ParetoStats
-	// Backend is a pluggable synthesis solver backend (built-in CDCL or
-	// an external SMT solver subprocess).
-	Backend = synth.Backend
 	// SessionPool caches live mega-base sessions and Stage-0 templates
 	// across sweeps; an Engine owns one unless sessions are disabled.
 	SessionPool = synth.SessionPool
-	// SMTLIBBackend is the external SMT solver subprocess backend.
-	SMTLIBBackend = synth.SMTLIBBackend
 	// Encoding selects the constraint encoding strategy.
 	Encoding = synth.Encoding
 	// Instance is a raw SynColl instance for direct control.
@@ -303,21 +298,6 @@ func SynthesizeInstanceContext(ctx context.Context, in Instance, opts SynthOptio
 	return res.Algorithm, res.Status, nil
 }
 
-// ParseBackend resolves a solver backend spec: "cdcl" (or "") selects the
-// built-in CDCL solver, "smtlib" auto-detects an external SMT solver on
-// PATH, and "smtlib:BIN" runs the given solver binary.
-func ParseBackend(spec string) (Backend, error) { return synth.ParseBackend(spec) }
-
-// NewCDCLBackend returns the built-in CDCL solver backend.
-func NewCDCLBackend() Backend { return synth.NewCDCLBackend() }
-
-// NewSMTLIBBackend builds an external SMT solver backend; an empty binary
-// auto-detects one on PATH. The concrete *SMTLIBBackend return type keeps
-// a failed construction from hiding inside a non-nil Backend interface.
-func NewSMTLIBBackend(binary string) (*SMTLIBBackend, error) {
-	return synth.NewSMTLIBBackend(binary)
-}
-
 // Pareto runs the paper's Algorithm 1, synthesizing the Pareto frontier of
 // k-synchronous algorithms for a non-combining collective. With
 // ParetoOptions.Workers > 1 the per-budget probes run concurrently and are
@@ -404,12 +384,9 @@ func GenerateCUDA(a *Algorithm, lowering Lowering) (string, error) {
 }
 
 // EmitSMTLIB renders a SynColl instance as an SMT-LIB2 script mirroring
-// constraints C1–C6, for discharge to an external solver (z3, cvc5).
+// constraints C1–C6, for discharge by hand to an external solver (z3,
+// cvc5): the paper's own solve route, exported as an artefact.
 func EmitSMTLIB(in Instance) (*Script, error) { return synth.EmitSMTLIB(in) }
-
-// FindExternalSolver locates a known SMT solver binary on PATH ("" if
-// none).
-func FindExternalSolver() string { return smt.FindExternalSolver() }
 
 // Selector dispatches to the fastest algorithm per input size (the
 // paper's "automatically switch between multiple implementations" mode).

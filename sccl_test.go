@@ -203,36 +203,3 @@ func TestFacadeEmitSMTLIB(t *testing.T) {
 		t.Error("script missing logic")
 	}
 }
-
-// TestExternalSolverCrossCheck discharges a small instance to a real SMT
-// solver when one is installed; skipped otherwise (offline environments).
-func TestExternalSolverCrossCheck(t *testing.T) {
-	solver := sccl.FindExternalSolver()
-	if solver == "" {
-		t.Skip("no external SMT solver on PATH")
-	}
-	topo := sccl.Ring(4)
-	coll, err := sccl.NewCollective(sccl.Allgather, 4, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		steps, rounds int
-		wantSat       bool
-	}{
-		{3, 3, true},
-		{2, 2, false},
-	} {
-		script, err := sccl.EmitSMTLIB(sccl.Instance{Coll: coll, Topo: topo, Steps: tc.steps, Round: tc.rounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := runExternal(t, solver, script)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != tc.wantSat {
-			t.Errorf("external solver S=%d R=%d: sat=%v, want %v", tc.steps, tc.rounds, res, tc.wantSat)
-		}
-	}
-}

@@ -274,8 +274,8 @@ func DecodeLibraryEntry(data []byte) (LibraryEntry, error) {
 
 // SaveLibrary writes the engine's algorithm cache as a versioned JSON
 // library, sorted by fingerprint for reproducible files. A saved library
-// can be reloaded into any engine with the same backend configuration
-// and served without re-solving.
+// can be reloaded into any engine with the same lowering options
+// (encoding, symmetry, quotient) and served without re-solving.
 func (e *Engine) SaveLibrary(w io.Writer) error {
 	e.mu.Lock()
 	entries := make([]LibraryEntry, 0, len(e.algs))
