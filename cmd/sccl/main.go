@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -81,7 +82,8 @@ func usage() {
 commands:
   synthesize  synthesize one algorithm for an exact (C,S,R) budget
   pareto      run the Pareto-Synthesize procedure (paper Algorithm 1);
-              -stats prints scheduler + session/unsat-core counters,
+              -stats prints the sweep's and the engine's counters as
+              one JSON object {"sweep": ..., "engine": ...},
               -no-sessions disables incremental sessions (and with them
               unsat-core pruning), -mega pools the whole sweep on one
               shared chunk-activation mega-base, -json emits a
@@ -267,7 +269,7 @@ func cmdPareto(args []string) error {
 	maxSteps := fs.Int("max-steps", 0, "step cap (0 = auto)")
 	maxChunks := fs.Int("max-chunks", 0, "chunk cap (0 = auto)")
 	timeout := fs.Duration("timeout", 5*time.Minute, "per-instance solver timeout")
-	stats := fs.Bool("stats", false, "print scheduler and session-reuse statistics")
+	stats := fs.Bool("stats", false, "print the sweep's and the engine's counters as one JSON object")
 	noSessions := fs.Bool("no-sessions", false, "solve every probe one-shot: no mega-base adoption, no unsat-core pruning (the reference path)")
 	jsonOut := fs.Bool("json", false, "print the frontier as a deterministic JSON document (synthesis times zeroed)")
 	cm, err := parseCommon(fs, args)
@@ -312,22 +314,15 @@ func cmdPareto(args []string) error {
 			res.Stats.Probes, res.Stats.Pruned, res.Stats.ProbeTime.Seconds(), res.Stats.Wall.Seconds(), res.Stats.Speedup())
 	}
 	if *stats && !res.CacheHit {
-		s := res.Stats
-		fmt.Fprintf(statsOut, "probe wall: %.2fs encode + %.2fs solve\n", s.EncodeTime.Seconds(), s.SolveTime.Seconds())
-		fmt.Fprintf(statsOut, "mega-base: %d of %d probes answered by activation selects over %d families (%d base encodes), %d warm reuses, %d learnt clauses carried\n",
-			s.SessionProbes, s.Probes, s.Families, s.MegaEncodes, s.SessionReuses, s.CarriedLearnts)
-		pruneRate := 0.0
-		if s.Probes+s.PrunedProbes > 0 {
-			pruneRate = 100 * float64(s.PrunedProbes) / float64(s.Probes+s.PrunedProbes)
+		enc := json.NewEncoder(statsOut)
+		enc.SetIndent("", "  ")
+		err := enc.Encode(struct {
+			Sweep  sccl.ParetoStats `json:"sweep"`
+			Engine sccl.CacheStats  `json:"engine"`
+		}{res.Stats, cm.eng.CacheStats()})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(statsOut, "cores: %d unsat probes yielded budget cores, %d candidates pruned by dominance (%.0f%% of the candidate load)\n",
-			s.CoreSolves, s.PrunedProbes, pruneRate)
-		fmt.Fprintf(statsOut, "staged encoder: %d Stage-0 template shares\n", s.TemplateHits)
-		fmt.Fprintf(statsOut, "quotient: %d orbit-quotient witnesses lifted, %d fallbacks to the full formula, %d declines\n",
-			s.QuotientProbes, s.QuotientFallbacks, s.QuotientDeclined)
-		cs := cm.eng.CacheStats()
-		fmt.Fprintf(statsOut, "engine: %d pooled mega-bases, %d cached algorithms, %d core solves / %d pruned probes / %d template hits lifetime\n",
-			cs.MegaSessions, cs.Algorithms, cs.CoreSolves, cs.PrunedProbes, cs.TemplateHits)
 	}
 	return cm.finish()
 }

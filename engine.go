@@ -101,18 +101,9 @@ type Engine struct {
 	frontiers     map[string][]ParetoPoint
 	frontierOrder []string
 	hits, misses  uint64
-	// coreSolves / prunedProbes aggregate the unsat-core counters of
-	// every sweep the engine ran (see ParetoStats).
-	coreSolves   uint64
-	prunedProbes uint64
-	// templateHits aggregates the Stage-0 template shares of every sweep
-	// and warm-base request (see ParetoStats and Stage0Template).
-	templateHits uint64
-	// megaSelects / megaEncodes aggregate the per-topology mega-base
-	// counters: probes discharged by assumption over a shared pooled base,
-	// and base formulas built (see synth.MegaSession).
-	megaSelects uint64
-	megaEncodes uint64
+	// probes sums the probe records of every sweep the engine ran and
+	// every request a warm mega-base answered (see CacheStats).
+	probes synth.ProbeStats
 }
 
 // NewEngine builds an Engine from options; the zero EngineOptions value
@@ -382,67 +373,26 @@ type CacheStats struct {
 	Frontiers int
 	Hits      uint64
 	Misses    uint64
-	// CoreSolves and PrunedProbes aggregate the unsat-core counters of
-	// every sweep the engine ran: Unsat probes whose final-conflict
-	// analysis produced a budget core, and candidates those cores let the
-	// scheduler answer without solving (see ParetoStats).
-	CoreSolves   uint64
-	PrunedProbes uint64
-	// TemplateHits counts encodes that shared a Stage-0 routing template
-	// (per topology, across families and budgets) instead of re-deriving
-	// it.
-	TemplateHits uint64
 	// MegaSessions is the number of live per-topology mega-base sessions
-	// in the pool; MegaSelects counts probes they discharged by assumption
-	// push (vs MegaEncodes fresh base constructions — the encode work the
-	// shared base amortizes away; see synth.MegaSession).
+	// in the pool (see synth.MegaSession).
 	MegaSessions int
-	MegaSelects  uint64
-	MegaEncodes  uint64
-}
-
-// Delta returns the counter movement from an earlier snapshot prev of
-// the same engine to s: monotonic counters (hits, misses, solver
-// counters) are subtracted, while the point-in-time gauges (Algorithms,
-// Frontiers, MegaSessions) keep s's current value. A metrics
-// exporter can therefore report windowed rates from two CacheStats
-// calls without holding any engine lock across the window. Counters
-// that appear to have moved backwards (prev from a different engine, or
-// taken later than s) clamp to zero rather than underflowing.
-func (s CacheStats) Delta(prev CacheStats) CacheStats {
-	sub := func(cur, old uint64) uint64 {
-		if cur < old {
-			return 0
-		}
-		return cur - old
-	}
-	return CacheStats{
-		Algorithms:   s.Algorithms,
-		Frontiers:    s.Frontiers,
-		Hits:         sub(s.Hits, prev.Hits),
-		Misses:       sub(s.Misses, prev.Misses),
-		CoreSolves:   sub(s.CoreSolves, prev.CoreSolves),
-		PrunedProbes: sub(s.PrunedProbes, prev.PrunedProbes),
-		TemplateHits: sub(s.TemplateHits, prev.TemplateHits),
-		MegaSessions: s.MegaSessions,
-		MegaSelects:  sub(s.MegaSelects, prev.MegaSelects),
-		MegaEncodes:  sub(s.MegaEncodes, prev.MegaEncodes),
-	}
+	// ProbeStats sums the probe records of every sweep the engine ran
+	// and every request a warm mega-base answered: solver work, unsat
+	// cores and the candidates they pruned, Stage-0 template shares,
+	// probes discharged by activation select (SessionProbes) and base
+	// formulas built (MegaEncodes).
+	ProbeStats
 }
 
 // CacheStats returns a snapshot of the cache counters.
 func (e *Engine) CacheStats() CacheStats {
 	e.mu.Lock()
 	cs := CacheStats{
-		Algorithms:   len(e.algs),
-		Frontiers:    len(e.frontiers),
-		Hits:         e.hits,
-		Misses:       e.misses,
-		CoreSolves:   e.coreSolves,
-		PrunedProbes: e.prunedProbes,
-		TemplateHits: e.templateHits,
-		MegaSelects:  e.megaSelects,
-		MegaEncodes:  e.megaEncodes,
+		Algorithms: len(e.algs),
+		Frontiers:  len(e.frontiers),
+		Hits:       e.hits,
+		Misses:     e.misses,
+		ProbeStats: e.probes,
 	}
 	e.mu.Unlock()
 	if e.sessions != nil {
@@ -497,11 +447,7 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 			sres, err := v.Solve(ctx, req.Budget.S, req.Budget.R, o)
 			if err == nil {
 				e.mu.Lock()
-				e.templateHits += uint64(sres.TemplateHits)
-				if sres.SessionProbe {
-					e.megaSelects++
-				}
-				e.megaEncodes += uint64(sres.MegaEncodes)
+				e.probes.Add(sres.ProbeStats)
 				e.mu.Unlock()
 				return sres.Algorithm, sres.Status, nil
 			}
@@ -619,11 +565,7 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 		NoSessions: noSessions, Pool: pool,
 	})
 	e.mu.Lock()
-	e.coreSolves += uint64(stats.CoreSolves)
-	e.prunedProbes += uint64(stats.PrunedProbes)
-	e.templateHits += uint64(stats.TemplateHits)
-	e.megaSelects += uint64(stats.SessionProbes)
-	e.megaEncodes += uint64(stats.MegaEncodes)
+	e.probes.Add(stats.ProbeStats)
 	e.mu.Unlock()
 	res := &ParetoResult{Points: pts, Stats: stats, Wall: time.Since(t0), Fingerprint: fp}
 	if err != nil {
@@ -662,7 +604,7 @@ func (e *Engine) WarmMegaBase(topo *Topology, root Node, maxChunks, maxSteps, k 
 	live, encode := mega.Prepare()
 	if encode > 0 {
 		e.mu.Lock()
-		e.megaEncodes++
+		e.probes.MegaEncodes++
 		e.mu.Unlock()
 		e.progress("engine: mega-base for %s warmed in %v (C<=%d S<=%d K<=%d)",
 			topo.Name, encode, maxChunks, maxSteps, k)

@@ -294,8 +294,8 @@ func TestEngineSynthesizeAllSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := eng.CacheStats(); cs.MegaSelects != uint64(len(reqs)) {
-		t.Errorf("batch of %d covered budgets answered %d by assumption push: %+v", len(reqs), cs.MegaSelects, cs)
+	if cs := eng.CacheStats(); cs.SessionProbes != len(reqs) {
+		t.Errorf("batch of %d covered budgets answered %d by assumption push: %+v", len(reqs), cs.SessionProbes, cs)
 	}
 	plain := sccl.NewEngine(sccl.EngineOptions{NoSessions: true, DisableCache: true})
 	for i, res := range results {
@@ -490,14 +490,14 @@ func testEngineSessionPool(t *testing.T, workers int) {
 		t.Errorf("sweep never adopted the mega-base: %+v", res.Stats)
 	}
 	cs := eng.CacheStats()
-	if cs.MegaSessions != 1 || cs.MegaEncodes != 1 || cs.MegaSelects != uint64(res.Stats.SessionProbes) {
+	if cs.MegaSessions != 1 || cs.MegaEncodes != 1 || cs.SessionProbes != res.Stats.SessionProbes {
 		t.Errorf("engine pool unused: %+v", cs)
 	}
 	// The engine aggregates the sweep's unsat-core counters.
 	if res.Stats.CoreSolves == 0 {
 		t.Errorf("session sweep produced no budget cores: %+v", res.Stats)
 	}
-	if cs.CoreSolves != uint64(res.Stats.CoreSolves) || cs.PrunedProbes != uint64(res.Stats.PrunedProbes) {
+	if cs.CoreSolves != res.Stats.CoreSolves || cs.PrunedProbes != res.Stats.PrunedProbes {
 		t.Errorf("CacheStats cores %d/%d, want sweep's %d/%d",
 			cs.CoreSolves, cs.PrunedProbes, res.Stats.CoreSolves, res.Stats.PrunedProbes)
 	}

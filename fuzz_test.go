@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	sccl "repro"
+	"repro/internal/topology"
 )
 
 // The request decoders see untrusted bytes: every document a daemon is
@@ -13,7 +14,7 @@ import (
 // panic, and a document that decodes must re-encode to bytes that survive
 // another decode and encode unchanged. The committed seed corpus under
 // testdata/fuzz holds EncodeRequest, EncodeParetoRequest, EncodeTopology
-// and EncodeAlgorithm outputs; explore further with
+// and EncodeAlgorithm outputs and topology strings; explore further with
 //
 //	go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s .
 
@@ -62,6 +63,40 @@ func FuzzDecodeTopology(f *testing.F) {
 			}
 			return sccl.EncodeTopology(again)
 		})
+	})
+}
+
+// FuzzParseTopology feeds topology strings: a spec that parses prints a
+// canonical form that parses to itself, and one that builds stays under
+// the node cap and builds the same topology from its canonical form.
+func FuzzParseTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := sccl.ParseTopologySpec(spec)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		again, err := sccl.ParseTopologySpec(canon)
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not parse: %v", canon, spec, err)
+		}
+		if again.String() != canon {
+			t.Fatalf("canonical form not stable: %q -> %q", canon, again.String())
+		}
+		topo, err := s.Build()
+		if err != nil {
+			return
+		}
+		if topo.P > topology.MaxSpecNodes {
+			t.Fatalf("%q built %d nodes past the %d-node cap", spec, topo.P, topology.MaxSpecNodes)
+		}
+		topo2, err := again.Build()
+		if err != nil {
+			t.Fatalf("canonical form %q does not build: %v", canon, err)
+		}
+		if topo.Fingerprint() != topo2.Fingerprint() {
+			t.Fatalf("%q and its canonical form %q build different topologies", spec, canon)
+		}
 	})
 }
 

@@ -702,6 +702,56 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestServerHitRatioWindow checks that sccl_engine_hit_ratio_window
+// covers exactly the engine lookups since the previous scrape: a sweep
+// (one frontier miss) whose points are then asked for one by one (one
+// engine hit each — the response cache has never seen those bodies),
+// then a scrape, then one fresh budget (a miss).
+func TestServerHitRatioWindow(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	postDocGet(t, ts.URL+"/metrics") // open the window
+	req := cheapRequest(t)
+	body, err := sccl.EncodeParetoRequest(sccl.ParetoRequest{Kind: req.Kind, Topo: req.Topo, K: 1, MaxSteps: 3, MaxChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, data := postDoc(t, ts.URL+"/v1/pareto", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %s", resp.Status, data)
+	}
+	pts, err := sccl.DecodeFrontier(data)
+	if err != nil || len(pts) == 0 {
+		t.Fatalf("frontier %d points: %v", len(pts), err)
+	}
+	post := func(b sccl.Budget, want string) {
+		t.Helper()
+		r := req
+		r.Budget = b
+		body, err := sccl.EncodeRequest(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := postDoc(t, ts.URL+"/v1/synthesize", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: %s: %s", b, resp.Status, data)
+		}
+		if got := resp.Header.Get("X-SCCL-Cache"); got != want {
+			t.Fatalf("%v: X-SCCL-Cache = %q, want %q", b, got, want)
+		}
+	}
+	for _, p := range pts {
+		post(sccl.Budget{C: p.C, S: p.S, R: p.R}, "miss")
+	}
+	hits := float64(len(pts))
+	if got, want := metricValue(t, ts, "sccl_engine_hit_ratio_window"), hits/(hits+1); got != want {
+		t.Errorf("window over %d hits and 1 miss = %v, want %v", len(pts), got, want)
+	}
+	post(sccl.Budget{C: 1, S: 4, R: 4}, "miss")
+	if got := metricValue(t, ts, "sccl_engine_hit_ratio_window"); got != 0 {
+		t.Errorf("window over 1 miss = %v, want 0", got)
+	}
+}
+
 // TestServerMegaWarm pins the mega-base warmer: three solver-bound misses
 // on one topology warm exactly one shared base in the background, and a
 // later fresh budget inside the clamped window (C <= 4, k <= 4) is a miss
@@ -744,9 +794,9 @@ func TestServerMegaWarm(t *testing.T) {
 		}
 	}
 
-	before := srv.eng.CacheStats().MegaSelects
+	before := srv.eng.CacheStats().SessionProbes
 	post(sccl.Budget{C: 1, S: 2, R: 4})
-	if d := srv.eng.CacheStats().MegaSelects - before; d < 1 {
+	if d := srv.eng.CacheStats().SessionProbes - before; d < 1 {
 		t.Fatalf("fresh in-window miss: mega selects +%d, want >= 1", d)
 	}
 	if n := srv.megaWarms.Load(); n != 1 {

@@ -70,10 +70,10 @@ type Server struct {
 	base       context.Context
 	baseCancel context.CancelFunc
 
-	// prev guards the engine-stats snapshot behind the windowed
-	// hit-ratio gauge (see sccl.CacheStats.Delta).
-	prevMu    sync.Mutex
-	prevStats sccl.CacheStats
+	// prevHits and prevMisses are the engine cache counters at the
+	// previous scrape, behind the windowed hit-ratio gauge.
+	prevMu               sync.Mutex
+	prevHits, prevMisses uint64
 
 	// warmTopos tracks per-(topology, root) solve streaks behind the
 	// mega-base warmer: once a topology has cost megaWarmThreshold real
@@ -489,8 +489,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the Prometheus-style text exposition: serve
 // counters and histograms, the engine's lifetime cache counters, and a
-// windowed engine hit ratio computed with CacheStats.Delta between
-// scrapes.
+// windowed engine hit ratio over the hits and misses since the previous
+// scrape.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.CountRequest("metrics")
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -514,21 +514,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	cs := s.eng.CacheStats()
 	s.prevMu.Lock()
-	delta := cs.Delta(s.prevStats)
-	s.prevStats = cs
+	winHits, winMisses := cs.Hits-s.prevHits, cs.Misses-s.prevMisses
+	s.prevHits, s.prevMisses = cs.Hits, cs.Misses
 	s.prevMu.Unlock()
 	writeGauge(w, "sccl_engine_algorithms", "Cached synthesis outcomes in the engine.", float64(cs.Algorithms))
 	writeGauge(w, "sccl_engine_frontiers", "Cached Pareto frontiers in the engine.", float64(cs.Frontiers))
 	writeGauge(w, "sccl_engine_mega_sessions", "Live shared mega-base sessions.", float64(cs.MegaSessions))
 	writeCounter(w, "sccl_engine_hits_total", "Engine algorithm/frontier cache hits.", cs.Hits)
 	writeCounter(w, "sccl_engine_misses_total", "Engine algorithm/frontier cache misses.", cs.Misses)
-	writeCounter(w, "sccl_engine_core_solves_total", "Unsat probes that yielded budget cores.", cs.CoreSolves)
-	writeCounter(w, "sccl_engine_pruned_probes_total", "Candidates answered by core dominance without solving.", cs.PrunedProbes)
-	writeCounter(w, "sccl_engine_template_hits_total", "Stage-0 template shares across encodes.", cs.TemplateHits)
-	writeCounter(w, "sccl_engine_mega_selects_total", "Probes answered by mega-base activation selects.", cs.MegaSelects)
-	writeCounter(w, "sccl_engine_mega_encodes_total", "Mega-base Stage-1 encodes.", cs.MegaEncodes)
-	if win := delta.Hits + delta.Misses; win > 0 {
-		writeGauge(w, "sccl_engine_hit_ratio_window", "Engine cache hit ratio since the previous scrape.", float64(delta.Hits)/float64(win))
+	writeCounter(w, "sccl_engine_core_solves_total", "Unsat probes that yielded budget cores.", uint64(cs.CoreSolves))
+	writeCounter(w, "sccl_engine_pruned_probes_total", "Candidates answered by core dominance without solving.", uint64(cs.PrunedProbes))
+	writeCounter(w, "sccl_engine_template_hits_total", "Stage-0 template shares across encodes.", uint64(cs.TemplateHits))
+	writeCounter(w, "sccl_engine_mega_selects_total", "Probes answered by mega-base activation selects.", uint64(cs.SessionProbes))
+	writeCounter(w, "sccl_engine_mega_encodes_total", "Mega-base Stage-1 encodes.", uint64(cs.MegaEncodes))
+	if win := winHits + winMisses; win > 0 {
+		writeGauge(w, "sccl_engine_hit_ratio_window", "Engine cache hit ratio since the previous scrape.", float64(winHits)/float64(win))
 	}
 }
 

@@ -109,7 +109,7 @@ func TestMegaAdoptionDeclines(t *testing.T) {
 
 	w := sweep(collective.Broadcast, topology.Ring(6), 2)
 	w.considerAdoption(unsat)
-	w.considerAdoption(Result{Status: sat.Unsat, QuotientFallbacks: 1})
+	w.considerAdoption(Result{Status: sat.Unsat, ProbeStats: ProbeStats{QuotientFallbacks: 1}})
 	for i := 0; i < megaAdoptUnsats; i++ {
 		w.considerAdoption(unsat)
 	}

@@ -186,7 +186,7 @@ func TestParetoUnsatCorePruning(t *testing.T) {
 // and solve time move the sweep totals alongside its probe wall, without
 // counting a completed probe.
 func TestDiscardedGambleCountsAllWalls(t *testing.T) {
-	w := &paretoSweep{}
+	w := &paretoSweep{stats: &ParetoStats{}}
 	w.accountWall(&probeOutcome{escalated: true, dur: 9 * time.Millisecond,
 		res: Result{Status: sat.Sat, Encode: 2 * time.Millisecond, Solve: 5 * time.Millisecond}})
 	if w.stats.ProbeTime != 9*time.Millisecond || w.stats.EncodeTime != 2*time.Millisecond || w.stats.SolveTime != 5*time.Millisecond {

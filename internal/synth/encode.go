@@ -72,59 +72,22 @@ type Options struct {
 }
 
 // Result carries a synthesis outcome: the algorithm if Status == sat.Sat,
-// plus solver statistics.
+// plus what the probe cost and which path answered it.
 type Result struct {
 	Status    sat.Status
 	Algorithm *algorithm.Algorithm
-	Stats     sat.Stats
-	Encode    time.Duration
-	Solve     time.Duration
-	Vars      int
-	Clauses   int
+	ProbeStats
+	Encode time.Duration
+	Solve  time.Duration
 	// Proof is the recorded refutation when Options.ProveUnsat was set
 	// and the answer is Unsat (nil for pruning-detected infeasibility,
 	// where the certificate is the unreachable requirement itself).
 	Proof *sat.Proof
-	// SessionProbe reports that the result was discharged as an
-	// assumption-selected projection of a shared per-topology mega-base
-	// (see MegaSession) instead of a one-shot solve. Stats then counts
-	// this probe's share of the long-lived solver's work.
-	SessionProbe bool
-	// SessionWarm reports that the session's base was already built, so
-	// learnt clauses and heuristic state carried into this probe.
-	SessionWarm bool
-	// CarriedLearnts is the number of learnt clauses alive in the session
-	// solver when this solve began (0 for one-shot solves).
-	CarriedLearnts int
 	// Core, on an Unsat session probe, classifies the final conflict by
 	// the budget-assumption groups it involved (nil when the probe was
 	// solved one-shot or the analysis produced no usable core). The Pareto
 	// scheduler uses it to skip dominated budgets without solving them.
 	Core *BudgetCore
-	// TemplateHits counts encodes within this result that reused a shared
-	// Stage-0 routing template (see Stage0Template) instead of deriving
-	// their own — pooled one-shot probes and canonical witness re-solves.
-	TemplateHits int
-	// MegaEncodes counts mega-base formula constructions this probe paid
-	// for (1 when it was the probe that built the shared base).
-	MegaEncodes int
-	// SymmetryPerms counts the automorphism generators whose guarded
-	// equivariance restrictions this result's encodes emitted (0 with
-	// node symmetry off, below the size threshold, or when no generator
-	// stabilizes the instance).
-	SymmetryPerms int
-	// QuotientProbes is 1 when this result was answered directly from a
-	// chunk-orbit quotient formula (a lifted, re-validated witness).
-	QuotientProbes int
-	// QuotientFallbacks is 1 when a quotient attempt was abandoned
-	// (restricted Unsat, conflict-cap exhaustion, or a declined plan)
-	// and the answer came from the full formula instead.
-	QuotientFallbacks int
-	// QuotientDeclined is 1 when quotienting was requested but the
-	// configuration structurally declines it — the mega-base's
-	// activation families break orbit structure, so mega probes always
-	// report it.
-	QuotientDeclined int
 }
 
 // Validate checks instance coherence.
@@ -458,8 +421,10 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 		full := opts
 		full.NoQuotient = true
 		fres, err := synthesizeCDCLTemplate(ctx, in, full, tmpl, templateHit)
+		// The quotient attempt's time and search are this answer's cost.
 		fres.Encode += res.Encode
 		fres.Solve += res.Solve
+		fres.Add(ProbeStats{Stats: res.Stats})
 		fres.QuotientFallbacks = 1
 		return fres, err
 	}

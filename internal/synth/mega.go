@@ -639,7 +639,7 @@ func (v *MegaFamilyView) Solve(ctx context.Context, steps, rounds int, opts Opti
 	}
 	res.Encode += canon.Encode
 	res.Solve += canon.Solve
-	res.TemplateHits += canon.TemplateHits
+	res.Add(ProbeStats{Stats: canon.Stats, TemplateHits: canon.TemplateHits})
 	switch canon.Status {
 	case sat.Sat:
 		res.Algorithm = canon.Algorithm
@@ -679,8 +679,10 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 		return Result{}, probeModeOneShot
 	}
 	var res Result
-	res.SessionProbe = true
-	res.SessionWarm = m.enc != nil
+	res.SessionProbes = 1
+	if m.enc != nil {
+		res.SessionReuses = 1
+	}
 	t0 := time.Now()
 	if m.enc == nil {
 		m.buildLocked()
@@ -702,7 +704,7 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 			return Result{}, probeModeOneShot
 		}
 	}
-	res.CarriedLearnts = m.enc.ctx.Solver.LearntClauses()
+	res.CarriedLearnts = int64(m.enc.ctx.Solver.LearntClauses())
 	assumptions, marks, prune := m.enc.assumeFamily(v.mapping, v.active, steps, rounds)
 	res.Encode = time.Since(t0)
 	m.selects++

@@ -61,7 +61,7 @@ func TestMegaStatusMatchesOneShot(t *testing.T) {
 							t.Errorf("%s %v c=%d s=%d r=%d: mega algorithm differs from one-shot",
 								topo.Name, kind, c, s, r)
 						}
-						if got.SessionProbe {
+						if got.SessionProbes != 0 {
 							megaProbes++
 						}
 					}

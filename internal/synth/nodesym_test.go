@@ -193,7 +193,7 @@ func TestNodeSymmetrySessionAndMegaMatch(t *testing.T) {
 				if mg.Status != one.Status {
 					t.Errorf("%v S=%d R=%d: mega %v, one-shot %v", kind, s, r, mg.Status, one.Status)
 				}
-				if mg.SessionProbe {
+				if mg.SessionProbes != 0 {
 					megaProbes++
 				}
 			}

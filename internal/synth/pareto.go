@@ -76,49 +76,14 @@ type ParetoStats struct {
 	// Families counts the distinct (collective, chunking) families the
 	// sweep projected out of a mega-base; 0 when it stayed one-shot.
 	Families int
-	// SessionProbes counts completed probes discharged incrementally as
-	// assumption-selected projections of a shared per-topology mega-base
-	// (see MegaSession) rather than a one-shot solve.
-	SessionProbes int
-	// SessionReuses counts session probes that hit a warm solver — one
-	// whose base was already built.
-	SessionReuses int
-	// CarriedLearnts sums the learnt clauses already live in the session
-	// solver at the start of each completed probe: the knowledge that
-	// one-shot solving would have discarded.
-	CarriedLearnts int64
-	// CoreSolves counts completed Unsat probes whose final-conflict
-	// analysis produced a usable budget core (see BudgetCore).
-	CoreSolves int
-	// PrunedProbes counts candidates the scheduler answered as synthetic
-	// Unsat results because an earlier probe's core dominated their
-	// budget — probes the sweep never paid a solver call for.
-	PrunedProbes int
-	// TemplateHits counts encodes that shared a Stage-0 routing template
-	// (per (topology, step horizon), across the sweep's families) instead
-	// of re-deriving identical substructure (see Stage0Template).
-	TemplateHits int
 	// Deprecated: always 0. Learnt migration went with the per-family
 	// sessions whose re-bases it served; the field stays until the next
 	// revision of bench/, which reads it.
 	MigratedLearnts int64
-	// MegaEncodes counts mega-base formula constructions the sweep's
-	// probes paid for: 1 for the sweep that adopts a base, 0 for one that
-	// found it warm or stayed one-shot.
-	MegaEncodes int
-	// SymmetryPerms sums the node-orbit automorphism generators whose
-	// guarded equivariance restrictions the sweep's base encodes emitted
-	// (see nodesym.go); 0 with node symmetry off or below the threshold.
-	SymmetryPerms int
-	// QuotientProbes counts probes answered Sat from a chunk-orbit
-	// quotient base (quotient.go); QuotientFallbacks counts quotient
-	// attempts that fell through to the full formula (quotient Unsat or
-	// conflict-cap exhaustion proves nothing about the instance);
-	// QuotientDeclined counts base encodes that declined to quotient
-	// (mega-bases always do).
-	QuotientProbes    int
-	QuotientFallbacks int
-	QuotientDeclined  int
+	// ProbeStats sums the completed probes' records, plus the solver work
+	// of discarded chain-top probes and the scheduler's own CoreSolves and
+	// PrunedProbes.
+	ProbeStats
 }
 
 // Speedup returns the aggregate parallel speedup: summed probe time over
@@ -316,7 +281,7 @@ type paretoSweep struct {
 	progress func(format string, args ...any)
 	workers  int
 	steps    []*stepSchedule
-	stats    ParetoStats
+	stats    *ParetoStats
 	// pool supplies mega-base sessions and shared Stage-0 templates; nil
 	// (NoSessions) keeps every probe one-shot.
 	pool *SessionPool
@@ -360,6 +325,17 @@ type paretoSweep struct {
 // merged in deterministic (S, cost) rank and matches the sequential sweep
 // exactly.
 func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topology.Node, opts ParetoOptions) ([]ParetoPoint, error) {
+	var st ParetoStats
+	points, err := paretoSynthesize(kind, topo, root, opts, &st)
+	if opts.Stats != nil {
+		*opts.Stats = st
+	}
+	return points, err
+}
+
+// paretoSynthesize is ParetoSynthesize folding the sweep's counters into
+// stats (Wall is set, not summed), so a multi-kind sweep can share one.
+func paretoSynthesize(kind collective.Kind, topo *topology.Topology, root topology.Node, opts ParetoOptions, stats *ParetoStats) ([]ParetoPoint, error) {
 	if kind.IsCombining() {
 		return nil, fmt.Errorf("synth: ParetoSynthesize needs a non-combining collective; got %v (use SynthesizeCollective)", kind)
 	}
@@ -420,6 +396,7 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 		bl:        bl,
 		progress:  SerializedProgress(opts.Progress),
 		workers:   workers,
+		stats:     stats,
 		pool:      pool,
 		fams:      map[int]bool{},
 		stepKill:  map[int]int{},
@@ -445,11 +422,8 @@ func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	}
 	t0 := time.Now()
 	points, err := w.run(ctx)
-	if opts.Stats != nil {
-		w.stats.Wall = time.Since(t0)
-		w.stats.Families = len(w.fams)
-		*opts.Stats = w.stats
-	}
+	stats.Wall = time.Since(t0)
+	stats.Families += len(w.fams)
 	return points, err
 }
 
@@ -495,47 +469,17 @@ func ParetoSynthesizeKinds(kinds []collective.Kind, topo *topology.Topology, roo
 	t0 := time.Now()
 	out := make(map[collective.Kind][]ParetoPoint, len(kinds))
 	for _, kind := range kinds {
-		kOpts := opts
-		var ks ParetoStats
-		if opts.Stats != nil {
-			kOpts.Stats = &ks
-		}
-		points, err := ParetoSynthesize(kind, topo, root, kOpts)
+		points, err := paretoSynthesize(kind, topo, root, opts, &agg)
 		if err != nil {
 			return nil, fmt.Errorf("synth: multi-kind sweep at %v: %w", kind, err)
 		}
 		out[kind] = points
-		if opts.Stats != nil {
-			agg.add(ks)
-		}
 	}
 	if opts.Stats != nil {
 		agg.Wall = time.Since(t0)
 		*opts.Stats = agg
 	}
 	return out, nil
-}
-
-// add folds another sweep's counters into s (Wall excluded: the caller
-// owns end-to-end wall clock).
-func (s *ParetoStats) add(o ParetoStats) {
-	s.Probes += o.Probes
-	s.Pruned += o.Pruned
-	s.ProbeTime += o.ProbeTime
-	s.EncodeTime += o.EncodeTime
-	s.SolveTime += o.SolveTime
-	s.Families += o.Families
-	s.SessionProbes += o.SessionProbes
-	s.SessionReuses += o.SessionReuses
-	s.CarriedLearnts += o.CarriedLearnts
-	s.CoreSolves += o.CoreSolves
-	s.PrunedProbes += o.PrunedProbes
-	s.TemplateHits += o.TemplateHits
-	s.MegaEncodes += o.MegaEncodes
-	s.SymmetryPerms += o.SymmetryPerms
-	s.QuotientProbes += o.QuotientProbes
-	s.QuotientFallbacks += o.QuotientFallbacks
-	s.QuotientDeclined += o.QuotientDeclined
 }
 
 // run drives the worker pool until the frontier is complete, an error
@@ -642,10 +586,12 @@ func (w *paretoSweep) run(ctx context.Context) ([]ParetoPoint, error) {
 			// In particular a Sat answer must NOT move the Sat cut — the
 			// cut excludes its own index from dispatch, which would strand
 			// this candidate unsolved and truncate the frontier.
-			// Its cost is still the sweep's.
+			// Its time and solver work are still the sweep's; its path
+			// counters are not: the candidate is back in the pool.
 			st.dispatched[d.ci] = false
 			st.escalated[st.cands[d.ci].C] = escState{state: escalateDone}
 			w.accountWall(d.out)
+			w.stats.Add(ProbeStats{Stats: d.out.res.Stats})
 			if ctx.Err() != nil {
 				return points, fmt.Errorf("synth: pareto sweep cancelled: %w", ctx.Err())
 			}
@@ -735,19 +681,7 @@ func (w *paretoSweep) account(out *probeOutcome) {
 	}
 	w.stats.Probes++
 	w.accountWall(out)
-	w.stats.TemplateHits += out.res.TemplateHits
-	if out.res.SessionProbe {
-		w.stats.SessionProbes++
-		if out.res.SessionWarm {
-			w.stats.SessionReuses++
-		}
-		w.stats.CarriedLearnts += int64(out.res.CarriedLearnts)
-	}
-	w.stats.MegaEncodes += out.res.MegaEncodes
-	w.stats.SymmetryPerms += out.res.SymmetryPerms
-	w.stats.QuotientProbes += out.res.QuotientProbes
-	w.stats.QuotientFallbacks += out.res.QuotientFallbacks
-	w.stats.QuotientDeclined += out.res.QuotientDeclined
+	w.stats.Add(out.res.ProbeStats)
 }
 
 // accountWall folds the wall clocks of a probe that ran — completed, or a
@@ -894,7 +828,7 @@ const megaAdoptUnsats = 3
 // adoption out for the sweep: the quotient carries such solves, and a
 // mega-base must decline it (see MegaSession.probeLocked).
 func (w *paretoSweep) considerAdoption(res Result) {
-	if w.pool == nil || w.mega != nil || w.adoptClosed || res.SessionProbe {
+	if w.pool == nil || w.mega != nil || w.adoptClosed || res.SessionProbes > 0 {
 		return
 	}
 	if res.QuotientProbes+res.QuotientFallbacks > 0 {

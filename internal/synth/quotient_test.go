@@ -131,6 +131,43 @@ func TestQuotientLiftValidates(t *testing.T) {
 	}
 }
 
+// TestQuotientFallbackCountsBothSolves checks that a probe whose
+// quotient attempt falls back to the full formula reports the search of
+// both solves: more conflicts than the full formula's solve alone (the
+// NoQuotient run of the same instance), while its path counters stay
+// those of the full encode.
+func TestQuotientFallbackCountsBothSolves(t *testing.T) {
+	defer func(n int) { symmetryMinNodes = n }(symmetryMinNodes)
+	symmetryMinNodes = 2
+
+	topo := topology.BidirRing(6)
+	coll, err := collective.New(collective.Allgather, topo.P, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := Instance{Coll: coll, Topo: topo, Steps: 3, Round: 4}
+	on, err := Synthesize(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := Synthesize(in, Options{NoQuotient: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.QuotientFallbacks != 1 || on.Status != sat.Unsat || off.Status != sat.Unsat {
+		t.Fatalf("want an Unsat quotient fallback: on %v (fallbacks %d), off %v",
+			on.Status, on.QuotientFallbacks, off.Status)
+	}
+	if on.Stats.Conflicts <= off.Stats.Conflicts {
+		t.Errorf("fallback reports %d conflicts, the full solve alone %d: the quotient attempt's search is missing",
+			on.Stats.Conflicts, off.Stats.Conflicts)
+	}
+	if on.SymmetryPerms != off.SymmetryPerms || on.Clauses != off.Clauses {
+		t.Errorf("fallback path counters moved: perms %d clauses %d, full solve %d %d",
+			on.SymmetryPerms, on.Clauses, off.SymmetryPerms, off.Clauses)
+	}
+}
+
 // TestQuotientFrontierEquivalence is the acceptance contract at sweep
 // scale: quotient-on frontiers must be identical (C, S, R) to
 // quotient-off on the gated fabrics, across worker counts, and the

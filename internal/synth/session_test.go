@@ -57,7 +57,7 @@ func TestSessionStatusMatchesOneShot(t *testing.T) {
 							t.Errorf("%s %v c=%d s=%d r=%d: session algorithm differs from one-shot",
 								topo.Name, kind, c, s, r)
 						}
-						if got.SessionProbe {
+						if got.SessionProbes != 0 {
 							incremental++
 						}
 					}
@@ -209,22 +209,22 @@ func TestSessionLifecycle(t *testing.T) {
 		return res
 	}
 	res1 := solve(4, 4)
-	if !res1.SessionProbe || res1.SessionWarm || res1.MegaEncodes != 1 {
+	if res1.SessionProbes != 1 || res1.SessionReuses != 0 || res1.MegaEncodes != 1 {
 		t.Errorf("probe 1 should build the base cold: %+v", res1)
 	}
 	res2 := solve(4, 5)
-	if !res2.SessionProbe || !res2.SessionWarm || res2.MegaEncodes != 0 {
+	if res2.SessionProbes != 1 || res2.SessionReuses != 1 || res2.MegaEncodes != 0 {
 		t.Errorf("probe 2 should reuse the warm solver: %+v", res2)
 	}
-	if res3 := solve(5, 5); !res3.SessionWarm || res3.CarriedLearnts < res2.CarriedLearnts {
+	if res3 := solve(5, 5); res3.SessionReuses != 1 || res3.CarriedLearnts < res2.CarriedLearnts {
 		t.Errorf("probe 3 lost carried learnts: %+v after %+v", res3, res2)
 	}
 	// Past the step window, and R outside the k-synchronous class: both
 	// fall back one-shot but still answer correctly.
-	if res := solve(7, 8); res.SessionProbe {
+	if res := solve(7, 8); res.SessionProbes != 0 {
 		t.Errorf("out-of-window budget should one-shot: %+v", res)
 	}
-	if res := solve(4, 8); res.SessionProbe {
+	if res := solve(4, 8); res.SessionProbes != 0 {
 		t.Errorf("out-of-class budget should one-shot: %+v", res)
 	}
 	if encodes, selects := mega.Stats(); encodes != 1 || selects != 3 {
@@ -235,7 +235,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err := mega.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if res := solve(4, 4); res.SessionProbe {
+	if res := solve(4, 4); res.SessionProbes != 0 {
 		t.Errorf("closed session should one-shot: %+v", res)
 	}
 	if mega.View(coll) != nil {

@@ -21,6 +21,12 @@ type Spec struct {
 	Base   *Spec          `json:"base,omitempty"`
 }
 
+// MaxSpecNodes caps the node count a spec may describe. Validate checks it
+// from the parameters alone, before any builder allocates, so a string
+// such as "fc:100000" is refused instead of exhausting memory. It is far
+// above what a solver can synthesize for.
+const MaxSpecNodes = 256
+
 // paramDef is one declared parameter of a family: a name and an
 // inclusive minimum (builders do the deeper validation).
 type paramDef struct {
@@ -37,7 +43,10 @@ type familyDef struct {
 	aliases []string   // string-form names; Family itself always works
 	params  []paramDef // ordered: also the positional string-arg order
 	nested  bool       // takes a nested base spec before the params
-	build   func(s *Spec) (*Topology, error)
+	// nodes is the node count the params describe (times the base's for
+	// nested families), saturated just above MaxSpecNodes.
+	nodes func(p map[string]int) int
+	build func(s *Spec) (*Topology, error)
 	// parseArgs/formatArgs override positional int parsing for families
 	// with custom argument syntax (torus RxC). Optional.
 	parseArgs  func(args []string) (map[string]int, error)
@@ -82,6 +91,30 @@ func dims3(args []string) (map[string]int, error) {
 	return out, nil
 }
 
+// fixed is the node count of a family without size parameters.
+func fixed(n int) func(map[string]int) int {
+	return func(map[string]int) int { return n }
+}
+
+// product is the node count of a family sized by the product of the
+// named parameters (each already at least 1).
+func product(names ...string) func(map[string]int) int {
+	return func(p map[string]int) int {
+		n := 1
+		for _, name := range names {
+			n = saturatingMul(n, p[name])
+		}
+		return n
+	}
+}
+
+func saturatingMul(a, b int) int {
+	if b > (MaxSpecNodes+1)/a {
+		return MaxSpecNodes + 1
+	}
+	return a * b
+}
+
 var families []familyDef
 
 // The table is populated in init because the multinode row's builder
@@ -91,43 +124,50 @@ func init() { families = familyTable() }
 func familyTable() []familyDef {
 	return []familyDef{
 		{
-			family: "dgx1", aliases: []string{"dgx-1"},
+			family: "dgx1", aliases: []string{"dgx-1"}, nodes: fixed(8),
 			build: func(*Spec) (*Topology, error) { return DGX1(), nil },
 		},
 		{
-			family: "dgx2", aliases: []string{"dgx-2"},
+			family: "dgx2", aliases: []string{"dgx-2"}, nodes: fixed(16),
 			build: func(*Spec) (*Topology, error) { return DGX2(), nil },
 		},
 		{
-			family: "amd-z52", aliases: []string{"amd", "z52"},
+			family: "amd-z52", aliases: []string{"amd", "z52"}, nodes: fixed(8),
 			build: func(*Spec) (*Topology, error) { return AMDZ52(), nil },
 		},
 		{
-			family: "ring", params: []paramDef{{"n", 2}},
+			family: "ring", params: []paramDef{{"n", 2}}, nodes: product("n"),
 			build: func(s *Spec) (*Topology, error) { return Ring(s.Params["n"]), nil },
 		},
 		{
-			family: "bidir-ring", aliases: []string{"bring"}, params: []paramDef{{"n", 2}},
+			family: "bidir-ring", aliases: []string{"bring"}, params: []paramDef{{"n", 2}}, nodes: product("n"),
 			build: func(s *Spec) (*Topology, error) { return BidirRing(s.Params["n"]), nil },
 		},
 		{
-			family: "line", aliases: []string{"path"}, params: []paramDef{{"n", 2}},
+			family: "line", aliases: []string{"path"}, params: []paramDef{{"n", 2}}, nodes: product("n"),
 			build: func(s *Spec) (*Topology, error) { return Line(s.Params["n"]), nil },
 		},
 		{
-			family: "fully-connected", aliases: []string{"fc", "complete"}, params: []paramDef{{"n", 2}},
+			family: "fully-connected", aliases: []string{"fc", "complete"}, params: []paramDef{{"n", 2}}, nodes: product("n"),
 			build: func(s *Spec) (*Topology, error) { return FullyConnected(s.Params["n"]), nil },
 		},
 		{
-			family: "star", params: []paramDef{{"n", 2}},
+			family: "star", params: []paramDef{{"n", 2}}, nodes: product("n"),
 			build: func(s *Spec) (*Topology, error) { return Star(s.Params["n"]), nil },
 		},
 		{
 			family: "hypercube", aliases: []string{"cube"}, params: []paramDef{{"d", 1}},
+			nodes: func(p map[string]int) int {
+				n := 1
+				for i := 0; i < p["d"] && n <= MaxSpecNodes; i++ {
+					n *= 2
+				}
+				return n
+			},
 			build: func(s *Spec) (*Topology, error) { return Hypercube(s.Params["d"]), nil },
 		},
 		{
-			family: "torus", params: []paramDef{{"rows", 1}, {"cols", 1}},
+			family: "torus", params: []paramDef{{"rows", 1}, {"cols", 1}}, nodes: product("rows", "cols"),
 			parseArgs: dims2,
 			formatArgs: func(p map[string]int) string {
 				return fmt.Sprintf("%dx%d", p["rows"], p["cols"])
@@ -138,6 +178,7 @@ func familyTable() []familyDef {
 		},
 		{
 			family: "torus3d", params: []paramDef{{"dim1", 1}, {"dim2", 1}, {"dim3", 1}},
+			nodes:     product("dim1", "dim2", "dim3"),
 			parseArgs: dims3,
 			formatArgs: func(p map[string]int) string {
 				return fmt.Sprintf("%dx%dx%d", p["dim1"], p["dim2"], p["dim3"])
@@ -149,6 +190,7 @@ func familyTable() []familyDef {
 		{
 			family: "fat-tree", aliases: []string{"fattree"},
 			params: []paramDef{{"pods", 1}, {"hosts", 1}, {"hostbw", 1}, {"uplinkbw", 1}},
+			nodes:  product("pods", "hosts"),
 			build: func(s *Spec) (*Topology, error) {
 				return FatTree(s.Params["pods"], s.Params["hosts"], s.Params["hostbw"], s.Params["uplinkbw"]), nil
 			},
@@ -156,12 +198,13 @@ func familyTable() []familyDef {
 		{
 			family: "dragonfly", aliases: []string{"dfly"},
 			params: []paramDef{{"groups", 2}, {"routers", 1}, {"globalbw", 1}},
+			nodes:  product("groups", "routers"),
 			build: func(s *Spec) (*Topology, error) {
 				return Dragonfly(s.Params["groups"], s.Params["routers"], s.Params["globalbw"]), nil
 			},
 		},
 		{
-			family: "bus", params: []paramDef{{"n", 2}, {"bw", 1}},
+			family: "bus", params: []paramDef{{"n", 2}, {"bw", 1}}, nodes: product("n"),
 			build: func(s *Spec) (*Topology, error) {
 				return SharedBus(s.Params["n"], s.Params["bw"]), nil
 			},
@@ -169,6 +212,7 @@ func familyTable() []familyDef {
 		{
 			family: "multinode", aliases: []string{"multi-node", "mn"}, nested: true,
 			params: []paramDef{{"count", 2}, {"nics", 1}, {"bw", 1}},
+			nodes:  product("count"),
 			build: func(s *Spec) (*Topology, error) {
 				base, err := s.Base.Build()
 				if err != nil {
@@ -247,7 +291,21 @@ func (s *Spec) Validate() error {
 	} else if s.Base != nil {
 		return fmt.Errorf("topology: %s spec does not take a base", f.family)
 	}
+	if s.nodes() > MaxSpecNodes {
+		return fmt.Errorf("topology: %s spec describes more than %d nodes", f.family, MaxSpecNodes)
+	}
 	return nil
+}
+
+// nodes is the node count of a schema-valid spec, saturated just above
+// MaxSpecNodes.
+func (s *Spec) nodes() int {
+	f := lookupFamily(s.Family)
+	n := f.nodes(s.Params)
+	if f.nested {
+		n = saturatingMul(n, s.Base.nodes())
+	}
+	return n
 }
 
 // Build validates the spec and constructs the topology.

@@ -104,6 +104,34 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecSizeCap checks the node cap on both sides of MaxSpecNodes, for
+// parameters whose product or power overflows int, and through nesting.
+// Refused specs never reach a builder, so none of them allocates.
+func TestSpecSizeCap(t *testing.T) {
+	for _, c := range []string{
+		"fc:256", "hypercube:8", "torus:16x16", "torus3d:4x8x8",
+		"multinode:dgx1:32:1:1", "multinode:dgx2:2:16:1", "dragonfly:128:2:1",
+	} {
+		if _, err := ParseSpec(c); err != nil {
+			t.Errorf("%s: %v", c, err)
+		}
+	}
+	for _, c := range []string{
+		"fc:100000", "ring:257", "hypercube:9", "hypercube:9223372036854775807",
+		"torus:16x17", "torus:4611686018427387904x4", "torus3d:3037000500x3037000500x2",
+		"fat-tree:65536:65536:1:1", "multinode:dgx1:33:1:1",
+		"multinode:multinode:ring:16:4:1:1:5:1:1",
+	} {
+		if _, err := ParseSpec(c); err == nil {
+			t.Errorf("%s: accepted past the %d-node cap", c, MaxSpecNodes)
+		}
+	}
+	var s Spec
+	if err := json.Unmarshal([]byte(`{"version":"sccl.topology-spec/v1","family":"ring","params":{"n":100000}}`), &s); err == nil {
+		t.Error("decoded spec past the node cap should fail")
+	}
+}
+
 // TestSpecFingerprintGolden pins the string↔spec equivalence contract:
 // the legacy string forms and hand-built specs construct topologies with
 // these exact fingerprints. A change here means cached libraries and

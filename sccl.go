@@ -93,6 +93,9 @@ type (
 	ParetoPoint = synth.ParetoPoint
 	// ParetoStats reports probe counts and aggregate speedup of a sweep.
 	ParetoStats = synth.ParetoStats
+	// ProbeStats is the per-probe record of solver work and path counters
+	// that ParetoStats and CacheStats embed.
+	ProbeStats = synth.ProbeStats
 	// SessionPool caches live mega-base sessions and Stage-0 templates
 	// across sweeps; an Engine owns one unless sessions are disabled.
 	SessionPool = synth.SessionPool

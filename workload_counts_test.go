@@ -34,23 +34,17 @@ func runWorkloadSweeps(t *testing.T, sweeps []workloadSweep) sccl.ParetoStats {
 		if err != nil {
 			t.Fatalf("%s %v k=%d: %v", s.topology, s.kind, s.k, err)
 		}
-		st := res.Stats
-		sum.Probes += st.Probes
-		sum.SessionProbes += st.SessionProbes
-		sum.PrunedProbes += st.PrunedProbes
-		sum.CoreSolves += st.CoreSolves
-		sum.QuotientProbes += st.QuotientProbes
-		sum.QuotientFallbacks += st.QuotientFallbacks
-		sum.SymmetryPerms += st.SymmetryPerms
+		sum.Probes += res.Stats.Probes
+		sum.Add(res.Stats.ProbeStats)
 	}
 	return sum
 }
 
-// TestWorkloadCountsPinned pins the scheduler counts of the pareto-rings
-// and pareto-fabrics benchmark workloads and of three plain session
-// sweeps: their sweeps in the listed order on one Workers:1 engine, where
-// no decision depends on the wall clock. A change that is meant to leave the search alone must leave
-// these literals alone. The harness shuffles the sweep order by seed, and
+// TestWorkloadCountsPinned pins the scheduler counts and the summed
+// solver conflicts and clauses of the three Pareto benchmark workloads and
+// of three plain session sweeps: their sweeps in the listed order on one
+// Workers:1 engine, where no decision depends on the wall clock. A change
+// that is meant to leave the search alone must leave these literals alone. The harness shuffles the sweep order by seed, and
 // the order decides which sweep adopts a pooled mega-base, so its seed-1
 // pareto-rings run reports session_probes 322 and core_solves 302 instead.
 func TestWorkloadCountsPinned(t *testing.T) {
@@ -67,6 +61,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
+		pinSolverWork(t, st, 2498, 6158588)
 	})
 	t.Run("pareto-fabrics", func(t *testing.T) {
 		if testing.Short() {
@@ -81,6 +76,22 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
 		}
+		pinSolverWork(t, st, 13209, 727303)
+	})
+	t.Run("pareto-chains", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("solve-bound session sweeps; skipped under -short")
+		}
+		st := runWorkloadSweeps(t, []workloadSweep{
+			{topology: "dgx1", kind: sccl.Broadcast, k: 2, maxChunks: 12},
+			{topology: "amd", kind: sccl.Broadcast, k: 3},
+		})
+		got := [4]int{st.Probes, st.SessionProbes, st.PrunedProbes, st.CoreSolves}
+		want := [4]int{166, 160, 42, 144}
+		if got != want {
+			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
+		}
+		pinSolverWork(t, st, 25752, 5840670)
 	})
 	// Three plain sweeps off the harness: both ring Broadcasts adopt the
 	// mega-base after their first three refutations (60 of 63 and 69 of 72
@@ -97,5 +108,15 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
+		pinSolverWork(t, st, 15296, 2721721)
 	})
+}
+
+// pinSolverWork checks the solver conflicts and formula clauses summed
+// over a workload's probes.
+func pinSolverWork(t *testing.T, st sccl.ParetoStats, conflicts int64, clauses int) {
+	t.Helper()
+	if st.Conflicts != conflicts || st.Clauses != clauses {
+		t.Errorf("conflicts, clauses = %d, %d, want %d, %d", st.Conflicts, st.Clauses, conflicts, clauses)
+	}
 }
