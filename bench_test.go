@@ -10,13 +10,13 @@
 package sccl_test
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
 
 	sccl "repro"
 	"repro/internal/eval"
-	"repro/internal/synth"
 )
 
 func includeSlow() bool { return os.Getenv("SCCL_SLOW") != "" }
@@ -109,11 +109,15 @@ func BenchmarkFigure6(b *testing.B) { figureBench(b, eval.Figure6, "(1,4,4)") }
 // BenchmarkFigure4Simulated cross-checks Figure 4's first and last points
 // with the discrete-event simulator instead of the closed-form model.
 func BenchmarkFigure4Simulated(b *testing.B) {
-	topo := sccl.DGX1()
-	lat, _, err := sccl.Synthesize(sccl.Allgather, topo, 0, 1, 2, 2, sccl.SynthOptions{})
-	if err != nil || lat == nil {
+	eng := sccl.NewEngine(sccl.EngineOptions{})
+	defer eng.Close()
+	res, err := eng.Synthesize(context.Background(), sccl.Request{
+		Kind: sccl.Allgather, Topo: sccl.DGX1(), Budget: sccl.Budget{C: 1, S: 2, R: 2},
+	})
+	if err != nil || res.Algorithm == nil {
 		b.Fatal(err)
 	}
+	lat := res.Algorithm
 	baseline, err := sccl.NCCLAllgather()
 	if err != nil {
 		b.Fatal(err)
@@ -142,61 +146,34 @@ func BenchmarkFigure4Simulated(b *testing.B) {
 	b.ReportMetric(large, "speedup-large")
 }
 
-// BenchmarkEncodingAblation compares the paper's encoding (§3.4) against
-// the direct per-(c,n,n',s) Boolean encoding on a DGX-1 Broadcast
-// instance — the paper's §5.4.3 reports >30x between these.
-func BenchmarkEncodingAblation(b *testing.B) {
-	topo := sccl.DGX1()
-	coll, err := sccl.NewCollective(sccl.Broadcast, 8, 6, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst := sccl.Instance{Coll: coll, Topo: topo, Steps: 3, Round: 3}
-	b.Run("paper", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			alg, status, err := sccl.SynthesizeInstance(inst, sccl.SynthOptions{})
-			if err != nil || alg == nil {
-				b.Fatal(status, err)
-			}
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			alg, status, err := sccl.SynthesizeInstance(inst,
-				sccl.SynthOptions{Encoding: synth.EncodingDirect})
-			if err != nil || alg == nil {
-				b.Fatal(status, err)
-			}
-		}
-	})
-}
-
 // BenchmarkSymmetryAblation measures chunk-symmetry breaking on the
-// bandwidth-optimal 3-step Allgather (6,3,7).
+// bandwidth-optimal 3-step Allgather (6,3,7). The engine's cache is off,
+// so every iteration solves. The encoding ablation (§5.4.3) lives beside
+// its direct-encoding oracle in internal/synth.
 func BenchmarkSymmetryAblation(b *testing.B) {
-	topo := sccl.DGX1()
+	eng := sccl.NewEngine(sccl.EngineOptions{DisableCache: true})
+	defer eng.Close()
 	coll, err := sccl.NewCollective(sccl.Allgather, 8, 6, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst := sccl.Instance{Coll: coll, Topo: topo, Steps: 3, Round: 7}
-	b.Run("with-symmetry-breaking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			alg, status, err := sccl.SynthesizeInstance(inst, sccl.SynthOptions{})
-			if err != nil || alg == nil {
-				b.Fatal(status, err)
+	inst := sccl.Instance{Coll: coll, Topo: sccl.DGX1(), Steps: 3, Round: 7}
+	for _, v := range []struct {
+		name string
+		opts sccl.SynthOptions
+	}{
+		{"with-symmetry-breaking", sccl.SynthOptions{}},
+		{"without", sccl.SynthOptions{NoSymmetryBreak: true}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := eng.SynthesizeInstance(context.Background(), inst, &v.opts)
+				if err != nil || res.Algorithm == nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("without", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			alg, status, err := sccl.SynthesizeInstance(inst,
-				sccl.SynthOptions{NoSymmetryBreak: true})
-			if err != nil || alg == nil {
-				b.Fatal(status, err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkLoweringAblation evaluates the §4 lowering choices (push/pull,
@@ -228,17 +205,21 @@ func BenchmarkLoweringAblation(b *testing.B) {
 }
 
 // BenchmarkParetoAllgatherDGX1 runs the full Pareto-Synthesize procedure
-// (Algorithm 1) with k=1 on the DGX-1.
+// (Algorithm 1) with k=1 on the DGX-1, on one worker. The engine's cache
+// is off, so every iteration sweeps.
 func BenchmarkParetoAllgatherDGX1(b *testing.B) {
+	eng := sccl.NewEngine(sccl.EngineOptions{DisableCache: true})
+	defer eng.Close()
+	req := sccl.ParetoRequest{
+		Kind: sccl.Allgather, Topo: sccl.DGX1(), K: 1, MaxSteps: 7, Workers: 1,
+		Options: &sccl.SynthOptions{Timeout: 10 * time.Minute},
+	}
 	for i := 0; i < b.N; i++ {
-		pts, err := sccl.Pareto(sccl.Allgather, sccl.DGX1(), 0, sccl.ParetoOptions{
-			K: 1, MaxSteps: 7,
-			Instance: sccl.SynthOptions{Timeout: 10 * time.Minute},
-		})
+		res, err := eng.Pareto(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pts) == 0 || !pts[len(pts)-1].BandwidthOptimal {
+		if pts := res.Points; len(pts) == 0 || !pts[len(pts)-1].BandwidthOptimal {
 			b.Fatalf("frontier incomplete: %v", pts)
 		}
 	}

@@ -73,6 +73,12 @@ type cacheEntry struct {
 	budget   Budget
 }
 
+// entryOf describes a request for its cache entry; the outcome fields
+// are filled in once it is answered.
+func entryOf(req Request) cacheEntry {
+	return cacheEntry{kind: req.Kind.String(), topoName: req.Topo.Name, root: int(req.Root), budget: req.Budget}
+}
+
 // Engine is the sessionful entry point to the synthesizer: it owns a
 // worker pool, a progress sink, and an in-memory algorithm cache keyed by
 // canonical fingerprints of (topology, collective, budget,
@@ -80,8 +86,7 @@ type cacheEntry struct {
 // algorithms are shared and must be treated as immutable.
 //
 // Engine.Synthesize, Engine.Pareto and Engine.SynthesizeAll are the
-// primary entry points; the package-level free functions are deprecated
-// wrappers over DefaultEngine.
+// primary entry points.
 type Engine struct {
 	workers    int
 	timeout    time.Duration
@@ -145,18 +150,6 @@ func (e *Engine) Close() error {
 	return e.sessions.Close()
 }
 
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the shared process-wide engine that the
-// deprecated package-level free functions delegate to.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine(EngineOptions{}) })
-	return defaultEngine
-}
-
 // solveOptions merges the engine defaults with a per-request override
 // and timeout (request timeout wins over the override's, which wins over
 // the engine default).
@@ -190,7 +183,9 @@ func fingerprintKey(parts ...string) string {
 // never cached.
 func optionParts(o SynthOptions) []string {
 	return []string{
-		"enc=" + strconv.Itoa(int(o.Encoding)),
+		// There is one encoding. The literal stays because saved
+		// libraries and snapshots are keyed by these bytes.
+		"enc=0",
 		"sym=" + strconv.FormatBool(!o.NoSymmetryBreak),
 		"nodesym=" + strconv.FormatBool(!o.NoSymmetryBreaking),
 		"quotient=" + strconv.FormatBool(!o.NoQuotient),
@@ -402,15 +397,15 @@ func (e *Engine) CacheStats() CacheStats {
 }
 
 // answerRequest serves one validated request through the algorithm
-// cache: a hit returns the stored entry with no solver work; otherwise
-// solve runs and any definite outcome (Sat or Unsat, never Unknown) is
-// stored under the request's canonical fingerprint. Shared by the
-// single-request and batched paths so cache semantics cannot diverge.
-func (e *Engine) answerRequest(ctx context.Context, req Request, o SynthOptions, solve func(context.Context) (*Algorithm, Status, error)) (*Result, error) {
+// cache under its canonical fingerprint fp: a hit returns the stored
+// entry with no solver work; otherwise solve runs and any definite
+// outcome (Sat or Unsat, never Unknown) is stored under fp with meta's
+// description. Synthesize and SynthesizeInstance share it so cache
+// semantics cannot diverge.
+func (e *Engine) answerRequest(ctx context.Context, fp string, meta cacheEntry, solve func(context.Context) (*Algorithm, Status, error)) (*Result, error) {
 	t0 := time.Now()
-	fp := e.requestFingerprint(req, o)
 	if ent := e.lookupAlg(fp); ent != nil {
-		e.progress("engine: cache hit %v %s on %s [%s]", req.Kind, req.Budget, req.Topo.Name, fp)
+		e.progress("engine: cache hit %s %s on %s [%s]", meta.kind, meta.budget, meta.topoName, fp)
 		return &Result{Algorithm: ent.alg, Status: ent.status, CacheHit: true, Wall: time.Since(t0), Fingerprint: fp}, nil
 	}
 	alg, status, err := solve(ctx)
@@ -418,10 +413,8 @@ func (e *Engine) answerRequest(ctx context.Context, req Request, o SynthOptions,
 		return nil, err
 	}
 	if status != Unknown {
-		e.storeAlg(fp, &cacheEntry{
-			status: status, alg: alg,
-			kind: req.Kind.String(), topoName: req.Topo.Name, root: int(req.Root), budget: req.Budget,
-		})
+		meta.status, meta.alg = status, alg
+		e.storeAlg(fp, &meta)
 	}
 	return &Result{Algorithm: alg, Status: status, Wall: time.Since(t0), Fingerprint: fp}, nil
 }
@@ -438,7 +431,7 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	o := e.solveOptions(req.Timeout, req.Options)
-	return e.answerRequest(ctx, req, o, func(ctx context.Context) (*Algorithm, Status, error) {
+	return e.answerRequest(ctx, e.requestFingerprint(req, o), entryOf(req), func(ctx context.Context) (*Algorithm, Status, error) {
 		// A warm per-topology mega-base session (left by an earlier sweep
 		// or a daemon's WarmMegaBase) answers a covered cache miss by
 		// assumption push + solve instead of encode + solve. The lookup
@@ -486,7 +479,6 @@ func (e *Engine) SynthesizeInstance(ctx context.Context, in Instance, opts *Synt
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t0 := time.Now()
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -498,23 +490,14 @@ func (e *Engine) SynthesizeInstance(ctx context.Context, in Instance, opts *Synt
 		strconv.Itoa(in.Steps),
 		strconv.Itoa(in.Round),
 	}, optionParts(o)...)
-	fp := fingerprintKey(parts...)
-	budget := Budget{C: in.Coll.C, S: in.Steps, R: in.Round}
-	if ent := e.lookupAlg(fp); ent != nil {
-		e.progress("engine: cache hit %v %s on %s [%s]", in.Coll.Kind, budget, in.Topo.Name, fp)
-		return &Result{Algorithm: ent.alg, Status: ent.status, CacheHit: true, Wall: time.Since(t0), Fingerprint: fp}, nil
+	meta := cacheEntry{
+		kind: in.Coll.Kind.String(), topoName: in.Topo.Name, root: int(in.Coll.Root),
+		budget: Budget{C: in.Coll.C, S: in.Steps, R: in.Round},
 	}
-	res, err := synth.SynthesizeContext(ctx, in, o)
-	if err != nil {
-		return nil, err
-	}
-	if res.Status != Unknown {
-		e.storeAlg(fp, &cacheEntry{
-			status: res.Status, alg: res.Algorithm,
-			kind: in.Coll.Kind.String(), topoName: in.Topo.Name, root: int(in.Coll.Root), budget: budget,
-		})
-	}
-	return &Result{Algorithm: res.Algorithm, Status: res.Status, Wall: time.Since(t0), Fingerprint: fp}, nil
+	return e.answerRequest(ctx, fingerprintKey(parts...), meta, func(ctx context.Context) (*Algorithm, Status, error) {
+		res, err := synth.SynthesizeContext(ctx, in, o)
+		return res.Algorithm, res.Status, err
+	})
 }
 
 // Pareto runs the paper's Algorithm 1 sweep for a non-combining
@@ -558,7 +541,7 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 		pool = nil
 	}
 	var stats ParetoStats
-	pts, err := synth.ParetoSynthesize(req.Kind, req.Topo, req.Root, ParetoOptions{
+	pts, err := synth.ParetoSynthesize(req.Kind, req.Topo, req.Root, synth.ParetoOptions{
 		K: req.K, MaxSteps: maxSteps, MaxChunks: maxChunks,
 		Instance: o, Progress: progress, Workers: workers,
 		Context: ctx, Stats: &stats,
@@ -574,10 +557,9 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	e.storeFrontier(fp, pts)
 	for _, p := range pts {
 		preq := Request{Kind: req.Kind, Topo: req.Topo, Root: req.Root, Budget: Budget{C: p.C, S: p.S, R: p.R}}
-		e.storeAlg(e.requestFingerprint(preq, o), &cacheEntry{
-			status: Sat, alg: p.Algorithm,
-			kind: req.Kind.String(), topoName: req.Topo.Name, root: int(req.Root), budget: preq.Budget,
-		})
+		ent := entryOf(preq)
+		ent.status, ent.alg = Sat, p.Algorithm
+		e.storeAlg(e.requestFingerprint(preq, o), &ent)
 	}
 	return res, nil
 }

@@ -546,12 +546,12 @@ func testEngineSessionPool(t *testing.T, workers int) {
 	}
 }
 
-// TestRequestFingerprintsStable pins the request and frontier
-// fingerprints of three requests. Saved libraries and daemon snapshots
+// TestRequestFingerprintsStable pins the request, frontier and instance
+// fingerprints of four requests. Saved libraries and daemon snapshots
 // are keyed by these bytes (SaveLibrary writes them, LoadLibrary looks
 // entries up by them), so any change to a key part — including the
-// "backend=cdcl" option literal — would make every previously saved
-// library silently miss.
+// "enc=0" and "backend=cdcl" option literals — would make every
+// previously saved library silently miss.
 func TestRequestFingerprintsStable(t *testing.T) {
 	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
 	defer eng.Close()
@@ -577,5 +577,16 @@ func TestRequestFingerprintsStable(t *testing.T) {
 	}
 	if want := "d59f8a86e20597077b19453890c11f4f"; got != want {
 		t.Errorf("ring:4 Allgather K=1: ParetoFingerprint = %s, want %s", got, want)
+	}
+	coll, err := sccl.NewCollective(sccl.Allgather, 4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.SynthesizeInstance(context.Background(), sccl.Instance{Coll: coll, Topo: sccl.Ring(4), Steps: 3, Round: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "b6658f704ba897be4e1aeb5e659a0015"; res.Fingerprint != want {
+		t.Errorf("ring:4 Allgather instance (1,3,3): fingerprint = %s, want %s", res.Fingerprint, want)
 	}
 }

@@ -26,13 +26,15 @@ func ExampleEngine_Synthesize() {
 
 // Synthesize the paper's 2-step latency-optimal DGX-1 Allgather and prove
 // that nothing with a lower bandwidth cost exists at that step count.
-func ExampleSynthesize() {
-	topo := sccl.DGX1()
-	alg, status, _ := sccl.Synthesize(sccl.Allgather, topo, 0, 1, 2, 2, sccl.SynthOptions{})
-	fmt.Println(status, alg.CSR())
+func ExampleEngine_Synthesize_latencyOptimal() {
+	eng := sccl.NewEngine(sccl.EngineOptions{})
+	req := sccl.Request{Kind: sccl.Allgather, Topo: sccl.DGX1(), Budget: sccl.Budget{C: 1, S: 2, R: 2}}
+	res, _ := eng.Synthesize(context.Background(), req)
+	fmt.Println(res.Status, res.Algorithm.CSR())
 
-	_, status, _ = sccl.Synthesize(sccl.Allgather, topo, 0, 2, 2, 2, sccl.SynthOptions{})
-	fmt.Println(status)
+	req.Budget.C = 2
+	res, _ = eng.Synthesize(context.Background(), req)
+	fmt.Println(res.Status)
 	// Output:
 	// SAT (1,2,2)
 	// UNSAT
@@ -59,8 +61,11 @@ func ExampleNCCLAllgather() {
 // Combining collectives derive from their duals: a ring Reducescatter is
 // the inverse of the ring Allgather.
 func ExampleInvert() {
-	ag, _, _ := sccl.Synthesize(sccl.Allgather, sccl.Ring(4), 0, 1, 3, 3, sccl.SynthOptions{})
-	rs, _ := sccl.Invert(ag)
+	eng := sccl.NewEngine(sccl.EngineOptions{})
+	ag, _ := eng.Synthesize(context.Background(), sccl.Request{
+		Kind: sccl.Allgather, Topo: sccl.Ring(4), Budget: sccl.Budget{C: 1, S: 3, R: 3},
+	})
+	rs, _ := sccl.Invert(ag.Algorithm)
 	fmt.Println(rs.Coll.Kind, rs.CSR())
 	// Output:
 	// Reducescatter (1,3,3)
@@ -68,7 +73,11 @@ func ExampleInvert() {
 
 // Executing a schedule on goroutine-GPUs validates it end to end.
 func ExampleExecute() {
-	alg, _, _ := sccl.Synthesize(sccl.Allreduce, sccl.BidirRing(4), 0, 1, 3, 3, sccl.SynthOptions{})
+	eng := sccl.NewEngine(sccl.EngineOptions{})
+	res, _ := eng.Synthesize(context.Background(), sccl.Request{
+		Kind: sccl.Allreduce, Topo: sccl.BidirRing(4), Budget: sccl.Budget{C: 1, S: 3, R: 3},
+	})
+	alg := res.Algorithm
 	err := sccl.Execute(alg, 256)
 	fmt.Println(alg.CSR(), err)
 	// Output:

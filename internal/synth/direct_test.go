@@ -3,9 +3,11 @@ package synth
 import (
 	"context"
 	"fmt"
+	"testing"
 	"time"
 
 	"repro/internal/algorithm"
+	"repro/internal/collective"
 	"repro/internal/pb"
 	"repro/internal/sat"
 	"repro/internal/smt"
@@ -15,8 +17,10 @@ import (
 // synthesizeDirect implements the naive encoding the paper's §5.4.3
 // compares against: one Boolean x(c,n,n',s) per potential send tuple and
 // one Boolean has(c,n,s) per reachability fact. It is semantically
-// equivalent to the paper encoding but scales much worse — kept as the
-// baseline for the encoding ablation benchmark.
+// equivalent to the paper encoding but scales much worse. It is a test
+// oracle only: TestDirectEncodingAgreesWithPaperEncoding checks the
+// paper encoding's verdicts against it, and BenchmarkEncodingAblation
+// times the two.
 func synthesizeDirect(ctx context.Context, in Instance, opts Options) (Result, error) {
 	var res Result
 	t0 := time.Now()
@@ -172,4 +176,32 @@ func synthesizeDirect(ctx context.Context, in Instance, opts Options) (Result, e
 	}
 	res.Algorithm = alg
 	return res, nil
+}
+
+// BenchmarkEncodingAblation compares the paper's encoding (§3.4) against
+// the direct per-(c,n,n',s) Boolean encoding on a DGX-1 Broadcast
+// instance — the paper's §5.4.3 reports >30x between these. Both sides
+// call the solver directly, so every iteration encodes and solves.
+func BenchmarkEncodingAblation(b *testing.B) {
+	coll, err := collective.New(collective.Broadcast, 8, 6, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst := Instance{Coll: coll, Topo: topology.DGX1(), Steps: 3, Round: 3}
+	for _, enc := range []struct {
+		name  string
+		solve func(context.Context, Instance, Options) (Result, error)
+	}{
+		{"paper", SynthesizeContext},
+		{"direct", synthesizeDirect},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := enc.solve(context.Background(), inst, Options{})
+				if err != nil || res.Algorithm == nil {
+					b.Fatal(res.Status, err)
+				}
+			}
+		})
+	}
 }

@@ -27,21 +27,8 @@ type Instance struct {
 	Round int
 }
 
-// Encoding selects the constraint encoding strategy.
-type Encoding int
-
-const (
-	// EncodingPaper is the paper's scalable encoding (§3.4): integer
-	// time(c,n) variables plus Boolean snd(n,c,n') variables.
-	EncodingPaper Encoding = iota
-	// EncodingDirect is the naive per-(c,n,n',s) Boolean encoding the
-	// paper reports as over 30x slower; kept for the ablation benchmarks.
-	EncodingDirect
-)
-
 // Options tunes a synthesis call.
 type Options struct {
-	Encoding     Encoding
 	MaxConflicts int64
 	Timeout      time.Duration
 	// ProveUnsat enables solver proof recording: on an Unsat answer the
@@ -330,7 +317,7 @@ func SynthesizeContext(ctx context.Context, in Instance, opts Options) (Result, 
 		// release its worker promptly, not build the formula first.
 		return Result{Status: sat.Unknown}, nil
 	}
-	return synthesizeCDCL(ctx, in, opts)
+	return synthesizeCDCLTemplate(ctx, in, opts, nil, false)
 }
 
 // solveOneShot is SynthesizeContext for callers that hold a Stage-0
@@ -345,23 +332,15 @@ func solveOneShot(ctx context.Context, in Instance, opts Options, tc *TemplateCa
 	return synthesizeCDCLTemplate(ctx, in, opts, tmpl, hit)
 }
 
-// synthesizeCDCL is the built-in pipeline: encode (paper or direct
-// encoding) into the internal CDCL solver and extract the model.
-func synthesizeCDCL(ctx context.Context, in Instance, opts Options) (Result, error) {
-	return synthesizeCDCLTemplate(ctx, in, opts, nil, false)
-}
-
-// synthesizeCDCLTemplate is synthesizeCDCL with an optional shared
-// Stage-0 template; templateHit marks a template that was served from a
+// synthesizeCDCLTemplate is the built-in pipeline: encode into the
+// internal CDCL solver, solve and extract the model. tmpl is an optional
+// shared Stage-0 template; templateHit marks one that was served from a
 // cache (reported through Result.TemplateHits) rather than derived for
 // this call.
 func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl *Stage0Template, templateHit bool) (Result, error) {
 	var res Result
 	if err := in.Validate(); err != nil {
 		return res, err
-	}
-	if opts.Encoding == EncodingDirect {
-		return synthesizeDirect(ctx, in, opts)
 	}
 	t0 := time.Now()
 	e := encodePaperTemplate(in, opts, tmpl)

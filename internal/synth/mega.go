@@ -452,10 +452,10 @@ func mergeMegaKinds(a, b []collective.Kind) []collective.Kind {
 
 // NewMegaSession builds a mega session for one topology, its universe
 // scoped to kinds (nil = every non-combining kind). Returns nil when the
-// configuration cannot be projected soundly (non-paper encoding, proof
-// recording) or the chunk universe would exceed megaMaxChunks.
+// configuration cannot be projected soundly (proof recording) or the
+// chunk universe would exceed megaMaxChunks.
 func NewMegaSession(topo *topology.Topology, root topology.Node, opts Options, kinds []collective.Kind, maxChunks, maxSteps, k int) *MegaSession {
-	if opts.Encoding != EncodingPaper || opts.ProveUnsat {
+	if opts.ProveUnsat {
 		return nil
 	}
 	if maxChunks < 1 || maxSteps < 1 || k < 0 {

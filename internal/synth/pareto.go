@@ -461,8 +461,8 @@ func ParetoSynthesizeKinds(kinds []collective.Kind, topo *topology.Topology, roo
 			defer opts.Pool.Close()
 		}
 		// Each kind's sweep finds this session warm; a declined build
-		// (direct encoding, proof recording, oversized universe) leaves
-		// them on the default adoption rule.
+		// (proof recording, oversized universe) leaves them on the
+		// default adoption rule.
 		opts.Pool.Mega(topo, root, opts.Instance, kinds, opts.MaxChunks, opts.MaxSteps, opts.K, true)
 	}
 	var agg ParetoStats
@@ -849,7 +849,7 @@ func (w *paretoSweep) considerAdoption(res Result) {
 
 // lookupMega asks the pool for a mega-base session covering the sweep;
 // nil when none is warm (create false) or the configuration cannot host
-// one (direct encoding, proof recording, a universe past megaMaxChunks).
+// one (proof recording, a universe past megaMaxChunks).
 func (w *paretoSweep) lookupMega(create bool) *MegaSession {
 	return w.pool.Mega(w.topo, w.root, w.opts.Instance, []collective.Kind{w.kind},
 		w.opts.MaxChunks, w.opts.MaxSteps, w.opts.K, create)

@@ -61,9 +61,9 @@ func (p *SessionPool) Mega(topo *topology.Topology, root topology.Node, opts Opt
 	if topo == nil || needChunks < 1 || needSteps < 1 || needK < 0 {
 		return nil
 	}
-	if opts.Encoding != EncodingPaper || opts.ProveUnsat {
-		// Projection needs the built-in solver's assumption plumbing over
-		// the layered paper encoding.
+	if opts.ProveUnsat {
+		// Proof recording wants a standalone refutation of one probe's
+		// formula, which an assumption solve on a shared base cannot give.
 		return nil
 	}
 	key := megaKey(topo, root, opts)

@@ -64,10 +64,9 @@ type quotientPlan struct {
 
 // quotientEligible reports whether opts allow a quotient attempt at all.
 // ProveUnsat wants a plain refutation of the full formula; symmetry-off
-// has no group to quotient by; the direct encoding never quotients.
+// has no group to quotient by.
 func quotientEligible(opts Options) bool {
-	return !opts.NoQuotient && !opts.ProveUnsat && !opts.NoSymmetryBreaking &&
-		opts.Encoding == EncodingPaper
+	return !opts.NoQuotient && !opts.ProveUnsat && !opts.NoSymmetryBreaking
 }
 
 // quotientPlanOf resolves the emission's chunk-orbit quotient: nil when

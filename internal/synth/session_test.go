@@ -92,8 +92,7 @@ func frontierBytes(t *testing.T, pts []ParetoPoint) []byte {
 // default path: sweeps that start one-shot and adopt the mega-base on
 // their own Unsat count (see megaAdoptUnsats) return byte-identical
 // frontiers (points and embedded algorithms) to the all-one-shot
-// reference, for every worker count and both encodings — whether or not
-// they adopt.
+// reference, for every worker count — whether or not they adopt.
 func TestParetoSessionFrontiersByteIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -107,36 +106,31 @@ func TestParetoSessionFrontiersByteIdentical(t *testing.T) {
 		{"bidirring6-broadcast", collective.Broadcast, topology.BidirRing(6), 2, true},
 	}
 	for _, tc := range cases {
-		for _, enc := range []Encoding{EncodingPaper, EncodingDirect} {
-			base := ParetoOptions{K: tc.k, MaxSteps: 6, MaxChunks: 6, Instance: Options{Encoding: enc}}
-			oneShot := base
-			oneShot.NoSessions = true
-			want, err := ParetoSynthesize(tc.kind, tc.topo, 0, oneShot)
+		base := ParetoOptions{K: tc.k, MaxSteps: 6, MaxChunks: 6}
+		oneShot := base
+		oneShot.NoSessions = true
+		want, err := ParetoSynthesize(tc.kind, tc.topo, 0, oneShot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes := frontierBytes(t, want)
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s/w%d", tc.name, workers)
+			opts := base
+			opts.Workers = workers
+			var stats ParetoStats
+			opts.Stats = &stats
+			got, err := ParetoSynthesize(tc.kind, tc.topo, 0, opts)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			wantBytes := frontierBytes(t, want)
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/enc%d/w%d", tc.name, enc, workers)
-				opts := base
-				opts.Workers = workers
-				var stats ParetoStats
-				opts.Stats = &stats
-				got, err := ParetoSynthesize(tc.kind, tc.topo, 0, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if gotBytes := frontierBytes(t, got); string(gotBytes) != string(wantBytes) {
-					t.Errorf("%s: default-path frontier differs from one-shot\n got: %s\nwant: %s",
-						name, gotBytes, wantBytes)
-				}
-				// The direct ablation encoding has no layered base: the pool
-				// declines and the sweep stays one-shot.
-				adopted := stats.SessionProbes > 0
-				if want := tc.adopts && enc == EncodingPaper; adopted != want {
-					t.Errorf("%s: adopted=%v (%d session probes, %d families), want %v",
-						name, adopted, stats.SessionProbes, stats.Families, want)
-				}
+			if gotBytes := frontierBytes(t, got); string(gotBytes) != string(wantBytes) {
+				t.Errorf("%s: default-path frontier differs from one-shot\n got: %s\nwant: %s",
+					name, gotBytes, wantBytes)
+			}
+			if adopted := stats.SessionProbes > 0; adopted != tc.adopts {
+				t.Errorf("%s: adopted=%v (%d session probes, %d families), want %v",
+					name, adopted, stats.SessionProbes, stats.Families, tc.adopts)
 			}
 		}
 	}
@@ -297,8 +291,8 @@ func TestSessionPool(t *testing.T) {
 
 // TestSessionPoolKeyedByOptions checks that lowering-relevant options
 // separate sessions — a symmetry-broken base must not serve probes that
-// asked for the unbroken encoding — and that configurations no base can
-// serve are declined.
+// asked for the unbroken encoding — and that proof recording, which no
+// base can serve, is declined.
 func TestSessionPoolKeyedByOptions(t *testing.T) {
 	topo := topology.Ring(4)
 	bc := []collective.Kind{collective.Broadcast}
@@ -312,13 +306,8 @@ func TestSessionPoolKeyedByOptions(t *testing.T) {
 	if other := pool.Mega(topo, 1, Options{}, bc, 1, 5, 1, true); other == nil || other == a {
 		t.Error("a different root must get its own session")
 	}
-	for name, opts := range map[string]Options{
-		"direct encoding": {Encoding: EncodingDirect},
-		"proof recording": {ProveUnsat: true},
-	} {
-		if pool.Mega(topo, 0, opts, bc, 1, 5, 1, true) != nil {
-			t.Errorf("%s: pool built a mega-base it cannot serve", name)
-		}
+	if pool.Mega(topo, 0, Options{ProveUnsat: true}, bc, 1, 5, 1, true) != nil {
+		t.Error("proof recording: pool built a mega-base it cannot serve")
 	}
 }
 

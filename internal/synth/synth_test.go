@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math/big"
 	"strings"
 	"testing"
@@ -159,11 +160,11 @@ func TestDirectEncodingAgreesWithPaperEncoding(t *testing.T) {
 	for _, tc := range cases {
 		coll := mustSpec(t, tc.kind, tc.topo.P, tc.c, 0)
 		inst := Instance{Coll: coll, Topo: tc.topo, Steps: tc.s, Round: tc.r}
-		p, err := Synthesize(inst, Options{Encoding: EncodingPaper})
+		p, err := Synthesize(inst, Options{})
 		if err != nil {
 			t.Fatalf("%v on %s: %v", tc.kind, tc.topo.Name, err)
 		}
-		d, err := Synthesize(inst, Options{Encoding: EncodingDirect})
+		d, err := synthesizeDirect(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("%v on %s (direct): %v", tc.kind, tc.topo.Name, err)
 		}

@@ -47,7 +47,8 @@ func (t *Topology) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes the v1 wire format and re-validates the result,
 // so a hand-edited or corrupted document cannot produce a structurally
-// invalid topology.
+// invalid topology. A document past MaxSpecNodes nodes is refused: the
+// collective and the encoder size their arrays by P.
 func (t *Topology) UnmarshalJSON(data []byte) error {
 	var in topologyJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -55,6 +56,9 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 	}
 	if in.Version != jsonVersion {
 		return fmt.Errorf("topology: unsupported JSON version %d (want %d)", in.Version, jsonVersion)
+	}
+	if in.P > MaxSpecNodes {
+		return fmt.Errorf("topology: document describes %d nodes, past the %d-node cap", in.P, MaxSpecNodes)
 	}
 	dec := &Topology{Name: in.Name, P: in.P, Blocks: in.Blocks}
 	for _, rj := range in.Relations {

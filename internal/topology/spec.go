@@ -21,10 +21,11 @@ type Spec struct {
 	Base   *Spec          `json:"base,omitempty"`
 }
 
-// MaxSpecNodes caps the node count a spec may describe. Validate checks it
-// from the parameters alone, before any builder allocates, so a string
-// such as "fc:100000" is refused instead of exhausting memory. It is far
-// above what a solver can synthesize for.
+// MaxSpecNodes caps the node count a spec or a topology document may
+// describe. Validate checks it from the parameters alone, before any
+// builder allocates, so a string such as "fc:100000" is refused instead
+// of exhausting memory; Topology.UnmarshalJSON checks a document's "p".
+// It is far above what a solver can synthesize for.
 const MaxSpecNodes = 256
 
 // paramDef is one declared parameter of a family: a name and an

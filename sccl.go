@@ -9,8 +9,8 @@
 // Pareto frontier between latency-optimal and bandwidth-optimal, by
 // encoding the search as constraints discharged to a built-in CDCL SAT
 // solver through an order-encoded integer layer (Go has no maintained Z3
-// bindings; an SMT-LIB2 emitter plus subprocess driver is provided to
-// cross-check against an external solver).
+// bindings; an SMT-LIB2 emitter exports any instance for an external
+// solver to cross-check by hand).
 //
 // The package also contains the paper's evaluation substrate: NCCL/RCCL
 // ring baselines, the (α, β) cost model with lowering variants (fused
@@ -45,7 +45,6 @@
 package sccl
 
 import (
-	"context"
 	"math/big"
 
 	"repro/internal/algorithm"
@@ -86,9 +85,6 @@ type (
 	Send = algorithm.Send
 	// SynthOptions tunes a synthesis call.
 	SynthOptions = synth.Options
-	// ParetoOptions tunes the Pareto-Synthesize procedure, including the
-	// Workers count and cancellation Context of the parallel scheduler.
-	ParetoOptions = synth.ParetoOptions
 	// ParetoPoint is one frontier member.
 	ParetoPoint = synth.ParetoPoint
 	// ParetoStats reports probe counts and aggregate speedup of a sweep.
@@ -96,11 +92,6 @@ type (
 	// ProbeStats is the per-probe record of solver work and path counters
 	// that ParetoStats and CacheStats embed.
 	ProbeStats = synth.ProbeStats
-	// SessionPool caches live mega-base sessions and Stage-0 templates
-	// across sweeps; an Engine owns one unless sessions are disabled.
-	SessionPool = synth.SessionPool
-	// Encoding selects the constraint encoding strategy.
-	Encoding = synth.Encoding
 	// Instance is a raw SynColl instance for direct control.
 	Instance = synth.Instance
 	// Status is the solver verdict (Sat / Unsat / Unknown).
@@ -138,14 +129,6 @@ const (
 	Sat     = sat.Sat
 	Unsat   = sat.Unsat
 	Unknown = sat.Unknown
-)
-
-// Constraint encodings.
-const (
-	// EncodingPaper is the paper's scalable encoding (§3.4).
-	EncodingPaper = synth.EncodingPaper
-	// EncodingDirect is the naive ablation encoding (§5.4.3).
-	EncodingDirect = synth.EncodingDirect
 )
 
 // Lowering variants (paper §4).
@@ -247,88 +230,6 @@ type Trace = sim.Trace
 // and root (for rooted collectives).
 func NewCollective(kind Kind, p, c int, root Node) (*Collective, error) {
 	return collective.New(kind, p, c, root)
-}
-
-// Synthesize synthesizes any collective (combining ones via their §3.5
-// duals) for the exact budget (C chunks per node, S steps, R rounds). On
-// success the returned algorithm is validated; status reports Sat/Unsat/
-// Unknown (budget exhausted).
-//
-// Deprecated: use Engine.Synthesize with a Request; it adds caching,
-// batching and cancellation. Synthesize delegates to DefaultEngine, so
-// the returned algorithm may be shared with its cache and must be
-// treated as immutable.
-func Synthesize(kind Kind, topo *Topology, root Node, c, s, r int, opts SynthOptions) (*Algorithm, Status, error) {
-	return SynthesizeContext(context.Background(), kind, topo, root, c, s, r, opts)
-}
-
-// SynthesizeContext is Synthesize with cooperative cancellation threaded
-// down to the solver's restart/conflict boundaries (or the external
-// solver subprocess); a cancelled solve reports Unknown.
-//
-// Deprecated: use Engine.Synthesize with a Request. SynthesizeContext
-// delegates to DefaultEngine.
-func SynthesizeContext(ctx context.Context, kind Kind, topo *Topology, root Node, c, s, r int, opts SynthOptions) (*Algorithm, Status, error) {
-	res, err := DefaultEngine().Synthesize(ctx, Request{
-		Kind: kind, Topo: topo, Root: root,
-		Budget:  Budget{C: c, S: s, R: r},
-		Options: &opts,
-	})
-	if err != nil {
-		return nil, Unknown, err
-	}
-	return res.Algorithm, res.Status, nil
-}
-
-// SynthesizeInstance solves a raw SynColl instance (non-combining only).
-//
-// Deprecated: use Engine.SynthesizeInstance; it adds caching and
-// cancellation. SynthesizeInstance delegates to DefaultEngine.
-func SynthesizeInstance(in Instance, opts SynthOptions) (*Algorithm, Status, error) {
-	return SynthesizeInstanceContext(context.Background(), in, opts)
-}
-
-// SynthesizeInstanceContext is SynthesizeInstance with cooperative
-// cancellation.
-//
-// Deprecated: use Engine.SynthesizeInstance. SynthesizeInstanceContext
-// delegates to DefaultEngine.
-func SynthesizeInstanceContext(ctx context.Context, in Instance, opts SynthOptions) (*Algorithm, Status, error) {
-	res, err := DefaultEngine().SynthesizeInstance(ctx, in, &opts)
-	if err != nil {
-		return nil, Unknown, err
-	}
-	return res.Algorithm, res.Status, nil
-}
-
-// Pareto runs the paper's Algorithm 1, synthesizing the Pareto frontier of
-// k-synchronous algorithms for a non-combining collective. With
-// ParetoOptions.Workers > 1 the per-budget probes run concurrently and are
-// merged deterministically: the frontier is identical for every worker
-// count. ParetoOptions.Context cancels the sweep early.
-//
-// Deprecated: use Engine.Pareto with a ParetoRequest; it adds frontier
-// caching and seeds the algorithm cache with every frontier point.
-// Pareto delegates to DefaultEngine, so the returned algorithms may be
-// shared with its cache and must be treated as immutable.
-func Pareto(kind Kind, topo *Topology, root Node, opts ParetoOptions) ([]ParetoPoint, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	res, err := DefaultEngine().Pareto(opts.Context, ParetoRequest{
-		Kind: kind, Topo: topo, Root: root,
-		K: opts.K, MaxSteps: opts.MaxSteps, MaxChunks: opts.MaxChunks,
-		Workers: workers, Progress: opts.Progress,
-		Options: &opts.Instance, NoSessions: opts.NoSessions,
-	})
-	if res == nil {
-		return nil, err
-	}
-	if opts.Stats != nil {
-		*opts.Stats = res.Stats
-	}
-	return res.Points, err
 }
 
 // LowerBounds returns the latency (steps) and bandwidth (R/C) lower

@@ -1,6 +1,7 @@
 package sccl_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -108,12 +109,20 @@ func TestParseKindAndLowering(t *testing.T) {
 	}
 }
 
-func TestFacadeSynthesisRoundTrip(t *testing.T) {
-	topo := sccl.BidirRing(4)
-	alg, status, err := sccl.Synthesize(sccl.Allgather, topo, 0, 1, 2, 3, sccl.SynthOptions{})
+// synthesize answers one request on a fresh engine.
+func synthesize(t *testing.T, kind sccl.Kind, topo *sccl.Topology, c, s, r int) (*sccl.Algorithm, sccl.Status) {
+	t.Helper()
+	res, err := sccl.NewEngine(sccl.EngineOptions{}).Synthesize(context.Background(), sccl.Request{
+		Kind: kind, Topo: topo, Budget: sccl.Budget{C: c, S: s, R: r},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res.Algorithm, res.Status
+}
+
+func TestFacadeSynthesisRoundTrip(t *testing.T) {
+	alg, status := synthesize(t, sccl.Allgather, sccl.BidirRing(4), 1, 2, 3)
 	if status != sccl.Sat || alg == nil {
 		t.Fatalf("status %v", status)
 	}
@@ -140,10 +149,9 @@ func TestFacadeLowerBounds(t *testing.T) {
 }
 
 func TestFacadeInvertAndCompose(t *testing.T) {
-	topo := sccl.Ring(4)
-	ag, status, err := sccl.Synthesize(sccl.Allgather, topo, 0, 1, 3, 3, sccl.SynthOptions{})
-	if err != nil || status != sccl.Sat {
-		t.Fatal(status, err)
+	ag, status := synthesize(t, sccl.Allgather, sccl.Ring(4), 1, 3, 3)
+	if status != sccl.Sat {
+		t.Fatal(status)
 	}
 	rs, err := sccl.Invert(ag)
 	if err != nil {
@@ -151,9 +159,9 @@ func TestFacadeInvertAndCompose(t *testing.T) {
 	}
 	// rs runs on the reversed ring; compose needs an Allgather on the
 	// same (reversed) topology.
-	ag2, status, err := sccl.Synthesize(sccl.Allgather, rs.Topo, 0, 1, 3, 3, sccl.SynthOptions{})
-	if err != nil || status != sccl.Sat {
-		t.Fatal(status, err)
+	ag2, status := synthesize(t, sccl.Allgather, rs.Topo, 1, 3, 3)
+	if status != sccl.Sat {
+		t.Fatal(status)
 	}
 	ar, err := sccl.ComposeAllreduce(rs, ag2)
 	if err != nil {

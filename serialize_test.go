@@ -2,11 +2,13 @@ package sccl_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	sccl "repro"
+	"repro/internal/topology"
 )
 
 // synthKind finds a small Sat budget for kind on topo by probing
@@ -287,5 +289,45 @@ func TestJSONDecodeRejectsInvalid(t *testing.T) {
 	}
 	if _, err := sccl.DecodeAlgorithm(tampered); err == nil {
 		t.Error("tampered algorithm accepted")
+	}
+}
+
+// TestDecodeRejectsOversizedTopology checks the node cap on topology
+// documents, alone and embedded in requests: "p" up to
+// topology.MaxSpecNodes decodes, anything past it is refused before a
+// miss could size a G x P relation by it.
+func TestDecodeRejectsOversizedTopology(t *testing.T) {
+	topo := func(p int) string {
+		return fmt.Sprintf(`{"version":1,"name":"big","p":%d,"relations":[{"links":[[0,1]],"bandwidth":1}]}`, p)
+	}
+	decoders := map[string]func(p int) error{
+		"topology": func(p int) error {
+			_, err := sccl.DecodeTopology([]byte(`{"format":"sccl.topology/v1","payload":` + topo(p) + `}`))
+			return err
+		},
+		"request": func(p int) error {
+			_, err := sccl.DecodeRequest([]byte(`{"format":"sccl.request/v1","payload":{"version":1,"kind":"Broadcast","topology":` +
+				topo(p) + `,"root":0,"budget":{"c":1,"s":1,"r":1}}}`))
+			return err
+		},
+		"pareto request": func(p int) error {
+			_, err := sccl.DecodeParetoRequest([]byte(`{"format":"sccl.pareto-request/v1","payload":{"version":1,"kind":"Broadcast","topology":` +
+				topo(p) + `,"root":0,"k":0,"maxSteps":1,"maxChunks":1}}`))
+			return err
+		},
+	}
+	for name, decode := range decoders {
+		for _, tc := range []struct {
+			p  int
+			ok bool
+		}{
+			{topology.MaxSpecNodes, true},
+			{topology.MaxSpecNodes + 1, false},
+			{1000000000, false},
+		} {
+			if err := decode(tc.p); (err == nil) != tc.ok {
+				t.Errorf("%s with p=%d: err = %v, want accepted = %v", name, tc.p, err, tc.ok)
+			}
+		}
 	}
 }
