@@ -107,7 +107,7 @@ type Engine struct {
 	frontierOrder []string
 	hits, misses  uint64
 	// probes sums the probe records of every sweep the engine ran and
-	// every request a warm mega-base answered (see CacheStats).
+	// every request it solved (see CacheStats).
 	probes synth.ProbeStats
 }
 
@@ -366,16 +366,18 @@ type CacheStats struct {
 	Algorithms int
 	// Frontiers is the number of cached Pareto frontiers.
 	Frontiers int
-	Hits      uint64
-	Misses    uint64
+	// Hits and Misses count cache lookups. A combining request's miss
+	// also looks up each of its dual instances, which count as well.
+	Hits   uint64
+	Misses uint64
 	// MegaSessions is the number of live per-topology mega-base sessions
 	// in the pool (see synth.MegaSession).
 	MegaSessions int
 	// ProbeStats sums the probe records of every sweep the engine ran
-	// and every request a warm mega-base answered: solver work, unsat
-	// cores and the candidates they pruned, Stage-0 template shares,
-	// probes discharged by activation select (SessionProbes) and base
-	// formulas built (MegaEncodes).
+	// and every cache miss it solved, one-shot or through a warm
+	// mega-base: solver work, unsat cores and the candidates they pruned,
+	// Stage-0 template shares, probes discharged by activation select
+	// (SessionProbes) and base formulas built (MegaEncodes).
 	ProbeStats
 }
 
@@ -422,7 +424,11 @@ func (e *Engine) answerRequest(ctx context.Context, fp string, meta cacheEntry, 
 // Synthesize answers one request: on a cache hit the stored algorithm is
 // returned with Result.CacheHit set and no solver work; otherwise the
 // instance is solved and the outcome (Sat or Unsat, never Unknown) is
-// cached under the request's canonical fingerprint.
+// cached under the request's canonical fingerprint. A combining request
+// is answered through its dual instances (paper §3.5), each as the
+// non-combining request it is, so a dual some earlier request solved is
+// served from its own cache entry, and on a fabric equal to its reverse
+// one Allgather serves both phases of an Allreduce.
 func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -430,42 +436,89 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	o := e.solveOptions(req.Timeout, req.Options)
+	return e.answer(ctx, req, e.solveOptions(req.Timeout, req.Options))
+}
+
+// answer serves a validated request under resolved solver options
+// through the algorithm cache.
+func (e *Engine) answer(ctx context.Context, req Request, o SynthOptions) (*Result, error) {
 	return e.answerRequest(ctx, e.requestFingerprint(req, o), entryOf(req), func(ctx context.Context) (*Algorithm, Status, error) {
-		// A warm per-topology mega-base session (left by an earlier sweep
-		// or a daemon's WarmMegaBase) answers a covered cache miss by
-		// assumption push + solve instead of encode + solve. The lookup
-		// never builds: cold topologies stay on the one-shot path.
-		if v := e.megaView(req, o); v != nil {
-			sres, err := v.Solve(ctx, req.Budget.S, req.Budget.R, o)
-			if err == nil {
-				e.mu.Lock()
-				e.probes.Add(sres.ProbeStats)
-				e.mu.Unlock()
-				return sres.Algorithm, sres.Status, nil
-			}
-			// Session route failed (e.g. pool closed mid-flight): fall
-			// through to the one-shot path rather than surfacing it.
+		if req.Kind.IsCombining() {
+			return e.solveDuals(ctx, req, o)
 		}
-		return synth.SynthesizeCollectiveContext(ctx, req.Kind, req.Topo, req.Root, req.Budget.C, req.Budget.S, req.Budget.R, o)
+		return e.solve(ctx, req, o)
 	})
 }
 
+// solveDuals answers each of a combining request's dual instances under
+// its own fingerprint (hit or solve) and assembles the answer from them.
+func (e *Engine) solveDuals(ctx context.Context, req Request, o SynthOptions) (*Algorithm, Status, error) {
+	ins, err := synth.DualInstances(req.Kind, req.Topo, req.Root, req.Budget.C, req.Budget.S, req.Budget.R)
+	if err != nil {
+		return nil, Unknown, err
+	}
+	algs := make([]*Algorithm, len(ins))
+	for i, in := range ins {
+		res, err := e.answer(ctx, Request{Kind: in.Coll.Kind, Topo: in.Topo, Root: req.Root, Budget: req.Budget}, o)
+		if err != nil {
+			return nil, Unknown, err
+		}
+		if res.Status != Sat {
+			return nil, res.Status, nil
+		}
+		algs[i] = res.Algorithm
+	}
+	alg, err := synth.AssembleDuals(req.Kind, req.Topo, algs)
+	if err != nil {
+		return nil, Sat, err
+	}
+	return alg, Sat, nil
+}
+
+// solve answers one non-combining request: through a warm mega-base
+// when one covers it, one-shot otherwise. Either way its probe record
+// joins the engine total.
+func (e *Engine) solve(ctx context.Context, req Request, o SynthOptions) (*Algorithm, Status, error) {
+	coll, err := collective.New(req.Kind, req.Topo.P, req.Budget.C, req.Root)
+	if err != nil {
+		return nil, Unknown, err
+	}
+	// A warm per-topology mega-base session (left by an earlier sweep or
+	// a daemon's WarmMegaBase) answers a covered cache miss by assumption
+	// push + solve instead of encode + solve. The lookup never builds:
+	// cold topologies stay on the one-shot path.
+	if v := e.megaView(req, coll, o); v != nil {
+		sres, err := v.Solve(ctx, req.Budget.S, req.Budget.R, o)
+		if err == nil {
+			e.addProbes(sres.ProbeStats)
+			return sres.Algorithm, sres.Status, nil
+		}
+		// Session route failed (e.g. pool closed mid-flight): fall
+		// through to the one-shot path rather than surfacing it.
+	}
+	res, err := synth.SynthesizeContext(ctx, synth.Instance{Coll: coll, Topo: req.Topo, Steps: req.Budget.S, Round: req.Budget.R}, o)
+	e.addProbes(res.ProbeStats)
+	return res.Algorithm, res.Status, err
+}
+
+// addProbes folds one answer's probe record into the engine total.
+func (e *Engine) addProbes(ps synth.ProbeStats) {
+	e.mu.Lock()
+	e.probes.Add(ps)
+	e.mu.Unlock()
+}
+
 // megaView resolves a warm (never freshly built) mega-base projection for
-// one exact-budget request, or nil when the request cannot route through
-// one: combining kinds, no pool, no covering warm session, or an
-// unmappable family.
-func (e *Engine) megaView(req Request, o SynthOptions) *synth.MegaFamilyView {
-	if e.sessions == nil || req.Kind.IsCombining() {
+// one exact-budget non-combining request, or nil when the request cannot
+// route through one: no pool, no covering warm session, or an unmappable
+// family.
+func (e *Engine) megaView(req Request, coll *collective.Spec, o SynthOptions) *synth.MegaFamilyView {
+	if e.sessions == nil {
 		return nil
 	}
 	k := req.Budget.R - req.Budget.S
 	mega := e.sessions.Mega(req.Topo, req.Root, o, []collective.Kind{req.Kind}, req.Budget.C, req.Budget.S, k, false)
 	if mega == nil {
-		return nil
-	}
-	coll, err := collective.New(req.Kind, req.Topo.P, req.Budget.C, req.Root)
-	if err != nil {
 		return nil
 	}
 	return mega.View(coll)
@@ -496,6 +549,7 @@ func (e *Engine) SynthesizeInstance(ctx context.Context, in Instance, opts *Synt
 	}
 	return e.answerRequest(ctx, fingerprintKey(parts...), meta, func(ctx context.Context) (*Algorithm, Status, error) {
 		res, err := synth.SynthesizeContext(ctx, in, o)
+		e.addProbes(res.ProbeStats)
 		return res.Algorithm, res.Status, err
 	})
 }
@@ -547,9 +601,7 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 		Context: ctx, Stats: &stats,
 		NoSessions: noSessions, Pool: pool,
 	})
-	e.mu.Lock()
-	e.probes.Add(stats.ProbeStats)
-	e.mu.Unlock()
+	e.addProbes(stats.ProbeStats)
 	res := &ParetoResult{Points: pts, Stats: stats, Wall: time.Since(t0), Fingerprint: fp}
 	if err != nil {
 		return res, err

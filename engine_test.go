@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	sccl "repro"
@@ -65,6 +66,140 @@ func TestEngineLegacyEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCombiningRequestSharesDualEntry checks that a combining request is
+// answered through its dual's cache entry (paper §3.5): on a fabric equal
+// to its reverse, an Allreduce after the Allgather of its budget, or a
+// Reduce after the Broadcast, solves nothing, and one Allgather serves
+// both Allreduce phases. A one-way ring still solves two instances.
+func TestCombiningRequestSharesDualEntry(t *testing.T) {
+	ctx := context.Background()
+	budget := sccl.Budget{C: 1, S: 2, R: 3}
+	synthesize := func(t *testing.T, eng *sccl.Engine, kind sccl.Kind, topo *sccl.Topology, b sccl.Budget) *sccl.Result {
+		t.Helper()
+		res, err := eng.Synthesize(ctx, sccl.Request{Kind: kind, Topo: topo, Budget: b})
+		if err != nil || res.Status != sccl.Sat {
+			t.Fatalf("%v on %s: %v %v", kind, topo.Name, res, err)
+		}
+		return res
+	}
+	// checkPhases: the Reducescatter phase is the Allgather inverted, the
+	// Allgather phase its sends shifted by S.
+	checkPhases := func(t *testing.T, ar, ag *sccl.Algorithm) {
+		t.Helper()
+		rs, err := sccl.Invert(ag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		S := ag.Steps()
+		var shifted []sccl.Send
+		for _, snd := range ag.Sends {
+			snd.Step += S
+			shifted = append(shifted, snd)
+		}
+		if err := ar.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if ar.Steps() != 2*S || !reflect.DeepEqual(ar.Rounds, append(append([]int(nil), rs.Rounds...), ag.Rounds...)) {
+			t.Fatalf("Allreduce rounds %v, want %v then %v", ar.Rounds, rs.Rounds, ag.Rounds)
+		}
+		n := len(rs.Sends)
+		if len(ar.Sends) != n+len(shifted) || !reflect.DeepEqual(ar.Sends[:n], rs.Sends) || !reflect.DeepEqual(ar.Sends[n:], shifted) {
+			t.Fatal("Allreduce phases are not the Allgather inverted and then shifted by S")
+		}
+	}
+
+	t.Run("allgather-then-allreduce", func(t *testing.T) {
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+		defer eng.Close()
+		topo := sccl.BidirRing(4)
+		ag := synthesize(t, eng, sccl.Allgather, topo, budget)
+		before := eng.CacheStats().ProbeStats
+		ar := synthesize(t, eng, sccl.Allreduce, topo, budget)
+		if after := eng.CacheStats().ProbeStats; after != before {
+			t.Errorf("Allreduce after its Allgather did solver work: %+v, was %+v", after, before)
+		}
+		if cs := eng.CacheStats(); ar.CacheHit || cs.Hits != 1 {
+			t.Errorf("CacheHit %v, %d hits; want a miss whose dual lookup hits", ar.CacheHit, cs.Hits)
+		}
+		checkPhases(t, ar.Algorithm, ag.Algorithm)
+	})
+	t.Run("allreduce-then-allgather", func(t *testing.T) {
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+		defer eng.Close()
+		topo := sccl.BidirRing(4)
+		ar := synthesize(t, eng, sccl.Allreduce, topo, budget)
+		ag := synthesize(t, eng, sccl.Allgather, topo, budget)
+		if !ag.CacheHit {
+			t.Error("Allgather after the Allreduce of its budget was solved again")
+		}
+		checkPhases(t, ar.Algorithm, ag.Algorithm)
+		if cs := eng.CacheStats(); cs.Algorithms != 2 {
+			t.Errorf("%d cached algorithms, want the Allreduce and one Allgather", cs.Algorithms)
+		}
+	})
+	t.Run("broadcast-then-reduce", func(t *testing.T) {
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+		defer eng.Close()
+		topo := sccl.BidirRing(4)
+		b := sccl.Budget{C: 1, S: 2, R: 2}
+		bc := synthesize(t, eng, sccl.Broadcast, topo, b)
+		before := eng.CacheStats().ProbeStats
+		red := synthesize(t, eng, sccl.Reduce, topo, b)
+		if after := eng.CacheStats().ProbeStats; after != before {
+			t.Errorf("Reduce after its Broadcast did solver work: %+v, was %+v", after, before)
+		}
+		if cs := eng.CacheStats(); cs.Hits != 1 {
+			t.Errorf("%d hits, want the Reduce's dual lookup", cs.Hits)
+		}
+		inv, err := sccl.Invert(bc.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := red.Algorithm.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(red.Algorithm.Sends, inv.Sends) {
+			t.Error("Reduce is not the cached Broadcast inverted")
+		}
+	})
+	// Combining requests and their duals in one concurrent batch: the
+	// duals' entries are reached from several workers at once.
+	t.Run("concurrent-batch", func(t *testing.T) {
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 4})
+		defer eng.Close()
+		var reqs []sccl.Request
+		for _, topo := range []*sccl.Topology{sccl.BidirRing(4), sccl.Ring(4)} {
+			for _, kind := range []sccl.Kind{sccl.Allreduce, sccl.Reducescatter, sccl.Allgather} {
+				reqs = append(reqs, sccl.Request{Kind: kind, Topo: topo, Budget: sccl.Budget{C: 1, S: 3, R: 3}})
+			}
+		}
+		results, err := eng.SynthesizeAll(ctx, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range results {
+			if res.Status != sccl.Sat || res.Algorithm.Validate() != nil {
+				t.Errorf("%v on %s: %v", reqs[i].Kind, reqs[i].Topo.Name, res.Status)
+			}
+		}
+	})
+	t.Run("one-way-ring", func(t *testing.T) {
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+		defer eng.Close()
+		ar := synthesize(t, eng, sccl.Allreduce, sccl.Ring(4), sccl.Budget{C: 1, S: 3, R: 3})
+		if err := ar.Algorithm.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if ar.Algorithm.Steps() != 6 {
+			t.Errorf("Allreduce has %d steps, want 6", ar.Algorithm.Steps())
+		}
+		// The Allreduce and the Allgathers on ring:4 and on its reverse.
+		if cs := eng.CacheStats(); cs.Algorithms != 3 || cs.Misses != 3 {
+			t.Errorf("algorithms, misses = %d, %d, want 3, 3", cs.Algorithms, cs.Misses)
+		}
+	})
 }
 
 // frontierBytes serializes a frontier with wall clocks zeroed so runs

@@ -896,88 +896,3 @@ func (w *paretoSweep) probe(t probeTask) *probeOutcome {
 	w.progress("probe %v C=%d S=%d R=%d: %v (%.2fs%s)", w.kind, cand.C, st.S, cand.R, out.res.Status, out.dur.Seconds(), flavor)
 	return out
 }
-
-// SynthesizeCollective synthesizes any collective kind — including
-// combining ones via their duals (§3.5) — for a specific (C, S, R). For
-// combining collectives S and R refer to the dual instance; the resulting
-// algorithm's step/round counts are those of the derived algorithm
-// (doubled for Allreduce).
-func SynthesizeCollective(kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts Options) (*algorithm.Algorithm, sat.Status, error) {
-	return SynthesizeCollectiveContext(context.Background(), kind, topo, root, c, s, r, opts)
-}
-
-// SynthesizeCollectiveContext is SynthesizeCollective with cooperative
-// cancellation threaded through every phase's solver call.
-func SynthesizeCollectiveContext(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts Options) (*algorithm.Algorithm, sat.Status, error) {
-	switch kind {
-	case collective.Reduce, collective.Reducescatter:
-		dualKind := collective.Broadcast
-		if kind == collective.Reducescatter {
-			dualKind = collective.Allgather
-		}
-		coll, err := collective.New(dualKind, topo.P, c, root)
-		if err != nil {
-			return nil, sat.Unknown, err
-		}
-		res, err := SynthesizeContext(ctx, Instance{Coll: coll, Topo: topo.Reverse(), Steps: s, Round: r}, opts)
-		if err != nil || res.Status != sat.Sat {
-			return nil, res.Status, err
-		}
-		inv, err := algorithm.Invert(res.Algorithm)
-		if err != nil {
-			return nil, res.Status, err
-		}
-		// The inverted algorithm runs on topo (reverse of reverse); rebind
-		// to the caller's topology object for cleanliness.
-		inv = algorithm.New(inv.Name, inv.Coll, topo, inv.Rounds, inv.Sends)
-		if err := inv.Validate(); err != nil {
-			return nil, res.Status, fmt.Errorf("synth: inverted algorithm invalid: %w", err)
-		}
-		return inv, sat.Sat, nil
-
-	case collective.Allreduce:
-		// Phase 1: Allgather on the reversed topology, inverted into the
-		// Reducescatter phase; Phase 2: Allgather on the topology itself.
-		agColl := func() (*collective.Spec, error) { return collective.New(collective.Allgather, topo.P, c, root) }
-		coll1, err := agColl()
-		if err != nil {
-			return nil, sat.Unknown, err
-		}
-		res1, err := SynthesizeContext(ctx, Instance{Coll: coll1, Topo: topo.Reverse(), Steps: s, Round: r}, opts)
-		if err != nil || res1.Status != sat.Sat {
-			return nil, res1.Status, err
-		}
-		rs, err := algorithm.Invert(res1.Algorithm)
-		if err != nil {
-			return nil, res1.Status, err
-		}
-		rs = algorithm.New(rs.Name, rs.Coll, topo, rs.Rounds, rs.Sends)
-		coll2, err := agColl()
-		if err != nil {
-			return nil, sat.Unknown, err
-		}
-		res2, err := SynthesizeContext(ctx, Instance{Coll: coll2, Topo: topo, Steps: s, Round: r}, opts)
-		if err != nil || res2.Status != sat.Sat {
-			return nil, res2.Status, err
-		}
-		ar, err := algorithm.ComposeAllreduce(rs, res2.Algorithm)
-		if err != nil {
-			return nil, sat.Sat, err
-		}
-		if err := ar.Validate(); err != nil {
-			return nil, sat.Sat, fmt.Errorf("synth: composed Allreduce invalid: %w", err)
-		}
-		return ar, sat.Sat, nil
-
-	default:
-		coll, err := collective.New(kind, topo.P, c, root)
-		if err != nil {
-			return nil, sat.Unknown, err
-		}
-		res, err := SynthesizeContext(ctx, Instance{Coll: coll, Topo: topo, Steps: s, Round: r}, opts)
-		if err != nil {
-			return nil, res.Status, err
-		}
-		return res.Algorithm, res.Status, nil
-	}
-}

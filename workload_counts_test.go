@@ -41,10 +41,11 @@ func runWorkloadSweeps(t *testing.T, sweeps []workloadSweep) sccl.ParetoStats {
 }
 
 // TestWorkloadCountsPinned pins the scheduler counts and the summed
-// solver conflicts and clauses of the three Pareto benchmark workloads and
-// of three plain session sweeps: their sweeps in the listed order on one
-// Workers:1 engine, where no decision depends on the wall clock. A change
-// that is meant to leave the search alone must leave these literals alone. The harness shuffles the sweep order by seed, and
+// solver conflicts and clauses of the three Pareto benchmark workloads, of
+// three plain session sweeps and of the table4-dgx1 requests: each in the
+// listed order on one Workers:1 engine, where no decision depends on the
+// wall clock. A change that is meant to leave the search alone must leave
+// these literals alone. The harness shuffles the sweep order by seed, and
 // the order decides which sweep adopts a pooled mega-base, so its seed-1
 // pareto-rings run reports session_probes 322 and core_solves 302 instead.
 func TestWorkloadCountsPinned(t *testing.T) {
@@ -61,7 +62,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st, 2498, 6158588)
+		pinSolverWork(t, st.ProbeStats, 2498, 6158588)
 	})
 	t.Run("pareto-fabrics", func(t *testing.T) {
 		if testing.Short() {
@@ -76,7 +77,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st, 13209, 727303)
+		pinSolverWork(t, st.ProbeStats, 13209, 727303)
 	})
 	t.Run("pareto-chains", func(t *testing.T) {
 		if testing.Short() {
@@ -91,7 +92,47 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st, 25752, 5840670)
+		pinSolverWork(t, st.ProbeStats, 25752, 5840670)
+	})
+	// The 32 Table 4 requests of the table4-dgx1 workload in the order of
+	// bench/testdata/table4_dgx1.json (an Allreduce budget is its dual
+	// Allgather's): 24 one-shot solves, since each Allreduce is served by
+	// its Allgather's entry.
+	t.Run("table4-dgx1", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("24 one-shot DGX-1 solves; skipped under -short")
+		}
+		ar, ag, bc := sccl.Allreduce, sccl.Allgather, sccl.Broadcast
+		ga, aa := sccl.Gather, sccl.Alltoall
+		reqs := []struct {
+			kind    sccl.Kind
+			c, s, r int
+		}{
+			{ag, 1, 2, 2}, {ag, 2, 3, 3}, {ag, 3, 4, 4}, {ag, 4, 5, 5},
+			{ag, 5, 6, 6}, {ag, 6, 7, 7}, {ag, 6, 3, 7}, {ag, 2, 2, 3},
+			{ar, 1, 2, 2}, {ar, 2, 3, 3}, {ar, 3, 4, 4}, {ar, 4, 5, 5},
+			{ar, 5, 6, 6}, {ar, 6, 7, 7}, {ar, 6, 3, 7}, {ar, 2, 2, 3},
+			{bc, 2, 2, 2}, {bc, 6, 3, 3}, {bc, 12, 4, 4}, {bc, 18, 5, 5}, {bc, 6, 3, 5},
+			{ga, 1, 2, 2}, {ga, 2, 3, 3}, {ga, 3, 4, 4}, {ga, 4, 5, 5},
+			{ga, 5, 6, 6}, {ga, 6, 7, 7}, {ga, 6, 3, 7}, {ga, 2, 2, 3},
+			{aa, 8, 3, 3}, {aa, 8, 2, 3}, {aa, 24, 2, 8},
+		}
+		topo := sccl.DGX1()
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+		defer eng.Close()
+		for _, q := range reqs {
+			res, err := eng.Synthesize(context.Background(), sccl.Request{Kind: q.kind, Topo: topo, Budget: sccl.Budget{C: q.c, S: q.s, R: q.r}})
+			if err != nil || res.Status != sccl.Sat {
+				t.Fatalf("%v (%d,%d,%d): %v %v", q.kind, q.c, q.s, q.r, res, err)
+			}
+		}
+		// Every request misses; each Allreduce's one dual lookup hits.
+		cs := eng.CacheStats()
+		got := [3]uint64{cs.Misses, cs.Hits, uint64(cs.Algorithms)}
+		if want := [3]uint64{32, 8, 32}; got != want {
+			t.Errorf("misses, hits, algorithms = %v, want %v", got, want)
+		}
+		pinSolverWork(t, cs.ProbeStats, 30669, 864421)
 	})
 	// Three plain sweeps off the harness: both ring Broadcasts adopt the
 	// mega-base after their first three refutations (60 of 63 and 69 of 72
@@ -108,15 +149,15 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st, 15296, 2721721)
+		pinSolverWork(t, st.ProbeStats, 15296, 2721721)
 	})
 }
 
 // pinSolverWork checks the solver conflicts and formula clauses summed
 // over a workload's probes.
-func pinSolverWork(t *testing.T, st sccl.ParetoStats, conflicts int64, clauses int) {
+func pinSolverWork(t *testing.T, ps sccl.ProbeStats, conflicts int64, clauses int) {
 	t.Helper()
-	if st.Conflicts != conflicts || st.Clauses != clauses {
-		t.Errorf("conflicts, clauses = %d, %d, want %d, %d", st.Conflicts, st.Clauses, conflicts, clauses)
+	if ps.Conflicts != conflicts || ps.Clauses != clauses {
+		t.Errorf("conflicts, clauses = %d, %d, want %d, %d", ps.Conflicts, ps.Clauses, conflicts, clauses)
 	}
 }
