@@ -43,7 +43,8 @@ func TestMegaAdoptionRule(t *testing.T) {
 		{"amd-broadcast-k3", collective.Broadcast, topology.AMDZ52(), ParetoOptions{K: 3}, true},
 		// Almost every probe Sat on first try: the base would never pay.
 		{"dgx1-allgather-k2", collective.Allgather, topology.DGX1(), ParetoOptions{K: 2, MaxSteps: 4, MaxChunks: 4}, false},
-		// P >= symmetryMinNodes: the orbit quotient answers these.
+		// Fixed-point-free instance stabilizers: the orbit quotient
+		// answers these.
 		{"hypercube4-allgather-k1", collective.Allgather, topology.Hypercube(4), ParetoOptions{K: 1, MaxChunks: 2}, false},
 		{"torus4x4-allgather-k1", collective.Allgather, topology.Torus2D(4, 4), ParetoOptions{K: 1, MaxChunks: 1}, false},
 		{"dgx1-alltoall-k1", collective.Alltoall, topology.DGX1(), ParetoOptions{K: 1}, false},

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"context"
-	"strconv"
 	"sync"
 
 	"repro/internal/collective"
@@ -32,14 +31,6 @@ import (
 // guard off and retries. The final answer therefore never depends on the
 // restriction — frontier (C, S, R) costs are identical with symmetry on
 // or off; only witnesses and wall clock differ.
-
-// symmetryMinNodes is the node count below which node-orbit exploitation
-// stays off: small instances solve instantly, and keeping their
-// emissions byte-identical preserves every pinned golden and example.
-// A variable (not a const) so the brute-force property tests can lower
-// it and exercise the orbit machinery on P <= 6 fabrics, where every
-// claim is checkable against exhaustive enumeration.
-var symmetryMinNodes = 10
 
 // nodeSymMaxGens caps the generators one plan emits. Emission keeps a
 // greedily-reduced generating set of the stabilizer subgroup (see
@@ -155,67 +146,43 @@ func (e *StagedEncoder) nodeSymPlan() *nodeSymPlan {
 	return e.symPlan
 }
 
-// resolveNodeSymPlan resolves the emission's node-symmetry group: nil
-// when disabled, below the size threshold, or no automorphism generator
-// stabilizes the instance. Generators of the full group are tried
-// first; if any is rejected the root-stabilizer generators are unioned
-// in, so rooted collectives (whose classes pin the root) still cover
-// the stabilizer subgroup. The accepted generators are then reduced to
-// a greedy generating set — equivariance clauses compose transitively,
-// so redundant generators add formula weight without adding restriction.
+// resolveNodeSymPlan resolves the emission's node-symmetry group. A
+// plan exists only when some automorphism generator that stabilizes the
+// instance is fixed-point-free (a translation or rotation of the whole
+// fabric); nil when disabled or no such generator survives the
+// reduction below. No node count enters the decision. A generator
+// fixing node f fixes the chunks sourced there, and a self-invariant
+// receive-tree must route every π-fixed node through π-fixed
+// predecessors (at-most-one-receive forces the predecessor edge onto
+// itself) — fixed nodes are rarely adjacent, so such restrictions are
+// structurally Unsat and only cost fallback phases. Rooted collectives
+// therefore never get a plan: every generator stabilizing them fixes
+// the root. The free generators are then reduced to a greedy generating
+// set whose closure acts freely (see reduceGens).
 func (e *StagedEncoder) resolveNodeSymPlan() *nodeSymPlan {
 	coll, topo := e.Plan.Coll, e.Plan.Topo
-	if e.Plan.NoNodeSymmetry || topo.P < symmetryMinNodes {
+	if e.Plan.NoNodeSymmetry {
 		return nil
 	}
 	classes, sigs := chunkClasses(coll)
-	plan := &nodeSymPlan{classes: classes}
-	seen := map[string]bool{}
-	rejected := false
-	add := func(gens []topology.Perm) {
-		for _, p := range gens {
-			if p.IsIdentity() || seen[permKey(p)] {
-				continue
-			}
-			invClass, ok := nodeSymClassMap(sigs, classes, p)
-			if !ok {
-				rejected = true
-				continue
-			}
-			seen[permKey(p)] = true
-			plan.perms = append(plan.perms, nodeSymPerm{
+	var free []nodeSymPerm
+	for _, p := range e.Template.Aut(topo).Gens {
+		if !fixedPointFree(p) {
+			continue
+		}
+		if invClass, ok := nodeSymClassMap(sigs, classes, p); ok {
+			free = append(free, nodeSymPerm{
 				perm:     p,
 				invClass: invClass,
 				chunkMap: chunkMapOf(classes, invClass),
 			})
 		}
 	}
-	add(e.Template.Aut(topo).Gens)
-	if rejected && int(coll.Root) >= 0 && int(coll.Root) < topo.P {
-		add(e.Template.AutFixing(topo, coll.Root).Gens)
-	}
-	// Prefer fixed-point-free generators (translations, rotations of the
-	// whole fabric). A generator fixing node f fixes the chunks sourced
-	// there, and a self-invariant receive-tree must route every π-fixed
-	// node through π-fixed predecessors (at-most-one-receive forces the
-	// predecessor edge onto itself) — fixed nodes are rarely adjacent, so
-	// such restrictions are structurally Unsat and only cost fallback
-	// phases. Fixed-point-free generators dodge the obstruction entirely.
-	var free []nodeSymPerm
-	for _, sp := range plan.perms {
-		if fixedPointFree(sp.perm) {
-			free = append(free, sp)
-		}
-	}
-	if len(free) > 0 {
-		plan.perms, plan.order = reduceGens(free, topo.P, true)
-	} else {
-		plan.perms, plan.order = reduceGens(plan.perms, topo.P, false)
-	}
-	if len(plan.perms) == 0 {
+	perms, order := reduceGens(free, topo.P)
+	if len(perms) == 0 {
 		return nil
 	}
-	return plan
+	return &nodeSymPlan{classes: classes, perms: perms, order: order}
 }
 
 // fixedPointFree reports whether p moves every node.
@@ -232,16 +199,16 @@ func fixedPointFree(p topology.Perm) bool {
 // subgroup, in input order. Instance stabilizers form a group, so the
 // closure of any accepted subset is itself all instance-stabilizing,
 // and a reduced generating set enforces the same equivariance by
-// transitivity of the emitted equalities. With requireFree the whole
-// closure must act freely (every non-identity element fixed-point-free
-// — for a torus that selects the translation subgroup): products of
-// fixed-point-free generators can be reflections, which reintroduce the
-// self-invariant-tree obstruction jointly even though each generator
-// alone dodges it. When the closure outgrows nodeSymClosureCap the
-// reduction stops and keeps what it has. The second return value is the
-// size of the subgroup the kept set closes over, 0 when it outgrew the
-// enumeration cap.
-func reduceGens(perms []nodeSymPerm, p int, requireFree bool) ([]nodeSymPerm, int) {
+// transitivity of the emitted equalities. Past a lone generator, the
+// whole closure must act freely (every non-identity element
+// fixed-point-free — for a torus that selects the translation
+// subgroup): products of fixed-point-free generators can be
+// reflections, which reintroduce the self-invariant-tree obstruction
+// jointly even though each generator alone dodges it. A generator whose closure outgrows nodeSymClosureCap
+// cannot be certified free and is skipped. The second return value is
+// the size of the subgroup the kept set closes over, 0 when a lone
+// generator's closure outgrew the enumeration cap.
+func reduceGens(perms []nodeSymPerm, p int) ([]nodeSymPerm, int) {
 	if len(perms) == 0 {
 		return perms, 1
 	}
@@ -256,23 +223,8 @@ func reduceGens(perms []nodeSymPerm, p int, requireFree bool) ([]nodeSymPerm, in
 	size := 1
 	for _, sp := range perms {
 		closed, ok := permClosure(append(gens, sp.perm), p)
-		if !ok {
-			if requireFree {
-				continue // cannot certify the larger closure stays free
-			}
-			// Subgroup too large to enumerate: sp still enlarges it (the
-			// enumeration of the previous set fit the cap), so keep it and
-			// stop — further redundancy checks would need the closure.
-			kept = append(kept, sp)
-			gens = append(gens, sp.perm)
-			size = 0
-			break
-		}
-		if len(closed) == size {
-			continue // sp is a product of the kept generators
-		}
-		if requireFree && !closureFree(closed, p) {
-			continue
+		if !ok || len(closed) == size || !closureFree(closed, p) {
+			continue // uncertifiable, redundant, or not acting freely
 		}
 		kept = append(kept, sp)
 		gens = append(gens, sp.perm)
@@ -471,11 +423,11 @@ func scrubRestriction(sctx *smt.Context, mark int) {
 	sctx.Solver.ResetSearchState()
 }
 
-// autCache memoizes automorphism generator sets per (topology, fixed
-// node) across encoders. Private skeleton templates — one-shot solves
-// and canonical witness re-solves — would otherwise re-run the search
-// for every encode of a large fabric; the groups are pure derived data,
-// so one shared map is safe.
+// autCache memoizes automorphism generator sets per topology across
+// encoders. Private skeleton templates — one-shot solves and canonical
+// witness re-solves — would otherwise re-run the search for every
+// encode of a large fabric; the groups are pure derived data, so one
+// shared map is safe.
 var autCache = struct {
 	sync.Mutex
 	m     map[string]*topology.Group
@@ -484,27 +436,15 @@ var autCache = struct {
 
 const autCacheCap = 64
 
-func cachedAut(topo *topology.Topology, fixed ...topology.Node) *topology.Group {
+func cachedAut(topo *topology.Topology) *topology.Group {
 	key := topo.Fingerprint()
-	for _, f := range fixed {
-		key += "|f" + strconv.Itoa(int(f))
-	}
 	autCache.Lock()
 	if g, ok := autCache.m[key]; ok {
 		autCache.Unlock()
 		return g
 	}
 	autCache.Unlock()
-	var g *topology.Group
-	if len(fixed) == 0 {
-		g = topology.Aut(topo)
-	} else {
-		ints := make([]int, len(fixed))
-		for i, f := range fixed {
-			ints[i] = int(f)
-		}
-		g = topology.AutFixing(topo, ints...)
-	}
+	g := topology.Aut(topo)
 	autCache.Lock()
 	if _, ok := autCache.m[key]; !ok {
 		autCache.order = append(autCache.order, key)

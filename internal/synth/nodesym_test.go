@@ -11,8 +11,9 @@ import (
 )
 
 // nodeSymTopos are the acceptance topologies for node-orbit exploitation:
-// both at or above symmetryMinNodes, with non-trivial automorphism
-// groups (dihedral for the ring, wreath-ish for the torus).
+// vertex-transitive fabrics with non-trivial automorphism groups
+// (dihedral for the ring, wreath-ish for the torus) whose generators
+// include fixed-point-free ones, so unrooted collectives get a plan.
 func nodeSymTopos() []*topology.Topology {
 	return []*topology.Topology{topology.BidirRing(10), topology.Torus2D(3, 4)}
 }
@@ -26,49 +27,47 @@ func planFor(t *testing.T, topo *topology.Topology, coll *collective.Spec) *node
 	return enc.nodeSymPlan()
 }
 
-// TestNodeSymmetryPlanFound pins that the plan machinery actually finds
-// instance-stabilizing generators on the acceptance topologies: an
-// unrooted collective keeps full-group generators, a rooted one falls
-// back to the root stabilizer rather than coming up empty.
+// TestNodeSymmetryPlanFound pins the plan rule: a plan exists iff some
+// instance-stabilizing automorphism generator is fixed-point-free,
+// whatever the node count. An unrooted collective on a vertex-transitive
+// fabric gets one, built from fixed-point-free instance stabilizers
+// only; a rooted one gets none, since every generator stabilizing it
+// fixes the root.
 func TestNodeSymmetryPlanFound(t *testing.T) {
-	for _, topo := range nodeSymTopos() {
+	for _, topo := range append(nodeSymTopos(), topology.BidirRing(5)) {
 		ag, err := collective.New(collective.Allgather, topo.P, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := planFor(t, topo, ag)
 		if plan == nil || len(plan.perms) == 0 {
-			t.Errorf("%s allgather: no node-symmetry plan", topo.Name)
+			t.Errorf("%s:%d allgather: no node-symmetry plan", topo.Name, topo.P)
 		}
-		bc, err := collective.New(collective.Broadcast, topo.P, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan = planFor(t, topo, bc)
-		if plan == nil || len(plan.perms) == 0 {
-			t.Errorf("%s broadcast: no root-stabilizer plan", topo.Name)
-		}
-		// Every kept generator must genuinely stabilize the instance: its
-		// induced class map sends each signature class to an equal-size
-		// class whose signature is the permuted image.
+		// Every kept generator must move every node and genuinely
+		// stabilize the instance: its induced class map sends each
+		// signature class to an equal-size class whose signature is the
+		// permuted image.
 		if plan != nil {
-			classes, sigs := chunkClasses(bc)
+			classes, sigs := chunkClasses(ag)
 			for _, sp := range plan.perms {
 				if len(sp.perm) != topo.P || !sp.perm.Valid() {
 					t.Fatalf("%s: invalid generator %v", topo.Name, sp.perm)
+				}
+				if !fixedPointFree(sp.perm) {
+					t.Errorf("%s: kept generator %v fixes a node", topo.Name, sp.perm)
 				}
 				if _, ok := nodeSymClassMap(sigs, classes, sp.perm); !ok {
 					t.Errorf("%s: kept generator %v does not stabilize the instance", topo.Name, sp.perm)
 				}
 			}
 		}
-	}
-	// Below the size threshold the plan must stay nil so small-instance
-	// emissions (goldens, examples) are untouched.
-	small := topology.BidirRing(5)
-	ag, _ := collective.New(collective.Allgather, small.P, 1, 0)
-	if planFor(t, small, ag) != nil {
-		t.Error("bidir-ring:5 is below symmetryMinNodes but got a plan")
+		bc, err := collective.New(collective.Broadcast, topo.P, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if planFor(t, topo, bc) != nil {
+			t.Errorf("%s:%d broadcast: rooted collective got a plan", topo.Name, topo.P)
+		}
 	}
 }
 
@@ -76,45 +75,62 @@ func TestNodeSymmetryPlanFound(t *testing.T) {
 // rests on: applying an instance-stabilizing automorphism to a valid
 // schedule yields a valid schedule. Witnesses are synthesized fresh,
 // permuted by every plan generator (nodes via pi, chunks via the
-// prepared chunk map), and re-validated.
+// prepared chunk map), and re-validated. Both kinds are unrooted, since
+// rooted collectives get no plan. A true Alltoall needs C = P, so its
+// witnesses come from the small vertex-transitive fabrics, where the
+// first Sat round count is found by walking R up from S+1.
 func TestNodeSymmetryOrbitSoundness(t *testing.T) {
+	type soundCase struct {
+		topo *topology.Topology
+		kind collective.Kind
+		c    int
+	}
+	var cases []soundCase
 	for _, topo := range nodeSymTopos() {
-		for _, kind := range []collective.Kind{collective.Allgather, collective.Broadcast} {
-			coll, err := collective.New(kind, topo.P, 1, 0)
+		cases = append(cases, soundCase{topo, collective.Allgather, 1})
+	}
+	for _, topo := range []*topology.Topology{topology.BidirRing(6), topology.Torus2D(2, 3), topology.Hypercube(3)} {
+		cases = append(cases, soundCase{topo, collective.Alltoall, topo.P})
+	}
+	for _, tc := range cases {
+		topo, kind := tc.topo, tc.kind
+		coll, err := collective.New(kind, topo.P, tc.c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ecc := topo.Eccentricity(0)
+		var res Result
+		for r := ecc + 1; r <= ecc+3 && res.Status != sat.Sat; r++ {
+			res, err = Synthesize(Instance{Coll: coll, Topo: topo, Steps: ecc, Round: r}, Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			ecc := topo.Eccentricity(0)
-			in := Instance{Coll: coll, Topo: topo, Steps: ecc, Round: ecc + 1}
-			res, err := Synthesize(in, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Status != sat.Sat {
-				t.Fatalf("%s %v: expected Sat at S=%d R=%d, got %v", topo.Name, kind, ecc, ecc+1, res.Status)
-			}
-			plan := planFor(t, topo, coll)
-			if plan == nil {
-				t.Fatalf("%s %v: no plan", topo.Name, kind)
-			}
-			for pi, sp := range plan.perms {
-				chunkOf := sp.chunkMap
-				sends := make([]algorithm.Send, len(res.Algorithm.Sends))
-				for i, s := range res.Algorithm.Sends {
-					sends[i] = algorithm.Send{
-						Chunk: chunkOf[s.Chunk],
-						From:  topology.Node(sp.perm[s.From]),
-						To:    topology.Node(sp.perm[s.To]),
-						Step:  s.Step,
-					}
-				}
-				permuted := algorithm.New(res.Algorithm.Name, coll, topo, res.Algorithm.Rounds, sends)
-				if err := permuted.Validate(); err != nil {
-					t.Errorf("%s %v perm %d (%v): permuted schedule invalid: %v",
-						topo.Name, kind, pi, sp.perm, err)
-				}
 			}
 		}
+		if res.Status != sat.Sat {
+			t.Fatalf("%s %v: expected Sat at S=%d within R<=%d, got %v", topo.Name, kind, ecc, ecc+3, res.Status)
+		}
+		plan := planFor(t, topo, coll)
+		if plan == nil {
+			t.Fatalf("%s %v: no plan", topo.Name, kind)
+		}
+		for pi, sp := range plan.perms {
+			chunkOf := sp.chunkMap
+			sends := make([]algorithm.Send, len(res.Algorithm.Sends))
+			for i, s := range res.Algorithm.Sends {
+				sends[i] = algorithm.Send{
+					Chunk: chunkOf[s.Chunk],
+					From:  topology.Node(sp.perm[s.From]),
+					To:    topology.Node(sp.perm[s.To]),
+					Step:  s.Step,
+				}
+			}
+			permuted := algorithm.New(res.Algorithm.Name, coll, topo, res.Algorithm.Rounds, sends)
+			if err := permuted.Validate(); err != nil {
+				t.Errorf("%s %v perm %d (%v): permuted schedule invalid: %v",
+					topo.Name, kind, pi, sp.perm, err)
+			}
+		}
+
 	}
 }
 

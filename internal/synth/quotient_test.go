@@ -71,29 +71,43 @@ func TestQuotientPlanStructure(t *testing.T) {
 	}
 }
 
-// TestQuotientLiftValidates is the soundness property test: on every
-// recognized non-combining family over small fabrics (P <= 6, with the
-// node threshold lowered so the symmetry machinery engages), a
-// quotient-enabled synthesis must agree with the quotient-disabled
-// status on every probed budget, and every Sat witness — lifted from the
-// collapsed formula by reading the aliased variables — must re-validate.
+// TestQuotientLiftValidates is the soundness property test and the
+// symmetry on/off differential oracle: on every recognized
+// non-combining family over small fabrics (P <= 8), a default synthesis
+// — quotient first, then the guarded equivariance restriction — must
+// agree on every probed budget with both the quotient-disabled status
+// and the status of a solve with node symmetry off altogether, and every
+// Sat witness — lifted from the collapsed formula by reading the aliased
+// variables — must re-validate.
 func TestQuotientLiftValidates(t *testing.T) {
-	defer func(n int) { symmetryMinNodes = n }(symmetryMinNodes)
-	symmetryMinNodes = 2
-
 	topos := []*topology.Topology{
 		topology.BidirRing(6),
 		topology.Ring(6),
 		topology.Torus2D(2, 3),
+		topology.DGX1(),
+		topology.AMDZ52(),
+		topology.Hypercube(3),
+		topology.FullyConnected(4),
+		topology.Line(5),
+		topology.Star(5),
 	}
-	kinds := []collective.Kind{
-		collective.Gather, collective.Allgather, collective.Alltoall,
-		collective.Broadcast, collective.Scatter,
+	type family struct {
+		kind collective.Kind
+		c    int
 	}
-	sawQuotient := false
+	sawQuotient, sawFallback := false, false
 	for _, topo := range topos {
-		for _, kind := range kinds {
-			coll, err := collective.New(kind, topo.P, 1, 0)
+		// Every kind at one chunk per node, plus Allgather at two chunks,
+		// whose budgets straddle the Sat/Unsat boundary and so exercise
+		// the quotient fallback and the guarded restriction's phases.
+		fams := []family{
+			{collective.Gather, 1}, {collective.Allgather, 1}, {collective.Alltoall, 1},
+			{collective.Broadcast, 1}, {collective.Scatter, 1},
+			{collective.Allgather, 2},
+		}
+		for _, fam := range fams {
+			kind := fam.kind
+			coll, err := collective.New(kind, topo.P, fam.c, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,17 +119,24 @@ func TestQuotientLiftValidates(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					off, err := Synthesize(in, Options{NoQuotient: true})
-					if err != nil {
-						t.Fatal(err)
+					for _, ref := range []struct {
+						name string
+						opts Options
+					}{
+						{"quotient-off", Options{NoQuotient: true}},
+						{"symmetry-off", Options{NoSymmetryBreaking: true}},
+					} {
+						off, err := Synthesize(in, ref.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if on.Status != off.Status {
+							t.Errorf("%s %v S=%d R=%d: default %v, %s %v",
+								topo.Name, kind, s, r, on.Status, ref.name, off.Status)
+						}
 					}
-					if on.Status != off.Status {
-						t.Errorf("%s %v S=%d R=%d: quotient-on %v, quotient-off %v",
-							topo.Name, kind, s, r, on.Status, off.Status)
-					}
-					if on.QuotientProbes > 0 {
-						sawQuotient = true
-					}
+					sawQuotient = sawQuotient || on.QuotientProbes > 0
+					sawFallback = sawFallback || on.QuotientFallbacks > 0
 					if on.Status == sat.Sat {
 						if err := on.Algorithm.Validate(); err != nil {
 							t.Errorf("%s %v S=%d R=%d: lifted witness invalid: %v",
@@ -126,8 +147,8 @@ func TestQuotientLiftValidates(t *testing.T) {
 			}
 		}
 	}
-	if !sawQuotient {
-		t.Error("no probe was answered from a quotient base — the property test exercised nothing")
+	if !sawQuotient || !sawFallback {
+		t.Errorf("quotient answers seen %v, fallbacks seen %v — the property test missed a path", sawQuotient, sawFallback)
 	}
 }
 
@@ -137,9 +158,6 @@ func TestQuotientLiftValidates(t *testing.T) {
 // NoQuotient run of the same instance), while its path counters stay
 // those of the full encode.
 func TestQuotientFallbackCountsBothSolves(t *testing.T) {
-	defer func(n int) { symmetryMinNodes = n }(symmetryMinNodes)
-	symmetryMinNodes = 2
-
 	topo := topology.BidirRing(6)
 	coll, err := collective.New(collective.Allgather, topo.P, 2, 0)
 	if err != nil {
