@@ -36,9 +36,9 @@ func TestSearchCountsPinned(t *testing.T) {
 	}
 	st := res.Stats
 	got := [6]int64{st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learnt, st.Removed}
-	want := [6]int64{8565, 119082, 3815377, 16, 8558, 0}
-	if res.Status != sat.Sat || got != want || res.Vars != 31904 || res.Clauses != 96129 {
-		t.Errorf("dgx1 Allgather (6,7,7): %v vars %d clauses %d {conflicts decisions propagations restarts learnt removed} = %v, want SAT 31904 96129 %v",
+	want := [6]int64{1492, 10402, 1176635, 4, 1484, 0}
+	if res.Status != sat.Sat || got != want || res.Vars != 22868 || res.Clauses != 63333 {
+		t.Errorf("dgx1 Allgather (6,7,7): %v vars %d clauses %d {conflicts decisions propagations restarts learnt removed} = %v, want SAT 22868 63333 %v",
 			res.Status, res.Vars, res.Clauses, got, want)
 	}
 

@@ -132,7 +132,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if want := [3]uint64{32, 8, 32}; got != want {
 			t.Errorf("misses, hits, algorithms = %v, want %v", got, want)
 		}
-		pinSolverWork(t, cs.ProbeStats, 30669, 864421)
+		pinSolverWork(t, cs.ProbeStats, 16540, 730145)
 	})
 	// Three plain sweeps off the harness: both ring Broadcasts adopt the
 	// mega-base after their first three refutations (60 of 63 and 69 of 72
@@ -149,7 +149,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 15296, 2721721)
+		pinSolverWork(t, st.ProbeStats, 5671, 2613836)
 	})
 }
 
