@@ -154,10 +154,10 @@ func (e *StagedEncoder) nodeSymPlan() *nodeSymPlan {
 // fixing node f fixes the chunks sourced there, and a self-invariant
 // receive-tree must route every π-fixed node through π-fixed
 // predecessors (at-most-one-receive forces the predecessor edge onto
-// itself) — fixed nodes are rarely adjacent, so such restrictions are
-// structurally Unsat and only cost fallback phases. Rooted collectives
-// therefore never get a plan: every generator stabilizing them fixes
-// the root. The free generators are then reduced to a greedy generating
+// itself) — fixed nodes are often not adjacent, so such restrictions
+// tend to be structurally Unsat and to cost fallback phases. Rooted
+// collectives therefore never get a plan: every generator stabilizing
+// them fixes the root. The free generators are then reduced to a greedy generating
 // set whose closure acts freely (see reduceGens).
 func (e *StagedEncoder) resolveNodeSymPlan() *nodeSymPlan {
 	coll, topo := e.Plan.Coll, e.Plan.Topo

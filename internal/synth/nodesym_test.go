@@ -27,8 +27,8 @@ func planFor(t *testing.T, topo *topology.Topology, coll *collective.Spec) *node
 	return enc.nodeSymPlan()
 }
 
-// TestNodeSymmetryPlanFound pins the plan rule: a plan exists iff some
-// instance-stabilizing automorphism generator is fixed-point-free,
+// TestNodeSymmetryPlanFound pins the plan rule: a plan needs some
+// instance-stabilizing automorphism generator that is fixed-point-free,
 // whatever the node count. An unrooted collective on a vertex-transitive
 // fabric gets one, built from fixed-point-free instance stabilizers
 // only; a rooted one gets none, since every generator stabilizing it
@@ -130,7 +130,6 @@ func TestNodeSymmetryOrbitSoundness(t *testing.T) {
 					topo.Name, kind, pi, sp.perm, err)
 			}
 		}
-
 	}
 }
 

@@ -91,20 +91,19 @@ func TestQuotientLiftValidates(t *testing.T) {
 		topology.Line(5),
 		topology.Star(5),
 	}
-	type family struct {
+	// Every kind at one chunk per node, plus Allgather at two chunks,
+	// whose budgets straddle the Sat/Unsat boundary and so exercise the
+	// quotient fallback and the guarded restriction's phases.
+	fams := []struct {
 		kind collective.Kind
 		c    int
+	}{
+		{collective.Gather, 1}, {collective.Allgather, 1}, {collective.Alltoall, 1},
+		{collective.Broadcast, 1}, {collective.Scatter, 1},
+		{collective.Allgather, 2},
 	}
 	sawQuotient, sawFallback := false, false
 	for _, topo := range topos {
-		// Every kind at one chunk per node, plus Allgather at two chunks,
-		// whose budgets straddle the Sat/Unsat boundary and so exercise
-		// the quotient fallback and the guarded restriction's phases.
-		fams := []family{
-			{collective.Gather, 1}, {collective.Allgather, 1}, {collective.Alltoall, 1},
-			{collective.Broadcast, 1}, {collective.Scatter, 1},
-			{collective.Allgather, 2},
-		}
 		for _, fam := range fams {
 			kind := fam.kind
 			coll, err := collective.New(kind, topo.P, fam.c, 0)

@@ -55,7 +55,7 @@ type Stage0Template struct {
 	// distances-to-post both reduce to minima over this matrix.
 	Dist [][]int
 
-	// Automorphism groups are cached here alongside the BFS distances —
+	// The automorphism group is cached here alongside the BFS distances —
 	// graph-structural Stage-0 data every family of the topology shares.
 	// Resolved lazily under the mutex (only emissions that may carry a
 	// node-symmetry plan read it); the lazy cache keeps the template safe
@@ -404,8 +404,9 @@ func (e *StagedEncoder) Emit(sink StageSink) bool {
 		}
 	}
 
-	// Node-orbit equivariance (guarded restriction, large fabrics only;
-	// emitted after sends so the restriction covers both variable kinds).
+	// Node-orbit equivariance (guarded restriction, only with a
+	// fixed-point-free instance stabilizer; emitted after sends so the
+	// restriction covers both variable kinds).
 	if plan := e.nodeSymPlan(); plan != nil {
 		sink.NodeSymmetry(plan)
 	}
