@@ -157,8 +157,8 @@ func (e *StagedEncoder) nodeSymPlan() *nodeSymPlan {
 // itself) — fixed nodes are often not adjacent, so such restrictions
 // tend to be structurally Unsat and to cost fallback phases. Rooted
 // collectives therefore never get a plan: every generator stabilizing
-// them fixes the root. The free generators are then reduced to a greedy generating
-// set whose closure acts freely (see reduceGens).
+// them fixes the root. The free generators are then reduced to a greedy
+// generating set whose closure acts freely (see reduceGens).
 func (e *StagedEncoder) resolveNodeSymPlan() *nodeSymPlan {
 	coll, topo := e.Plan.Coll, e.Plan.Topo
 	if e.Plan.NoNodeSymmetry {
@@ -204,10 +204,11 @@ func fixedPointFree(p topology.Perm) bool {
 // fixed-point-free — for a torus that selects the translation
 // subgroup): products of fixed-point-free generators can be
 // reflections, which reintroduce the self-invariant-tree obstruction
-// jointly even though each generator alone dodges it. A generator whose closure outgrows nodeSymClosureCap
-// cannot be certified free and is skipped. The second return value is
-// the size of the subgroup the kept set closes over, 0 when a lone
-// generator's closure outgrew the enumeration cap.
+// jointly even though each generator alone dodges it. A generator whose
+// closure outgrows nodeSymClosureCap cannot be certified free and is
+// skipped. The second return value is the size of the subgroup the kept
+// set closes over, 0 when a lone generator's closure outgrew the
+// enumeration cap.
 func reduceGens(perms []nodeSymPerm, p int) ([]nodeSymPerm, int) {
 	if len(perms) == 0 {
 		return perms, 1
