@@ -132,7 +132,7 @@ type engineFlags struct {
 func addEngineFlags(fs *flag.FlagSet) *engineFlags {
 	return &engineFlags{
 		workers:    fs.Int("workers", 0, "engine worker pool (0 = all cores)"),
-		noSymmetry: fs.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation, which runs wherever an automorphism stabilizing the instance moves every node (frontier costs are identical either way; witnesses may differ)"),
+		noSymmetry: fs.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation, which runs wherever an automorphism stabilizing the instance moves every node, and on a rooted collective whose root stabilizer moves its chunks (frontier costs are identical either way; witnesses may differ)"),
 		noQuotient: fs.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)"),
 		verbose:    fs.Bool("v", false, "print engine and probe progress"),
 	}

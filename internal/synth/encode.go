@@ -44,10 +44,9 @@ type Options struct {
 	// NoSymmetryBreaking disables node-orbit symmetry exploitation: the
 	// guarded automorphism-equivariance restriction emitted over the
 	// topology's automorphism generators (see nodesym.go). Distinct from
-	// NoSymmetryBreak, which governs the chunk-level ordering chains.
-	// Node-orbit exploitation only runs when some instance-stabilizing
-	// automorphism generator is fixed-point-free, so rooted collectives
-	// and asymmetric fabrics never see it.
+	// NoSymmetryBreak, which governs the chunk-level ordering chains;
+	// resolveNodeSymPlan decides from the instance alone whether
+	// node-orbit exploitation runs, at any node count.
 	NoSymmetryBreaking bool
 	// NoQuotient disables the chunk-orbit quotient encoding (see
 	// quotient.go): with it off, eligible solves first try a collapsed

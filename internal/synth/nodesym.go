@@ -2,6 +2,7 @@ package synth
 
 import (
 	"context"
+	"strconv"
 	"sync"
 
 	"repro/internal/collective"
@@ -38,8 +39,7 @@ import (
 const nodeSymMaxGens = 12
 
 // nodeSymClosureCap bounds the subgroup enumeration behind the greedy
-// generator reduction; a stabilizer larger than this keeps the first
-// nodeSymMaxGens non-redundant generators instead.
+// generator reduction (see reduceGens for what happens past it).
 const nodeSymClosureCap = 20000
 
 // nodeSymPerm is one instance-stabilizing automorphism, prepared for
@@ -146,43 +146,52 @@ func (e *StagedEncoder) nodeSymPlan() *nodeSymPlan {
 	return e.symPlan
 }
 
-// resolveNodeSymPlan resolves the emission's node-symmetry group. A
-// plan exists only when some automorphism generator that stabilizes the
-// instance is fixed-point-free (a translation or rotation of the whole
-// fabric); nil when disabled or no such generator survives the
-// reduction below. No node count enters the decision. A generator
-// fixing node f fixes the chunks sourced there, and a self-invariant
-// receive-tree must route every π-fixed node through π-fixed
-// predecessors (at-most-one-receive forces the predecessor edge onto
-// itself) — fixed nodes are often not adjacent, so such restrictions
-// tend to be structurally Unsat and to cost fallback phases. Rooted
-// collectives therefore never get a plan: every generator stabilizing
-// them fixes the root. The free generators are then reduced to a greedy
-// generating set whose closure acts freely (see reduceGens).
+// resolveNodeSymPlan resolves the emission's node-symmetry group from
+// the instance alone, at any node count (nil when disabled or nothing
+// qualifies). Fixed-point-free generators are preferred, reduced to a
+// set whose closure acts freely: a generator fixing node f fixes the
+// chunks sourced there, and a self-invariant receive tree must route
+// every fixed node through fixed predecessors (at-most-one-receive),
+// which tends to be Unsat when fixed nodes are not adjacent. A rooted
+// instance has no free stabilizer; it takes the root stabilizer,
+// keeping the generators that move a chunk — all of them for Gather and
+// Scatter (the quotient collapses their chunk orbits), none for
+// Broadcast.
 func (e *StagedEncoder) resolveNodeSymPlan() *nodeSymPlan {
 	coll, topo := e.Plan.Coll, e.Plan.Topo
 	if e.Plan.NoNodeSymmetry {
 		return nil
 	}
 	classes, sigs := chunkClasses(coll)
-	var free []nodeSymPerm
-	for _, p := range e.Template.Aut(topo).Gens {
-		if !fixedPointFree(p) {
-			continue
-		}
-		if invClass, ok := nodeSymClassMap(sigs, classes, p); ok {
-			free = append(free, nodeSymPerm{
-				perm:     p,
-				invClass: invClass,
-				chunkMap: chunkMapOf(classes, invClass),
-			})
+	var free, fixing []nodeSymPerm
+	seen := map[string]bool{}
+	add := func(gens []topology.Perm) {
+		for _, p := range gens {
+			invClass, ok := nodeSymClassMap(sigs, classes, p)
+			if !ok || p.IsIdentity() || seen[permKey(p)] {
+				continue
+			}
+			seen[permKey(p)] = true
+			sp := nodeSymPerm{perm: p, invClass: invClass, chunkMap: chunkMapOf(classes, invClass)}
+			if fixedPointFree(p) {
+				free = append(free, sp)
+			} else if movesChunk(sp.chunkMap) {
+				fixing = append(fixing, sp)
+			}
 		}
 	}
-	perms, order := reduceGens(free, topo.P)
-	if len(perms) == 0 {
+	add(e.Template.Aut(topo).Gens)
+	plan := &nodeSymPlan{classes: classes}
+	if len(free) > 0 {
+		plan.perms, plan.order = reduceGens(free, topo.P, true)
+	} else if pinsRoot(coll) {
+		add(e.Template.AutFixing(topo, coll.Root).Gens)
+		plan.perms, plan.order = reduceGens(fixing, topo.P, false)
+	}
+	if len(plan.perms) == 0 {
 		return nil
 	}
-	return &nodeSymPlan{classes: classes, perms: perms, order: order}
+	return plan
 }
 
 // fixedPointFree reports whether p moves every node.
@@ -195,21 +204,44 @@ func fixedPointFree(p topology.Perm) bool {
 	return true
 }
 
+// pinsRoot reports whether the instance is rooted: every chunk starts at
+// the root alone (Broadcast, Scatter) or ends there alone (Gather).
+func pinsRoot(coll *collective.Spec) bool {
+	pre, post := true, true
+	for c := 0; c < coll.G; c++ {
+		for n := 0; n < coll.P; n++ {
+			root := n == int(coll.Root)
+			pre, post = pre && coll.Pre[c][n] == root, post && coll.Post[c][n] == root
+		}
+	}
+	return pre || post
+}
+
+// movesChunk reports whether a chunk map moves some chunk.
+func movesChunk(chunkMap []int) bool {
+	for c, d := range chunkMap {
+		if c != d {
+			return true
+		}
+	}
+	return false
+}
+
 // reduceGens greedily keeps only generators that enlarge the generated
 // subgroup, in input order. Instance stabilizers form a group, so the
 // closure of any accepted subset is itself all instance-stabilizing,
 // and a reduced generating set enforces the same equivariance by
-// transitivity of the emitted equalities. Past a lone generator, the
-// whole closure must act freely (every non-identity element
-// fixed-point-free — for a torus that selects the translation
-// subgroup): products of fixed-point-free generators can be
-// reflections, which reintroduce the self-invariant-tree obstruction
-// jointly even though each generator alone dodges it. A generator whose
-// closure outgrows nodeSymClosureCap cannot be certified free and is
-// skipped. The second return value is the size of the subgroup the kept
-// set closes over, 0 when a lone generator's closure outgrew the
-// enumeration cap.
-func reduceGens(perms []nodeSymPerm, p int) ([]nodeSymPerm, int) {
+// transitivity of the emitted equalities. With requireFree the whole
+// closure must act freely (every non-identity element fixed-point-free
+// — for a torus that selects the translation subgroup): products of
+// fixed-point-free generators can be reflections, which reintroduce the
+// self-invariant-tree obstruction jointly even though each generator
+// alone dodges it. A generator whose closure outgrows nodeSymClosureCap
+// is skipped with requireFree (the closure cannot be certified free);
+// without it, it is kept and the reduction stops. The second return
+// value is the size of the subgroup the kept set closes over, 0 when it
+// outgrew the enumeration cap.
+func reduceGens(perms []nodeSymPerm, p int, requireFree bool) ([]nodeSymPerm, int) {
 	if len(perms) == 0 {
 		return perms, 1
 	}
@@ -224,8 +256,23 @@ func reduceGens(perms []nodeSymPerm, p int) ([]nodeSymPerm, int) {
 	size := 1
 	for _, sp := range perms {
 		closed, ok := permClosure(append(gens, sp.perm), p)
-		if !ok || len(closed) == size || !closureFree(closed, p) {
-			continue // uncertifiable, redundant, or not acting freely
+		if !ok {
+			if requireFree {
+				continue // cannot certify the larger closure stays free
+			}
+			// Subgroup too large to enumerate: sp still enlarges it (the
+			// enumeration of the previous set fit the cap), so keep it and
+			// stop — further redundancy checks would need the closure.
+			kept = append(kept, sp)
+			gens = append(gens, sp.perm)
+			size = 0
+			break
+		}
+		if len(closed) == size {
+			continue // sp is a product of the kept generators
+		}
+		if requireFree && !closureFree(closed, p) {
+			continue
 		}
 		kept = append(kept, sp)
 		gens = append(gens, sp.perm)
@@ -424,11 +471,11 @@ func scrubRestriction(sctx *smt.Context, mark int) {
 	sctx.Solver.ResetSearchState()
 }
 
-// autCache memoizes automorphism generator sets per topology across
-// encoders. Private skeleton templates — one-shot solves and canonical
-// witness re-solves — would otherwise re-run the search for every
-// encode of a large fabric; the groups are pure derived data, so one
-// shared map is safe.
+// autCache memoizes automorphism generator sets per (topology, fixed
+// node) across encoders. Private skeleton templates — one-shot solves
+// and canonical witness re-solves — would otherwise re-run the search
+// for every encode of a large fabric; the groups are pure derived data,
+// so one shared map is safe.
 var autCache = struct {
 	sync.Mutex
 	m     map[string]*topology.Group
@@ -437,15 +484,27 @@ var autCache = struct {
 
 const autCacheCap = 64
 
-func cachedAut(topo *topology.Topology) *topology.Group {
+func cachedAut(topo *topology.Topology, fixed ...topology.Node) *topology.Group {
 	key := topo.Fingerprint()
+	for _, f := range fixed {
+		key += "|f" + strconv.Itoa(int(f))
+	}
 	autCache.Lock()
 	if g, ok := autCache.m[key]; ok {
 		autCache.Unlock()
 		return g
 	}
 	autCache.Unlock()
-	g := topology.Aut(topo)
+	var g *topology.Group
+	if len(fixed) == 0 {
+		g = topology.Aut(topo)
+	} else {
+		ints := make([]int, len(fixed))
+		for i, f := range fixed {
+			ints[i] = int(f)
+		}
+		g = topology.AutFixing(topo, ints...)
+	}
 	autCache.Lock()
 	if _, ok := autCache.m[key]; !ok {
 		autCache.order = append(autCache.order, key)

@@ -13,7 +13,8 @@ import (
 // nodeSymTopos are the acceptance topologies for node-orbit exploitation:
 // vertex-transitive fabrics with non-trivial automorphism groups
 // (dihedral for the ring, wreath-ish for the torus) whose generators
-// include fixed-point-free ones, so unrooted collectives get a plan.
+// include fixed-point-free ones, so unrooted collectives get a plan, and
+// whose root stabilizers are non-trivial, so a rooted Gather gets one.
 func nodeSymTopos() []*topology.Topology {
 	return []*topology.Topology{topology.BidirRing(10), topology.Torus2D(3, 4)}
 }
@@ -27,12 +28,12 @@ func planFor(t *testing.T, topo *topology.Topology, coll *collective.Spec) *node
 	return enc.nodeSymPlan()
 }
 
-// TestNodeSymmetryPlanFound pins the plan rule: a plan needs some
-// instance-stabilizing automorphism generator that is fixed-point-free,
-// whatever the node count. An unrooted collective on a vertex-transitive
-// fabric gets one, built from fixed-point-free instance stabilizers
-// only; a rooted one gets none, since every generator stabilizing it
-// fixes the root.
+// TestNodeSymmetryPlanFound pins the plan rule, whatever the node count.
+// An unrooted collective on a vertex-transitive fabric gets a plan built
+// from fixed-point-free instance stabilizers only. A rooted Gather gets
+// the root stabilizer: every kept generator fixes the root and moves a
+// chunk. A rooted Broadcast gets none, since no root-fixing generator
+// moves one of its chunks.
 func TestNodeSymmetryPlanFound(t *testing.T) {
 	for _, topo := range append(nodeSymTopos(), topology.BidirRing(5)) {
 		ag, err := collective.New(collective.Allgather, topo.P, 1, 0)
@@ -61,6 +62,24 @@ func TestNodeSymmetryPlanFound(t *testing.T) {
 				}
 			}
 		}
+		ga, err := collective.New(collective.Gather, topo.P, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan = planFor(t, topo, ga)
+		if plan == nil || len(plan.perms) == 0 {
+			t.Errorf("%s:%d gather: no root-stabilizer plan", topo.Name, topo.P)
+		} else {
+			classes, sigs := chunkClasses(ga)
+			for _, sp := range plan.perms {
+				if sp.perm[0] != 0 || !movesChunk(sp.chunkMap) {
+					t.Errorf("%s: gather generator %v moves the root or no chunk", topo.Name, sp.perm)
+				}
+				if _, ok := nodeSymClassMap(sigs, classes, sp.perm); !ok {
+					t.Errorf("%s: gather generator %v does not stabilize the instance", topo.Name, sp.perm)
+				}
+			}
+		}
 		bc, err := collective.New(collective.Broadcast, topo.P, 1, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -71,12 +90,35 @@ func TestNodeSymmetryPlanFound(t *testing.T) {
 	}
 }
 
+// TestPinsRoot pins which instances count as rooted and so may take the
+// root stabilizer: Gather, Scatter and Broadcast, never Allgather or an
+// Alltoall, not even one whose chunk count breaks the fabric's symmetry.
+func TestPinsRoot(t *testing.T) {
+	for _, tc := range []struct {
+		kind collective.Kind
+		c    int
+		want bool
+	}{
+		{collective.Gather, 2, true}, {collective.Scatter, 1, true}, {collective.Broadcast, 3, true},
+		{collective.Allgather, 1, false}, {collective.Alltoall, 1, false}, {collective.Alltoall, 6, false},
+	} {
+		coll, err := collective.New(tc.kind, 6, tc.c, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pinsRoot(coll); got != tc.want {
+			t.Errorf("%v C=%d: pinsRoot = %v, want %v", tc.kind, tc.c, got, tc.want)
+		}
+	}
+}
+
 // TestNodeSymmetryOrbitSoundness is the property the whole refinement
 // rests on: applying an instance-stabilizing automorphism to a valid
 // schedule yields a valid schedule. Witnesses are synthesized fresh,
 // permuted by every plan generator (nodes via pi, chunks via the
-// prepared chunk map), and re-validated. Both kinds are unrooted, since
-// rooted collectives get no plan. A true Alltoall needs C = P, so its
+// prepared chunk map), and re-validated. Gather covers the root
+// stabilizer plans, Allgather and Alltoall the fixed-point-free ones
+// (Broadcast gets no plan). A true Alltoall needs C = P, so its
 // witnesses come from the small vertex-transitive fabrics, where the
 // first Sat round count is found by walking R up from S+1.
 func TestNodeSymmetryOrbitSoundness(t *testing.T) {
@@ -87,7 +129,7 @@ func TestNodeSymmetryOrbitSoundness(t *testing.T) {
 	}
 	var cases []soundCase
 	for _, topo := range nodeSymTopos() {
-		cases = append(cases, soundCase{topo, collective.Allgather, 1})
+		cases = append(cases, soundCase{topo, collective.Allgather, 1}, soundCase{topo, collective.Gather, 1})
 	}
 	for _, topo := range []*topology.Topology{topology.BidirRing(6), topology.Torus2D(2, 3), topology.Hypercube(3)} {
 		cases = append(cases, soundCase{topo, collective.Alltoall, topo.P})
@@ -141,7 +183,7 @@ func TestNodeSymmetryOrbitSoundness(t *testing.T) {
 // the restriction re-validates.
 func TestNodeSymmetryStatusEquivalence(t *testing.T) {
 	for _, topo := range nodeSymTopos() {
-		for _, kind := range []collective.Kind{collective.Allgather, collective.Broadcast} {
+		for _, kind := range []collective.Kind{collective.Allgather, collective.Gather, collective.Broadcast} {
 			coll, err := collective.New(kind, topo.P, 1, 0)
 			if err != nil {
 				t.Fatal(err)

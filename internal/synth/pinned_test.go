@@ -55,6 +55,23 @@ func TestSearchCountsPinned(t *testing.T) {
 		t.Errorf("dgx1 Broadcast k=2 C<=6 sweep: {points probes sessionProbes coreSolves prunedProbes carriedLearnts} = %v, want %v",
 			gotSweep, wantSweep)
 	}
+
+	// A rooted sweep on a 16-node fabric: Gather's node-symmetry plan is
+	// the root stabilizer, so a change to the plan rule for rooted
+	// collectives moves these counts.
+	var rs ParetoStats
+	front, err = ParetoSynthesize(collective.Gather, topology.Hypercube(4), 0,
+		ParetoOptions{K: 1, MaxSteps: 6, MaxChunks: 1, Workers: 1, Stats: &rs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRooted := [6]int64{int64(len(front)), int64(rs.Probes), rs.Conflicts, int64(rs.Clauses),
+		int64(rs.SymmetryPerms), int64(rs.QuotientFallbacks)}
+	wantRooted := [6]int64{3, 3, 1001, 129616, 9, 3}
+	if gotRooted != wantRooted {
+		t.Errorf("hypercube:4 Gather k=1 S<=6 C<=1 sweep: {points probes conflicts clauses symmetryPerms quotientFallbacks} = %v, want %v",
+			gotRooted, wantRooted)
+	}
 }
 
 // BenchmarkSolveTable4Row is the solver-layer row for a real formula: the

@@ -55,13 +55,13 @@ type Stage0Template struct {
 	// distances-to-post both reduce to minima over this matrix.
 	Dist [][]int
 
-	// The automorphism group is cached here alongside the BFS distances —
+	// Automorphism groups are cached here alongside the BFS distances —
 	// graph-structural Stage-0 data every family of the topology shares.
-	// Resolved lazily under the mutex (only emissions that may carry a
-	// node-symmetry plan read it); the lazy cache keeps the template safe
-	// for concurrent use.
-	autMu sync.Mutex
-	aut   *topology.Group
+	// Resolved lazily under the mutex; the lazy cache keeps the template
+	// safe for concurrent use.
+	autMu  sync.Mutex
+	aut    *topology.Group
+	autFix map[topology.Node]*topology.Group
 }
 
 // Aut returns the topology's automorphism generator set, computed once
@@ -74,6 +74,22 @@ func (t *Stage0Template) Aut(topo *topology.Topology) *topology.Group {
 		t.aut = cachedAut(topo)
 	}
 	return t.aut
+}
+
+// AutFixing returns generators of the subgroup fixing the given node —
+// the stabilizer rooted collectives break over.
+func (t *Stage0Template) AutFixing(topo *topology.Topology, root topology.Node) *topology.Group {
+	t.autMu.Lock()
+	defer t.autMu.Unlock()
+	if g, ok := t.autFix[root]; ok {
+		return g
+	}
+	g := cachedAut(topo, root)
+	if t.autFix == nil {
+		t.autFix = map[topology.Node]*topology.Group{}
+	}
+	t.autFix[root] = g
+	return g
 }
 
 // NewStage0Template derives the template for a topology. Routing
@@ -404,9 +420,8 @@ func (e *StagedEncoder) Emit(sink StageSink) bool {
 		}
 	}
 
-	// Node-orbit equivariance (guarded restriction, only with a
-	// fixed-point-free instance stabilizer; emitted after sends so the
-	// restriction covers both variable kinds).
+	// Node-orbit equivariance (guarded restriction, see resolveNodeSymPlan;
+	// emitted after sends so the restriction covers both variable kinds).
 	if plan := e.nodeSymPlan(); plan != nil {
 		sink.NodeSymmetry(plan)
 	}

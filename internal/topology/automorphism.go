@@ -638,6 +638,15 @@ func Aut(t *Topology) *Group {
 	return autFixing(t, nil)
 }
 
+// AutFixing computes generators for (a subgroup of) the pointwise
+// stabilizer of the given nodes within Aut(t): verified family
+// candidates that fix them, plus a refinement search individualizing
+// them. Symmetry breaking rooted at those nodes stays sound on the
+// result.
+func AutFixing(t *Topology, fixed ...int) *Group {
+	return autFixing(t, fixed)
+}
+
 func autFixing(t *Topology, fixed []int) *Group {
 	g := &Group{P: t.P}
 	seen := map[string]bool{}

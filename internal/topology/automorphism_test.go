@@ -181,6 +181,33 @@ func TestOrbitsAndRepresentatives(t *testing.T) {
 	}
 }
 
+func TestAutFixingStabilizer(t *testing.T) {
+	// Bidir-ring stabilizer of node 0 is the reflection; orbits pair i
+	// with P-i.
+	g := AutFixing(BidirRing(6), 0)
+	for _, gen := range g.Gens {
+		if gen[0] != 0 {
+			t.Fatalf("stabilizer generator moves the fixed node: %v", gen)
+		}
+	}
+	orbits := g.Orbits()
+	want := "[[0] [1 5] [2 4] [3]]"
+	if got := fmt.Sprint(orbits); got != want {
+		t.Fatalf("stabilizer orbits = %s, want %s", got, want)
+	}
+	// Unidirectional ring stabilizer of a node is trivial.
+	if g := AutFixing(Ring(6), 0); len(g.Gens) != 0 {
+		t.Fatalf("ring stabilizer should be trivial, got %v", g.Gens)
+	}
+	// Torus stabilizer of corner node 0 still has the dihedral point
+	// group (order 8 for the square torus).
+	g = AutFixing(Torus2D(4, 4), 0)
+	elems := g.Elements(100000)
+	if elems == nil || len(elems)%2 != 0 || len(elems) < 8 {
+		t.Fatalf("torus4x4 stabilizer order = %d", len(elems))
+	}
+}
+
 func TestAutDeterministic(t *testing.T) {
 	for _, topo := range []*Topology{BidirRing(8), Torus2D(4, 4), DGX1()} {
 		a, b := Aut(topo), Aut(topo)
