@@ -195,9 +195,21 @@ func optionParts(o SynthOptions) []string {
 	}
 }
 
+// canonicalRoot is the root a request of kind is keyed and solved at:
+// its own for a rooted kind, 0 for the kinds whose relations ignore it
+// (Allgather, Alltoall, Reducescatter, Allreduce), so each of those is
+// one instance whatever root a request names.
+func canonicalRoot(kind Kind, root Node) Node {
+	if !kind.IsRooted() {
+		return 0
+	}
+	return root
+}
+
 // requestFingerprint is the canonical algorithm-cache key of a request
 // under resolved solver options.
 func (e *Engine) requestFingerprint(req Request, o SynthOptions) string {
+	req.Root = canonicalRoot(req.Kind, req.Root)
 	parts := append([]string{
 		"request/v1",
 		req.Kind.String(),
@@ -239,7 +251,7 @@ func (e *Engine) paretoKey(req ParetoRequest) (fp string, o SynthOptions, maxSte
 		"pareto/v1",
 		req.Kind.String(),
 		req.Topo.Fingerprint(),
-		strconv.Itoa(int(req.Root)),
+		strconv.Itoa(int(canonicalRoot(req.Kind, req.Root))),
 		strconv.Itoa(req.K),
 		strconv.Itoa(maxSteps),
 		strconv.Itoa(maxChunks),
@@ -428,7 +440,10 @@ func (e *Engine) answerRequest(ctx context.Context, fp string, meta cacheEntry, 
 // is answered through its dual instances (paper §3.5), each as the
 // non-combining request it is, so a dual some earlier request solved is
 // served from its own cache entry, and on a fabric equal to its reverse
-// one Allgather serves both phases of an Allreduce.
+// one Allgather serves both phases of an Allreduce. A Gather or Alltoall
+// request asks the Allgather of its budget first, as a request of its
+// own, and projects its witness when it is Sat (synth.SolveImplied). A
+// kind that ignores its root is keyed and solved at root 0.
 func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -442,12 +457,36 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 // answer serves a validated request under resolved solver options
 // through the algorithm cache.
 func (e *Engine) answer(ctx context.Context, req Request, o SynthOptions) (*Result, error) {
+	req.Root = canonicalRoot(req.Kind, req.Root)
 	return e.answerRequest(ctx, e.requestFingerprint(req, o), entryOf(req), func(ctx context.Context) (*Algorithm, Status, error) {
 		if req.Kind.IsCombining() {
 			return e.solveDuals(ctx, req, o)
 		}
-		return e.solve(ctx, req, o)
+		coll, err := collective.New(req.Kind, req.Topo.P, req.Budget.C, req.Root)
+		if err != nil {
+			return nil, Unknown, err
+		}
+		in := synth.Instance{Coll: coll, Topo: req.Topo, Steps: req.Budget.S, Round: req.Budget.R}
+		return synth.SolveImplied(ctx, in, e.asker(o), func(ctx context.Context, in synth.Instance) (*Algorithm, Status, error) {
+			return e.solve(ctx, in, o)
+		})
 	})
+}
+
+// asker answers an instance other than the request being solved — a
+// dual or an implying Allgather — as the request it is, through its own
+// cache entry (hit or solve).
+func (e *Engine) asker(o SynthOptions) synth.SolveFunc {
+	return func(ctx context.Context, in synth.Instance) (*Algorithm, Status, error) {
+		res, err := e.answer(ctx, Request{
+			Kind: in.Coll.Kind, Topo: in.Topo, Root: in.Coll.Root,
+			Budget: Budget{C: in.Coll.C, S: in.Steps, R: in.Round},
+		}, o)
+		if err != nil {
+			return nil, Unknown, err
+		}
+		return res.Algorithm, res.Status, nil
+	}
 }
 
 // solveDuals answers each of a combining request's dual instances under
@@ -457,16 +496,14 @@ func (e *Engine) solveDuals(ctx context.Context, req Request, o SynthOptions) (*
 	if err != nil {
 		return nil, Unknown, err
 	}
+	ask := e.asker(o)
 	algs := make([]*Algorithm, len(ins))
 	for i, in := range ins {
-		res, err := e.answer(ctx, Request{Kind: in.Coll.Kind, Topo: in.Topo, Root: req.Root, Budget: req.Budget}, o)
-		if err != nil {
-			return nil, Unknown, err
+		alg, status, err := ask(ctx, in)
+		if err != nil || status != Sat {
+			return nil, status, err
 		}
-		if res.Status != Sat {
-			return nil, res.Status, nil
-		}
-		algs[i] = res.Algorithm
+		algs[i] = alg
 	}
 	alg, err := synth.AssembleDuals(req.Kind, req.Topo, algs)
 	if err != nil {
@@ -475,20 +512,16 @@ func (e *Engine) solveDuals(ctx context.Context, req Request, o SynthOptions) (*
 	return alg, Sat, nil
 }
 
-// solve answers one non-combining request: through a warm mega-base
+// solve answers one non-combining instance: through a warm mega-base
 // when one covers it, one-shot otherwise. Either way its probe record
 // joins the engine total.
-func (e *Engine) solve(ctx context.Context, req Request, o SynthOptions) (*Algorithm, Status, error) {
-	coll, err := collective.New(req.Kind, req.Topo.P, req.Budget.C, req.Root)
-	if err != nil {
-		return nil, Unknown, err
-	}
+func (e *Engine) solve(ctx context.Context, in synth.Instance, o SynthOptions) (*Algorithm, Status, error) {
 	// A warm per-topology mega-base session (left by an earlier sweep or
 	// a daemon's WarmMegaBase) answers a covered cache miss by assumption
 	// push + solve instead of encode + solve. The lookup never builds:
 	// cold topologies stay on the one-shot path.
-	if v := e.megaView(req, coll, o); v != nil {
-		sres, err := v.Solve(ctx, req.Budget.S, req.Budget.R, o)
+	if v := e.megaView(in, o); v != nil {
+		sres, err := v.Solve(ctx, in.Steps, in.Round, o)
 		if err == nil {
 			e.addProbes(sres.ProbeStats)
 			return sres.Algorithm, sres.Status, nil
@@ -496,7 +529,7 @@ func (e *Engine) solve(ctx context.Context, req Request, o SynthOptions) (*Algor
 		// Session route failed (e.g. pool closed mid-flight): fall
 		// through to the one-shot path rather than surfacing it.
 	}
-	res, err := synth.SynthesizeContext(ctx, synth.Instance{Coll: coll, Topo: req.Topo, Steps: req.Budget.S, Round: req.Budget.R}, o)
+	res, err := synth.SynthesizeContext(ctx, in, o)
 	e.addProbes(res.ProbeStats)
 	return res.Algorithm, res.Status, err
 }
@@ -509,19 +542,19 @@ func (e *Engine) addProbes(ps synth.ProbeStats) {
 }
 
 // megaView resolves a warm (never freshly built) mega-base projection for
-// one exact-budget non-combining request, or nil when the request cannot
-// route through one: no pool, no covering warm session, or an unmappable
-// family.
-func (e *Engine) megaView(req Request, coll *collective.Spec, o SynthOptions) *synth.MegaFamilyView {
+// one exact-budget non-combining instance, or nil when the instance
+// cannot route through one: no pool, no covering warm session, or an
+// unmappable family.
+func (e *Engine) megaView(in synth.Instance, o SynthOptions) *synth.MegaFamilyView {
 	if e.sessions == nil {
 		return nil
 	}
-	k := req.Budget.R - req.Budget.S
-	mega := e.sessions.Mega(req.Topo, req.Root, o, []collective.Kind{req.Kind}, req.Budget.C, req.Budget.S, k, false)
+	k := in.Round - in.Steps
+	mega := e.sessions.Mega(in.Topo, in.Coll.Root, o, []collective.Kind{in.Coll.Kind}, in.Coll.C, in.Steps, k, false)
 	if mega == nil {
 		return nil
 	}
-	return mega.View(coll)
+	return mega.View(in.Coll)
 }
 
 // SynthesizeInstance answers one raw SynColl instance (non-combining
@@ -568,6 +601,7 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	req.Root = canonicalRoot(req.Kind, req.Root)
 	fp, o, maxSteps, maxChunks := e.paretoKey(req)
 	if pts, ok := e.lookupFrontier(fp); ok {
 		e.progress("engine: frontier cache hit %v on %s [%s]", req.Kind, req.Topo.Name, fp)

@@ -202,6 +202,121 @@ func TestCombiningRequestSharesDualEntry(t *testing.T) {
 	})
 }
 
+// TestUnrootedRequestIgnoresRoot: the kinds whose relations ignore the
+// root are keyed and solved at root 0, so an Allgather at root 3 asked
+// after root 0 is a hit that adds no solver work and returns the root-0
+// witness. An Alltoall or a Reducescatter first asked at root 6 is
+// solved at root 0, and root 3 then hits the same entry. Sweeps are
+// keyed at root 0 too.
+func TestUnrootedRequestIgnoresRoot(t *testing.T) {
+	ctx := context.Background()
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	topo := sccl.DGX1()
+	for _, row := range []struct {
+		kind sccl.Kind
+		root sccl.Node // the root the first request names
+	}{{sccl.Allgather, 0}, {sccl.Alltoall, 6}, {sccl.Reducescatter, 6}} {
+		kind, b := row.kind, sccl.Budget{C: 1, S: 2, R: 2}
+		first, err := eng.Synthesize(ctx, sccl.Request{Kind: kind, Topo: topo, Root: row.root, Budget: b})
+		if err != nil || first.Status != sccl.Sat || first.Algorithm.RootNode != 0 {
+			t.Fatalf("%v at root %d: %v %v", kind, row.root, first, err)
+		}
+		before := eng.CacheStats().ProbeStats
+		req3 := sccl.Request{Kind: kind, Topo: topo, Root: 3, Budget: b}
+		again, err := eng.Synthesize(ctx, req3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp, err := eng.Fingerprint(req3); err != nil || fp != first.Fingerprint {
+			t.Errorf("%v at root 3: Fingerprint %s, want the root-0 key %s", kind, fp, first.Fingerprint)
+		}
+		if !again.CacheHit || again.Fingerprint != first.Fingerprint || again.Algorithm != first.Algorithm {
+			t.Errorf("%v at root 3: CacheHit %v, same fingerprint %v; want the root-0 entry", kind, again.CacheHit, again.Fingerprint == first.Fingerprint)
+		}
+		if after := eng.CacheStats().ProbeStats; after != before {
+			t.Errorf("%v at root 3 did solver work: %+v, was %+v", kind, after, before)
+		}
+		if again.Algorithm.RootNode != 0 {
+			t.Errorf("%v at root 3 answered with root %d", kind, again.Algorithm.RootNode)
+		}
+	}
+	sweep := sccl.ParetoRequest{Kind: sccl.Allgather, Topo: topo, K: 1}
+	fp0, _ := eng.ParetoFingerprint(sweep)
+	sweep.Root = 5
+	if fp5, _ := eng.ParetoFingerprint(sweep); fp5 != fp0 {
+		t.Error("an Allgather sweep at root 5 is keyed apart from root 0")
+	}
+}
+
+// TestImpliedGatherSharesAllgather: Gather at all eight DGX-1 roots at
+// (6,7,7) costs one Allgather solve. Each Gather is the projection of
+// that Allgather's witness: valid, exactly (6,7,7), rooted where asked
+// and with fewer sends. A Gather whose Allgather budget the feasibility
+// filter rejects is solved directly.
+func TestImpliedGatherSharesAllgather(t *testing.T) {
+	ctx := context.Background()
+	topo := sccl.DGX1()
+	b := sccl.Budget{C: 6, S: 7, R: 7}
+	lone := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer lone.Close()
+	ag, err := lone.Synthesize(ctx, sccl.Request{Kind: sccl.Allgather, Topo: topo, Budget: b})
+	if err != nil || ag.Status != sccl.Sat {
+		t.Fatalf("Allgather: %v %v", ag, err)
+	}
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	for root := 0; root < topo.P; root++ {
+		res, err := eng.Synthesize(ctx, sccl.Request{Kind: sccl.Gather, Topo: topo, Root: sccl.Node(root), Budget: b})
+		if err != nil || res.Status != sccl.Sat {
+			t.Fatalf("Gather at root %d: %v %v", root, res, err)
+		}
+		alg := res.Algorithm
+		if err := alg.Validate(); err != nil || alg.CSR() != "(6,7,7)" || alg.RootNode != root || len(alg.Sends) >= len(ag.Algorithm.Sends) {
+			t.Errorf("Gather at root %d: %s root %d, %d sends (Allgather %d): %v", root, alg.CSR(), alg.RootNode, len(alg.Sends), len(ag.Algorithm.Sends), err)
+		}
+	}
+	cs := eng.CacheStats()
+	if got, want := cs.ProbeStats, lone.CacheStats().ProbeStats; got != want {
+		t.Errorf("eight Gathers cost %+v, one Allgather %+v", got, want)
+	}
+	// Eight Gather misses and one Allgather miss; seven Allgather hits.
+	if got := [3]uint64{cs.Misses, cs.Hits, uint64(cs.Algorithms)}; got != [3]uint64{9, 7, 9} {
+		t.Errorf("misses, hits, algorithms = %v, want [9 7 9]", got)
+	}
+	// (6,1,7) is below DGX-1's diameter: the filter rejects the
+	// Allgather, which is never asked, and the Gather is solved as itself.
+	res, err := eng.Synthesize(ctx, sccl.Request{Kind: sccl.Gather, Topo: topo, Budget: sccl.Budget{C: 6, S: 1, R: 7}})
+	if err != nil || res.Status != sccl.Unsat {
+		t.Fatalf("Gather (6,1,7): %v %v", res, err)
+	}
+	if after := eng.CacheStats(); after.Misses != cs.Misses+1 || after.Algorithms != cs.Algorithms+1 {
+		t.Errorf("Gather (6,1,7) looked up %d entries and cached %d, want 1 and 1", after.Misses-cs.Misses, after.Algorithms-cs.Algorithms)
+	}
+}
+
+// TestImpliedUnknownNotCached: when the implying Allgather comes back
+// Unknown (here a cancelled context), so does the Gather, and neither is
+// cached; the same request later is solved.
+func TestImpliedUnknownNotCached(t *testing.T) {
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	req := sccl.Request{Kind: sccl.Gather, Topo: sccl.DGX1(), Root: 2, Budget: sccl.Budget{C: 1, S: 2, R: 2}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := eng.Synthesize(ctx, req)
+	if err != nil || res.Status != sccl.Unknown || res.Algorithm != nil {
+		t.Fatalf("cancelled Gather: %v %v", res, err)
+	}
+	if cs := eng.CacheStats(); cs.Algorithms != 0 || cs.Misses != 2 {
+		t.Errorf("algorithms, misses = %d, %d; want nothing cached after the Gather and its Allgather missed", cs.Algorithms, cs.Misses)
+	}
+	res, err = eng.Synthesize(context.Background(), req)
+	if err != nil || res.Status != sccl.Sat || res.CacheHit {
+		t.Fatalf("Gather after the cancellation: %v %v", res, err)
+	}
+}
+
 // frontierBytes serializes a frontier with wall clocks zeroed so runs
 // can be byte-compared.
 func frontierBytes(t *testing.T, pts []sccl.ParetoPoint) []byte {

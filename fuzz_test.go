@@ -2,6 +2,7 @@ package sccl_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	sccl "repro"
@@ -14,7 +15,8 @@ import (
 // panic, and a document that decodes must re-encode to bytes that survive
 // another decode and encode unchanged. The committed seed corpus under
 // testdata/fuzz holds EncodeRequest, EncodeParetoRequest, EncodeTopology
-// and EncodeAlgorithm outputs and topology strings; explore further with
+// and EncodeAlgorithm outputs, topology strings and topology spec
+// documents; explore further with
 //
 //	go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 10s .
 
@@ -97,6 +99,24 @@ func FuzzParseTopology(f *testing.F) {
 		if topo.Fingerprint() != topo2.Fingerprint() {
 			t.Fatalf("%q and its canonical form %q build different topologies", spec, canon)
 		}
+	})
+}
+
+// FuzzTopologySpecJSON feeds versioned topology spec documents to
+// TopologySpec.UnmarshalJSON.
+func FuzzTopologySpecJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s sccl.TopologySpec
+		if err := s.UnmarshalJSON(data); err != nil {
+			return
+		}
+		roundTrip(t, data, func() ([]byte, error) { return json.Marshal(&s) }, func(enc []byte) ([]byte, error) {
+			var again sccl.TopologySpec
+			if err := again.UnmarshalJSON(enc); err != nil {
+				return nil, err
+			}
+			return json.Marshal(&again)
+		})
 	})
 }
 

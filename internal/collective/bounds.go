@@ -94,12 +94,13 @@ func cutDemand(s *Spec, inA func(topology.Node) bool) int {
 // paper relies on.
 func BandwidthLowerBound(s *Spec, t *topology.Topology) *big.Rat {
 	best := big.NewRat(0, 1)
+	capacity := t.CutCapacities()
 	consider := func(inA func(topology.Node) bool) {
 		d := cutDemand(s, inA)
 		if d == 0 {
 			return
 		}
-		cap := t.CutCapacity(inA)
+		cap := capacity(inA)
 		if cap == 0 {
 			return // unachievable collective; latency bound reports it
 		}
@@ -115,11 +116,10 @@ func BandwidthLowerBound(s *Spec, t *topology.Topology) *big.Rat {
 			consider(func(n topology.Node) bool { return m&(1<<uint(n)) != 0 })
 		}
 	} else {
-		for n := 0; n < s.P; n++ {
-			nn := topology.Node(n)
-			consider(func(m topology.Node) bool { return m == nn })
-			consider(func(m topology.Node) bool { return m != nn })
-		}
+		singleNodeCuts(s.P, func(inA func(topology.Node) bool) bool {
+			consider(inA)
+			return true
+		})
 		// Hierarchical fabrics: node-subset enumeration is infeasible at
 		// this P, but the builder recorded the machine partition, so the
 		// NIC-level bottlenecks are the block-mask cuts. These dominate on
@@ -133,6 +133,39 @@ func BandwidthLowerBound(s *Spec, t *topology.Topology) *big.Rat {
 		}
 	}
 	return best
+}
+
+// singleNodeCuts calls visit on every cut that separates one node from
+// the rest — {n} against the rest, then the rest against {n}, node by
+// node — until visit returns false, and reports whether it visited all
+// of them.
+func singleNodeCuts(p int, visit func(inA func(topology.Node) bool) bool) bool {
+	for n := 0; n < p; n++ {
+		nn := topology.Node(n)
+		if !visit(func(m topology.Node) bool { return m == nn }) || !visit(func(m topology.Node) bool { return m != nn }) {
+			return false
+		}
+	}
+	return true
+}
+
+// Admits is a necessary condition for the non-combining spec s to have
+// an algorithm on t with steps steps and rounds rounds in all, cheap
+// enough to check per request: every post pair lies within steps hops
+// of a pre node of its chunk, and no single-node cut must carry more
+// chunks than its capacity times rounds. It is the latency bound and
+// the single-node part of the cut bound, so every budget it rejects the
+// exact LatencyLowerBound and BandwidthLowerBound reject too; it skips
+// the 2^P cut enumeration those run.
+func Admits(s *Spec, t *topology.Topology, steps, rounds int) bool {
+	if l := LatencyLowerBoundDist(s, t.Distances()); l < 0 || l > steps {
+		return false
+	}
+	capacity := t.CutCapacities()
+	return singleNodeCuts(s.P, func(inA func(topology.Node) bool) bool {
+		d := cutDemand(s, inA)
+		return d == 0 || d <= capacity(inA)*rounds
+	})
 }
 
 // Bounds carries the latency (steps) and bandwidth (R/C) lower bounds for

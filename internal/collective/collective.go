@@ -77,6 +77,17 @@ func (k Kind) IsCombining() bool {
 	return false
 }
 
+// IsRooted reports whether the collective's relations depend on its
+// root: Gather, Scatter, Broadcast and Reduce. New ignores the root of
+// every other kind.
+func (k Kind) IsRooted() bool {
+	switch k {
+	case Gather, Scatter, Broadcast, Reduce:
+		return true
+	}
+	return false
+}
+
 // Rel is a relation over (chunk, node) pairs, indexed rel[chunk][node].
 type Rel [][]bool
 
@@ -258,6 +269,25 @@ func (s *Spec) DualPerNodeCount() int {
 		return s.C / s.P
 	}
 	return s.C
+}
+
+// Implies reports whether every algorithm for s is also one for t: both
+// are non-combining, they share P, G and the precondition, and t's
+// postcondition is contained in s's. Allgather implies Gather at any
+// root and Alltoall at the same C; algorithm.Project prunes an
+// algorithm for s down to the sends t needs.
+func (s *Spec) Implies(t *Spec) bool {
+	if s.Kind.IsCombining() || t.Kind.IsCombining() || s.P != t.P || s.G != t.G {
+		return false
+	}
+	for c := 0; c < s.G; c++ {
+		for n := 0; n < s.P; n++ {
+			if s.Pre[c][n] != t.Pre[c][n] || (t.Post[c][n] && !s.Post[c][n]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // String renders a short description.

@@ -19,8 +19,12 @@ import (
 // Topology.Fingerprint) every dual runs on topo itself, so Allreduce
 // lists one Allgather that serves both phases; otherwise it lists the
 // reversed instance first. AssembleDuals builds the answer from the
-// instances' algorithms in the same order.
+// instances' algorithms in the same order. A kind that ignores its root
+// (collective.Kind.IsRooted) is listed at root 0.
 func DualInstances(kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int) ([]Instance, error) {
+	if !kind.IsRooted() {
+		root = 0
+	}
 	dual := kind
 	switch kind {
 	case collective.Reduce:
@@ -86,6 +90,50 @@ func AssembleDuals(kind collective.Kind, topo *topology.Topology, algs []*algori
 	return ar, nil
 }
 
+// SolveFunc answers one non-combining instance: Sat with a validated
+// algorithm, Unsat, or Unknown when a timeout or cancellation cut the
+// solve short.
+type SolveFunc func(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status, error)
+
+// implying returns the instance that answers in through its witness: the
+// Allgather at root 0 and in's budget, when it implies in
+// (collective.Spec.Implies) and in does not imply it back. Of the
+// built-in kinds that is Gather at any root and Alltoall.
+func implying(in Instance) (Instance, bool) {
+	a := in.Coll
+	if a.G%a.P != 0 {
+		return Instance{}, false
+	}
+	b, err := collective.New(collective.Allgather, a.P, a.G/a.P, 0)
+	if err != nil || !b.Implies(a) || a.Implies(b) {
+		return Instance{}, false
+	}
+	return Instance{Coll: b, Topo: in.Topo, Steps: in.Steps, Round: in.Round}, true
+}
+
+// SolveImplied answers the non-combining instance in. When an Allgather
+// implies it (see implying) and that Allgather's budget passes
+// collective.Admits, ask answers the Allgather first: Sat is projected
+// onto in (algorithm.Project, the same rounds and fewer sends), and
+// Unknown is in's answer too, so a timeout is never spent twice.
+// Otherwise — no implying spec, a budget Admits rejects, or an Unsat
+// Allgather — solve answers in itself. An implied witness is therefore
+// always the projection of the answer ask gives for the Allgather of its
+// budget, whatever was asked before.
+func SolveImplied(ctx context.Context, in Instance, ask, solve SolveFunc) (*algorithm.Algorithm, sat.Status, error) {
+	if b, ok := implying(in); ok && collective.Admits(b.Coll, b.Topo, b.Steps, b.Round) {
+		alg, status, err := ask(ctx, b)
+		if err != nil || status == sat.Unknown {
+			return nil, status, err
+		}
+		if status == sat.Sat {
+			alg, err = algorithm.Project(alg, in.Coll)
+			return alg, sat.Sat, err
+		}
+	}
+	return solve(ctx, in)
+}
+
 // SynthesizeCollective synthesizes any collective kind — including
 // combining ones via their duals (§3.5) — for a specific (C, S, R). For
 // combining collectives S and R refer to the dual instance; the resulting
@@ -96,20 +144,25 @@ func SynthesizeCollective(kind collective.Kind, topo *topology.Topology, root to
 }
 
 // SynthesizeCollectiveContext is SynthesizeCollective with cooperative
-// cancellation threaded through every dual's solver call: it solves each
-// of DualInstances once and assembles them with AssembleDuals.
+// cancellation threaded through every dual's solver call: it answers each
+// of DualInstances once through SolveImplied, solving one-shot, and
+// assembles them with AssembleDuals.
 func SynthesizeCollectiveContext(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts Options) (*algorithm.Algorithm, sat.Status, error) {
 	ins, err := DualInstances(kind, topo, root, c, s, r)
 	if err != nil {
 		return nil, sat.Unknown, err
 	}
+	solve := func(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status, error) {
+		res, err := SynthesizeContext(ctx, in, opts)
+		return res.Algorithm, res.Status, err
+	}
 	algs := make([]*algorithm.Algorithm, len(ins))
 	for i, in := range ins {
-		res, err := SynthesizeContext(ctx, in, opts)
-		if err != nil || res.Status != sat.Sat {
-			return nil, res.Status, err
+		alg, status, err := SolveImplied(ctx, in, solve, solve)
+		if err != nil || status != sat.Sat {
+			return nil, status, err
 		}
-		algs[i] = res.Algorithm
+		algs[i] = alg
 	}
 	alg, err := AssembleDuals(kind, topo, algs)
 	if err != nil {

@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"context"
 	"fmt"
+	"math/big"
 	"testing"
 
 	"repro/internal/algorithm"
@@ -121,5 +123,136 @@ func TestDualInstancesNonCombining(t *testing.T) {
 	}
 	if alg, err := AssembleDuals(collective.Allgather, topo, []*algorithm.Algorithm{res.Algorithm}); err != nil || alg != res.Algorithm {
 		t.Fatalf("AssembleDuals = %v, %v", alg, err)
+	}
+}
+
+// smallBuilderFabrics is one fabric of every builder family with P <= 8
+// (all but dgx2).
+var smallBuilderFabrics = []string{
+	"dgx1", "amd", "ring:4", "bidir-ring:8", "line:8", "fc:8", "star:8",
+	"hypercube:3", "torus:2x4", "torus3d:2x2x2", "fat-tree:2:2:1:1",
+	"dragonfly:4:2:1", "bus:4:1", "multinode:bidir-ring:4:2:1:1",
+}
+
+// oneShot answers an instance with a fresh one-shot solve.
+func oneShot(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status, error) {
+	res, err := SynthesizeContext(ctx, in, Options{})
+	return res.Algorithm, res.Status, err
+}
+
+// TestSolveImpliedProperty: on every small builder fabric, for Gather at
+// every root and Alltoall over budgets at and just above the Allgather's
+// bounds, SolveImplied answers each as the projection of the Allgather
+// of its budget when that Allgather is Sat — a valid witness of exactly
+// the requested (C, S, R) with no more sends — and a direct solve of the
+// implied spec is Sat too. When the Allgather is not Sat the answer is
+// the direct solve's.
+func TestSolveImpliedProperty(t *testing.T) {
+	ctx := context.Background()
+	asked, projected := 0, 0
+	for _, name := range smallBuilderFabrics {
+		spec, err := topology.ParseSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const c = 1
+		ag, err := collective.New(collective.Allgather, topo.P, c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := collective.LatencyLowerBound(ag, topo)
+		bw := new(big.Rat).Mul(collective.BandwidthLowerBound(ag, topo), big.NewRat(c, 1))
+		minR := int(new(big.Int).Quo(new(big.Int).Add(bw.Num(), new(big.Int).Sub(bw.Denom(), big.NewInt(1))), bw.Denom()).Int64())
+		implied := []*collective.Spec{}
+		for root := 0; root < topo.P; root++ {
+			ga, _ := collective.New(collective.Gather, topo.P, c, topology.Node(root))
+			implied = append(implied, ga)
+		}
+		aa, _ := collective.New(collective.Alltoall, topo.P, c, 0)
+		implied = append(implied, aa)
+		for _, steps := range []int{lat, lat + 1} {
+			for _, rounds := range []int{max(steps, minR), max(steps, minR) + 1} {
+				agIn := Instance{Coll: ag, Topo: topo, Steps: steps, Round: rounds}
+				agAlg, agStatus, err := oneShot(ctx, agIn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, a := range implied {
+					label := fmt.Sprintf("%s %v root %d (%d,%d,%d)", name, a.Kind, a.Root, c, steps, rounds)
+					in := Instance{Coll: a, Topo: topo, Steps: steps, Round: rounds}
+					ask := func(ctx context.Context, b Instance) (*algorithm.Algorithm, sat.Status, error) {
+						asked++
+						if b.Coll.Kind != collective.Allgather || b.Coll.Root != 0 || b.Steps != steps || b.Round != rounds {
+							t.Fatalf("%s: asked %v root %d (%d,%d)", label, b.Coll.Kind, b.Coll.Root, b.Steps, b.Round)
+						}
+						return agAlg, agStatus, nil
+					}
+					alg, status, err := SolveImplied(ctx, in, ask, oneShot)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					_, directStatus, err := oneShot(ctx, in)
+					if err != nil {
+						t.Fatalf("%s: direct: %v", label, err)
+					}
+					if agStatus == sat.Sat && directStatus != sat.Sat {
+						t.Errorf("%s: Allgather Sat, direct solve %v", label, directStatus)
+					}
+					if status != directStatus {
+						t.Errorf("%s: SolveImplied %v, direct solve %v", label, status, directStatus)
+					}
+					if status != sat.Sat {
+						continue
+					}
+					if err := alg.Validate(); err != nil {
+						t.Errorf("%s: %v", label, err)
+					}
+					if alg.Coll != a || alg.CSR() != fmt.Sprintf("(%d,%d,%d)", c, steps, rounds) {
+						t.Errorf("%s: answered %v %s", label, alg.Coll, alg.CSR())
+					}
+					if agStatus == sat.Sat {
+						projected++
+						if len(alg.Sends) > len(agAlg.Sends) {
+							t.Errorf("%s: %d sends, the Allgather has %d", label, len(alg.Sends), len(agAlg.Sends))
+						}
+					}
+				}
+			}
+		}
+	}
+	if asked == 0 || projected == 0 {
+		t.Fatalf("%d implied specs asked the Allgather, %d were projected", asked, projected)
+	}
+	t.Logf("%d implied specs asked the Allgather, %d were projected", asked, projected)
+}
+
+// TestSolveImpliedUnknown: an Unknown implying Allgather is the implied
+// spec's answer, without a second solve; a cancelled context gives
+// Unknown through SynthesizeCollectiveContext too.
+func TestSolveImpliedUnknown(t *testing.T) {
+	topo := topology.DGX1()
+	ga, _ := collective.New(collective.Gather, topo.P, 6, 3)
+	in := Instance{Coll: ga, Topo: topo, Steps: 7, Round: 7}
+	unknown := func(context.Context, Instance) (*algorithm.Algorithm, sat.Status, error) {
+		return nil, sat.Unknown, nil
+	}
+	solve := func(context.Context, Instance) (*algorithm.Algorithm, sat.Status, error) {
+		t.Fatal("the implied spec was solved after an Unknown Allgather")
+		return nil, sat.Unknown, nil
+	}
+	if alg, status, err := SolveImplied(context.Background(), in, unknown, solve); alg != nil || status != sat.Unknown || err != nil {
+		t.Fatalf("SolveImplied = %v, %v, %v; want Unknown", alg, status, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if alg, status, err := SynthesizeCollective(collective.Gather, topo, 3, 6, 7, 7, Options{}); err != nil || status != sat.Sat || alg.Coll.Kind != collective.Gather {
+		t.Fatalf("Gather (6,7,7): %v %v", status, err)
+	}
+	if alg, status, err := SynthesizeCollectiveContext(ctx, collective.Gather, topo, 3, 6, 7, 7, Options{}); alg != nil || status != sat.Unknown || err != nil {
+		t.Fatalf("cancelled Gather = %v, %v, %v; want Unknown", alg, status, err)
 	}
 }

@@ -208,16 +208,37 @@ func (t *Topology) Reverse() *Topology {
 // distances computes BFS hop distances from src over usable links.
 // Unreachable nodes get -1.
 func (t *Topology) distances(src Node) []int {
-	dist := make([]int, t.P)
+	return bfs(t.adjacency(), src)
+}
+
+// Distances returns the all-pairs hop distance matrix over usable links,
+// dist[src][dst] (-1 when unreachable): one BFS per node over one
+// adjacency list.
+func (t *Topology) Distances() [][]int {
+	adj := t.adjacency()
+	dist := make([][]int, t.P)
+	for src := range dist {
+		dist[src] = bfs(adj, Node(src))
+	}
+	return dist
+}
+
+// adjacency lists each node's out-neighbours over usable links.
+func (t *Topology) adjacency() [][]Node {
+	adj := make([][]Node, t.P)
+	for _, l := range t.Edges() {
+		adj[l.Src] = append(adj[l.Src], l.Dst)
+	}
+	return adj
+}
+
+func bfs(adj [][]Node, src Node) []int {
+	dist := make([]int, len(adj))
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
 	queue := []Node{src}
-	adj := make([][]Node, t.P)
-	for _, l := range t.Edges() {
-		adj[l.Src] = append(adj[l.Src], l.Dst)
-	}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -277,11 +298,21 @@ func (t *Topology) Diameter() int {
 // DGX-2 NVSwitch model). Exact when relations are link-disjoint — true
 // for the DGX-1 and Z52 models.
 func (t *Topology) CutCapacity(inA func(Node) bool) int {
-	cutLinks := map[Link]bool{}
+	return t.CutCapacities()(inA)
+}
+
+// CutCapacities returns CutCapacity with the usable links resolved once,
+// for a caller that measures many cuts of one topology.
+func (t *Topology) CutCapacities() func(inA func(Node) bool) int {
 	usable := map[Link]bool{}
 	for _, l := range t.Edges() {
 		usable[l] = true
 	}
+	return func(inA func(Node) bool) int { return t.cutCapacity(inA, usable) }
+}
+
+func (t *Topology) cutCapacity(inA func(Node) bool, usable map[Link]bool) int {
+	cutLinks := map[Link]bool{}
 	// Relations indexed by which cut links they cover.
 	type relCover struct {
 		bw    int
@@ -292,7 +323,7 @@ func (t *Topology) CutCapacity(inA func(Node) bool) int {
 	for _, r := range t.Relations {
 		var crossing []Link
 		for _, l := range r.Links {
-			if usable[l] && inA(l.Src) && !inA(l.Dst) {
+			if inA(l.Src) && !inA(l.Dst) && usable[l] {
 				crossing = append(crossing, l)
 				cutLinks[l] = true
 			}
