@@ -76,7 +76,7 @@ type cacheEntry struct {
 // entryOf describes a request for its cache entry; the outcome fields
 // are filled in once it is answered.
 func entryOf(req Request) cacheEntry {
-	return cacheEntry{kind: req.Kind.String(), topoName: req.Topo.Name, root: int(req.Root), budget: req.Budget}
+	return cacheEntry{kind: req.Kind.String(), topoName: req.Topo.Name, root: int(canonicalRoot(req.Kind, req.Root)), budget: req.Budget}
 }
 
 // Engine is the sessionful entry point to the synthesizer: it owns a
@@ -195,10 +195,11 @@ func optionParts(o SynthOptions) []string {
 	}
 }
 
-// canonicalRoot is the root a request of kind is keyed and solved at:
-// its own for a rooted kind, 0 for the kinds whose relations ignore it
-// (Allgather, Alltoall, Reducescatter, Allreduce), so each of those is
-// one instance whatever root a request names.
+// canonicalRoot is the root a request of kind is keyed at: its own for
+// a rooted kind, 0 for the kinds whose relations ignore it (Allgather,
+// Alltoall, Reducescatter, Allreduce), which collective.New builds at
+// root 0 too, so each of those is one instance whatever root a request
+// names.
 func canonicalRoot(kind Kind, root Node) Node {
 	if !kind.IsRooted() {
 		return 0
@@ -457,7 +458,6 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 // answer serves a validated request under resolved solver options
 // through the algorithm cache.
 func (e *Engine) answer(ctx context.Context, req Request, o SynthOptions) (*Result, error) {
-	req.Root = canonicalRoot(req.Kind, req.Root)
 	return e.answerRequest(ctx, e.requestFingerprint(req, o), entryOf(req), func(ctx context.Context) (*Algorithm, Status, error) {
 		if req.Kind.IsCombining() {
 			return e.solveDuals(ctx, req, o)
@@ -467,7 +467,7 @@ func (e *Engine) answer(ctx context.Context, req Request, o SynthOptions) (*Resu
 			return nil, Unknown, err
 		}
 		in := synth.Instance{Coll: coll, Topo: req.Topo, Steps: req.Budget.S, Round: req.Budget.R}
-		return synth.SolveImplied(ctx, in, e.asker(o), func(ctx context.Context, in synth.Instance) (*Algorithm, Status, error) {
+		return synth.SolveImplied(ctx, in, o, e.asker(o), func(ctx context.Context, in synth.Instance) (*Algorithm, Status, error) {
 			return e.solve(ctx, in, o)
 		})
 	})
@@ -601,7 +601,6 @@ func (e *Engine) Pareto(ctx context.Context, req ParetoRequest) (*ParetoResult, 
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	req.Root = canonicalRoot(req.Kind, req.Root)
 	fp, o, maxSteps, maxChunks := e.paretoKey(req)
 	if pts, ok := e.lookupFrontier(fp); ok {
 		e.progress("engine: frontier cache hit %v on %s [%s]", req.Kind, req.Topo.Name, fp)

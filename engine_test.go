@@ -295,6 +295,21 @@ func TestImpliedGatherSharesAllgather(t *testing.T) {
 	}
 }
 
+// TestImpliedNeedsNodeSymmetry: with node symmetry off the Allgather is
+// not the cheaper route, so a Gather is solved as itself and caches no
+// Allgather entry.
+func TestImpliedNeedsNodeSymmetry(t *testing.T) {
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1, NoSymmetryBreaking: true})
+	defer eng.Close()
+	res, err := eng.Synthesize(context.Background(), sccl.Request{Kind: sccl.Gather, Topo: sccl.DGX1(), Root: 2, Budget: sccl.Budget{C: 2, S: 3, R: 3}})
+	if err != nil || res.Status != sccl.Sat || res.Algorithm.Validate() != nil {
+		t.Fatalf("Gather (2,3,3): %v %v", res, err)
+	}
+	if cs := eng.CacheStats(); cs.Misses != 1 || cs.Algorithms != 1 {
+		t.Errorf("misses, algorithms = %d, %d; want the Gather alone", cs.Misses, cs.Algorithms)
+	}
+}
+
 // TestImpliedUnknownNotCached: when the implying Allgather comes back
 // Unknown (here a cancelled context), so does the Gather, and neither is
 // cached; the same request later is solved.

@@ -78,8 +78,8 @@ func (k Kind) IsCombining() bool {
 }
 
 // IsRooted reports whether the collective's relations depend on its
-// root: Gather, Scatter, Broadcast and Reduce. New ignores the root of
-// every other kind.
+// root: Gather, Scatter, Broadcast and Reduce. New builds every other
+// kind at root 0, whatever root it is given.
 func (k Kind) IsRooted() bool {
 	switch k {
 	case Gather, Scatter, Broadcast, Reduce:
@@ -202,7 +202,8 @@ func ToGlobal(kind Kind, p, c int) (int, error) {
 
 // New builds the Spec for a collective on p nodes with per-node chunk
 // count c. root is used by rooted collectives (Gather, Scatter, Broadcast,
-// Reduce) and ignored otherwise.
+// Reduce); every other kind is built at root 0 (it must still be in
+// range).
 //
 // For combining collectives the returned Spec carries the pre/post of the
 // collective itself (used by verifiers); synthesis goes through Dual.
@@ -216,6 +217,9 @@ func New(kind Kind, p, c int, root topology.Node) (*Spec, error) {
 	g, err := ToGlobal(kind, p, c)
 	if err != nil {
 		return nil, err
+	}
+	if !kind.IsRooted() {
+		root = 0
 	}
 	s := &Spec{Kind: kind, P: p, C: c, Root: root, G: g}
 	switch kind {

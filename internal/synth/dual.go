@@ -19,12 +19,8 @@ import (
 // Topology.Fingerprint) every dual runs on topo itself, so Allreduce
 // lists one Allgather that serves both phases; otherwise it lists the
 // reversed instance first. AssembleDuals builds the answer from the
-// instances' algorithms in the same order. A kind that ignores its root
-// (collective.Kind.IsRooted) is listed at root 0.
+// instances' algorithms in the same order.
 func DualInstances(kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int) ([]Instance, error) {
-	if !kind.IsRooted() {
-		root = 0
-	}
 	dual := kind
 	switch kind {
 	case collective.Reduce:
@@ -111,17 +107,38 @@ func implying(in Instance) (Instance, bool) {
 	return Instance{Coll: b, Topo: in.Topo, Steps: in.Steps, Round: in.Round}, true
 }
 
+// worthAsking reports whether the implying Allgather b is the cheaper
+// route to a spec it implies under opts: node symmetry is on, and b's
+// fixed-point-free node-symmetry group has order at least P/2, so that
+// group reduces b to the chunks of at most two nodes. Where the group is
+// smaller (order 2 on eight-node dragonfly and multinode fabrics) or
+// absent, and with symmetry off, the Allgather has measured costlier
+// than the spec's own solve.
+func worthAsking(b Instance, opts Options) bool {
+	if opts.NoSymmetryBreaking || opts.ProveUnsat {
+		return false
+	}
+	order := freeOrder(b.Coll, b.Topo)
+	return order == 0 || 2*order >= b.Topo.P
+}
+
 // SolveImplied answers the non-combining instance in. When an Allgather
-// implies it (see implying) and that Allgather's budget passes
-// collective.Admits, ask answers the Allgather first: Sat is projected
-// onto in (algorithm.Project, the same rounds and fewer sends), and
-// Unknown is in's answer too, so a timeout is never spent twice.
-// Otherwise — no implying spec, a budget Admits rejects, or an Unsat
-// Allgather — solve answers in itself. An implied witness is therefore
-// always the projection of the answer ask gives for the Allgather of its
-// budget, whatever was asked before.
-func SolveImplied(ctx context.Context, in Instance, ask, solve SolveFunc) (*algorithm.Algorithm, sat.Status, error) {
-	if b, ok := implying(in); ok && collective.Admits(b.Coll, b.Topo, b.Steps, b.Round) {
+// implies it (see implying), that Allgather's budget passes
+// collective.Admits and it is worth asking (worthAsking), ask answers
+// the Allgather first: Sat is projected onto in (algorithm.Project, the
+// same rounds and fewer sends), and Unknown is in's answer too.
+// Otherwise — no implying spec, a budget Admits rejects, a symmetry
+// group too small, or an Unsat Allgather — solve answers in itself.
+// Both solves share one deadline, opts.Timeout from the call, so an
+// Unsat Allgather leaves the direct solve only the time it did not use
+// and the call never spends more than one timeout.
+func SolveImplied(ctx context.Context, in Instance, opts Options, ask, solve SolveFunc) (*algorithm.Algorithm, sat.Status, error) {
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
+	}
+	if b, ok := implying(in); ok && collective.Admits(b.Coll, b.Topo, b.Steps, b.Round) && worthAsking(b, opts) {
 		alg, status, err := ask(ctx, b)
 		if err != nil || status == sat.Unknown {
 			return nil, status, err
@@ -158,7 +175,7 @@ func SynthesizeCollectiveContext(ctx context.Context, kind collective.Kind, topo
 	}
 	algs := make([]*algorithm.Algorithm, len(ins))
 	for i, in := range ins {
-		alg, status, err := SolveImplied(ctx, in, solve, solve)
+		alg, status, err := SolveImplied(ctx, in, opts, solve, solve)
 		if err != nil || status != sat.Sat {
 			return nil, status, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"testing"
+	"time"
 
 	"repro/internal/algorithm"
 	"repro/internal/collective"
@@ -142,11 +143,12 @@ func oneShot(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status
 
 // TestSolveImpliedProperty: on every small builder fabric, for Gather at
 // every root and Alltoall over budgets at and just above the Allgather's
-// bounds, SolveImplied answers each as the projection of the Allgather
-// of its budget when that Allgather is Sat — a valid witness of exactly
-// the requested (C, S, R) with no more sends — and a direct solve of the
-// implied spec is Sat too. When the Allgather is not Sat the answer is
-// the direct solve's.
+// bounds, whenever the Allgather of the budget is Sat its witness
+// projects onto the implied spec — a valid witness of exactly the
+// requested (C, S, R) with no more sends — and a direct solve of the
+// implied spec is Sat too. SolveImplied asks that Allgather exactly when
+// its budget passes Admits and it is worth asking, answers with the
+// projection when it is Sat, and otherwise answers as the direct solve.
 func TestSolveImpliedProperty(t *testing.T) {
 	ctx := context.Background()
 	asked, projected := 0, 0
@@ -181,26 +183,47 @@ func TestSolveImpliedProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				wantAsk := collective.Admits(ag, topo, steps, rounds) && worthAsking(agIn, Options{})
 				for _, a := range implied {
 					label := fmt.Sprintf("%s %v root %d (%d,%d,%d)", name, a.Kind, a.Root, c, steps, rounds)
 					in := Instance{Coll: a, Topo: topo, Steps: steps, Round: rounds}
+					_, directStatus, err := oneShot(ctx, in)
+					if err != nil {
+						t.Fatalf("%s: direct: %v", label, err)
+					}
+					if agStatus == sat.Sat {
+						if directStatus != sat.Sat {
+							t.Errorf("%s: Allgather Sat, direct solve %v", label, directStatus)
+						}
+						proj, err := algorithm.Project(agAlg, a)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						projected++
+						if err := proj.Validate(); err != nil {
+							t.Errorf("%s: %v", label, err)
+						}
+						if proj.Coll != a || proj.CSR() != fmt.Sprintf("(%d,%d,%d)", c, steps, rounds) || len(proj.Sends) > len(agAlg.Sends) {
+							t.Errorf("%s: projected %v %s with %d sends, the Allgather has %d", label, proj.Coll, proj.CSR(), len(proj.Sends), len(agAlg.Sends))
+						}
+					}
+					didAsk := false
 					ask := func(ctx context.Context, b Instance) (*algorithm.Algorithm, sat.Status, error) {
-						asked++
+						didAsk = true
 						if b.Coll.Kind != collective.Allgather || b.Coll.Root != 0 || b.Steps != steps || b.Round != rounds {
 							t.Fatalf("%s: asked %v root %d (%d,%d)", label, b.Coll.Kind, b.Coll.Root, b.Steps, b.Round)
 						}
 						return agAlg, agStatus, nil
 					}
-					alg, status, err := SolveImplied(ctx, in, ask, oneShot)
+					alg, status, err := SolveImplied(ctx, in, Options{}, ask, oneShot)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					_, directStatus, err := oneShot(ctx, in)
-					if err != nil {
-						t.Fatalf("%s: direct: %v", label, err)
+					if didAsk != wantAsk {
+						t.Errorf("%s: asked the Allgather %v, want %v", label, didAsk, wantAsk)
 					}
-					if agStatus == sat.Sat && directStatus != sat.Sat {
-						t.Errorf("%s: Allgather Sat, direct solve %v", label, directStatus)
+					if didAsk {
+						asked++
 					}
 					if status != directStatus {
 						t.Errorf("%s: SolveImplied %v, direct solve %v", label, status, directStatus)
@@ -214,12 +237,6 @@ func TestSolveImpliedProperty(t *testing.T) {
 					if alg.Coll != a || alg.CSR() != fmt.Sprintf("(%d,%d,%d)", c, steps, rounds) {
 						t.Errorf("%s: answered %v %s", label, alg.Coll, alg.CSR())
 					}
-					if agStatus == sat.Sat {
-						projected++
-						if len(alg.Sends) > len(agAlg.Sends) {
-							t.Errorf("%s: %d sends, the Allgather has %d", label, len(alg.Sends), len(agAlg.Sends))
-						}
-					}
 				}
 			}
 		}
@@ -228,6 +245,37 @@ func TestSolveImpliedProperty(t *testing.T) {
 		t.Fatalf("%d implied specs asked the Allgather, %d were projected", asked, projected)
 	}
 	t.Logf("%d implied specs asked the Allgather, %d were projected", asked, projected)
+}
+
+// TestWorthAsking: the Allgather is asked on fabrics whose free
+// node-symmetry group has order at least P/2 (DGX-1's has order 4, a
+// 4-dimensional hypercube's 16), and not where it is smaller (order 2 on
+// line:8 and dragonfly:4:2:1), absent (star:8) or switched off.
+func TestWorthAsking(t *testing.T) {
+	for _, row := range []struct {
+		spec string
+		want bool
+	}{
+		{"dgx1", true}, {"amd", true}, {"hypercube:4", true}, {"bidir-ring:9", true},
+		{"line:8", false}, {"dragonfly:4:2:1", false}, {"star:8", false},
+	} {
+		spec, err := topology.ParseSpec(row.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag, _ := collective.New(collective.Allgather, topo.P, 2, 0)
+		in := Instance{Coll: ag, Topo: topo, Steps: 3, Round: 3}
+		if got := worthAsking(in, Options{}); got != row.want {
+			t.Errorf("%s: worthAsking %v, want %v", row.spec, got, row.want)
+		}
+		if worthAsking(in, Options{NoSymmetryBreaking: true}) || worthAsking(in, Options{ProveUnsat: true}) {
+			t.Errorf("%s: worth asking with node symmetry off", row.spec)
+		}
+	}
 }
 
 // TestSolveImpliedUnknown: an Unknown implying Allgather is the implied
@@ -244,7 +292,7 @@ func TestSolveImpliedUnknown(t *testing.T) {
 		t.Fatal("the implied spec was solved after an Unknown Allgather")
 		return nil, sat.Unknown, nil
 	}
-	if alg, status, err := SolveImplied(context.Background(), in, unknown, solve); alg != nil || status != sat.Unknown || err != nil {
+	if alg, status, err := SolveImplied(context.Background(), in, Options{}, unknown, solve); alg != nil || status != sat.Unknown || err != nil {
 		t.Fatalf("SolveImplied = %v, %v, %v; want Unknown", alg, status, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -254,5 +302,46 @@ func TestSolveImpliedUnknown(t *testing.T) {
 	}
 	if alg, status, err := SynthesizeCollectiveContext(ctx, collective.Gather, topo, 3, 6, 7, 7, Options{}); alg != nil || status != sat.Unknown || err != nil {
 		t.Fatalf("cancelled Gather = %v, %v, %v; want Unknown", alg, status, err)
+	}
+}
+
+// TestSolveImpliedOneDeadline: the implying Allgather and the direct
+// solve after its Unsat share one deadline, opts.Timeout from the call,
+// so the pair never spends more than one timeout. Without a timeout
+// neither solve gets a deadline.
+func TestSolveImpliedOneDeadline(t *testing.T) {
+	topo := topology.DGX1()
+	ga, _ := collective.New(collective.Gather, topo.P, 6, 3)
+	in := Instance{Coll: ga, Topo: topo, Steps: 7, Round: 7}
+	const timeout = time.Minute
+	var askDeadline time.Time
+	var asked, solved bool
+	unsat := func(ctx context.Context, _ Instance) (*algorithm.Algorithm, sat.Status, error) {
+		asked = true
+		askDeadline, _ = ctx.Deadline()
+		return nil, sat.Unsat, nil
+	}
+	var solveDeadline time.Time
+	solve := func(ctx context.Context, _ Instance) (*algorithm.Algorithm, sat.Status, error) {
+		solved = true
+		solveDeadline, _ = ctx.Deadline()
+		return nil, sat.Unsat, nil
+	}
+	start := time.Now()
+	if _, status, err := SolveImplied(context.Background(), in, Options{Timeout: timeout}, unsat, solve); status != sat.Unsat || err != nil || !asked || !solved {
+		t.Fatalf("SolveImplied = %v, %v; asked %v, solved %v", status, err, asked, solved)
+	}
+	end := time.Now()
+	if !solveDeadline.Equal(askDeadline) || askDeadline.Before(start.Add(timeout)) || askDeadline.After(end.Add(timeout)) {
+		t.Errorf("deadlines: Allgather %v, direct solve %v; want one, %v after a call made in [%v, %v]", askDeadline, solveDeadline, timeout, start, end)
+	}
+	noDeadline := func(ctx context.Context, _ Instance) (*algorithm.Algorithm, sat.Status, error) {
+		if d, ok := ctx.Deadline(); ok {
+			t.Errorf("deadline %v without a timeout", d)
+		}
+		return nil, sat.Unsat, nil
+	}
+	if _, status, err := SolveImplied(context.Background(), in, Options{}, noDeadline, noDeadline); status != sat.Unsat || err != nil {
+		t.Fatalf("SolveImplied without a timeout = %v, %v", status, err)
 	}
 }

@@ -163,35 +163,51 @@ func (e *StagedEncoder) resolveNodeSymPlan() *nodeSymPlan {
 		return nil
 	}
 	classes, sigs := chunkClasses(coll)
-	var free, fixing []nodeSymPerm
 	seen := map[string]bool{}
-	add := func(gens []topology.Perm) {
-		for _, p := range gens {
-			invClass, ok := nodeSymClassMap(sigs, classes, p)
-			if !ok || p.IsIdentity() || seen[permKey(p)] {
-				continue
-			}
-			seen[permKey(p)] = true
-			sp := nodeSymPerm{perm: p, invClass: invClass, chunkMap: chunkMapOf(classes, invClass)}
-			if fixedPointFree(p) {
-				free = append(free, sp)
-			} else if movesChunk(sp.chunkMap) {
-				fixing = append(fixing, sp)
-			}
-		}
-	}
-	add(e.Template.Aut(topo).Gens)
+	free, fixing := instancePerms(classes, sigs, e.Template.Aut(topo).Gens, seen)
 	plan := &nodeSymPlan{classes: classes}
 	if len(free) > 0 {
 		plan.perms, plan.order = reduceGens(free, topo.P, true)
 	} else if pinsRoot(coll) {
-		add(e.Template.AutFixing(topo, coll.Root).Gens)
-		plan.perms, plan.order = reduceGens(fixing, topo.P, false)
+		_, rooted := instancePerms(classes, sigs, e.Template.AutFixing(topo, coll.Root).Gens, seen)
+		plan.perms, plan.order = reduceGens(append(fixing, rooted...), topo.P, false)
 	}
 	if len(plan.perms) == 0 {
 		return nil
 	}
 	return plan
+}
+
+// instancePerms keeps the generators in gens that stabilize the instance
+// with the given chunk classes and signatures, skipping the identity and
+// every generator already in seen (which it extends). It splits them
+// into the fixed-point-free ones and the others that move a chunk.
+func instancePerms(classes [][]int, sigs []string, gens []topology.Perm, seen map[string]bool) (free, fixing []nodeSymPerm) {
+	for _, p := range gens {
+		invClass, ok := nodeSymClassMap(sigs, classes, p)
+		if !ok || p.IsIdentity() || seen[permKey(p)] {
+			continue
+		}
+		seen[permKey(p)] = true
+		sp := nodeSymPerm{perm: p, invClass: invClass, chunkMap: chunkMapOf(classes, invClass)}
+		if fixedPointFree(p) {
+			free = append(free, sp)
+		} else if movesChunk(sp.chunkMap) {
+			fixing = append(fixing, sp)
+		}
+	}
+	return free, fixing
+}
+
+// freeOrder is the order of the fixed-point-free node-symmetry group an
+// encoding of coll on topo breaks over (the free branch of
+// resolveNodeSymPlan): 1 when there is none, 0 when it outgrew
+// enumeration.
+func freeOrder(coll *collective.Spec, topo *topology.Topology) int {
+	classes, sigs := chunkClasses(coll)
+	free, _ := instancePerms(classes, sigs, cachedAut(topo).Gens, map[string]bool{})
+	_, order := reduceGens(free, topo.P, true)
+	return order
 }
 
 // fixedPointFree reports whether p moves every node.
@@ -205,8 +221,13 @@ func fixedPointFree(p topology.Perm) bool {
 }
 
 // pinsRoot reports whether the instance is rooted: every chunk starts at
-// the root alone (Broadcast, Scatter) or ends there alone (Gather).
+// the root alone (Broadcast, Scatter) or ends there alone (Gather). A
+// built-in kind that ignores its root never is, even an Alltoall with
+// C < P, whose chunks all end at node 0.
 func pinsRoot(coll *collective.Spec) bool {
+	if coll.Kind != collective.CustomKind && !coll.Kind.IsRooted() {
+		return false
+	}
 	pre, post := true, true
 	for c := 0; c < coll.G; c++ {
 		for n := 0; n < coll.P; n++ {

@@ -98,30 +98,7 @@ func (t *Stage0Template) AutFixing(topo *topology.Topology, root topology.Node) 
 // with the same (topo, S) in a sweep share one derivation.
 func NewStage0Template(topo *topology.Topology) *Stage0Template {
 	t := newStage0Skeleton(topo)
-	adj := make([][]topology.Node, topo.P)
-	for _, l := range t.Edges {
-		adj[l.Src] = append(adj[l.Src], l.Dst)
-	}
-	t.Dist = make([][]int, topo.P)
-	for src := 0; src < topo.P; src++ {
-		d := make([]int, topo.P)
-		for i := range d {
-			d[i] = -1
-		}
-		d[src] = 0
-		queue := []topology.Node{topology.Node(src)}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			for _, m := range adj[n] {
-				if d[m] == -1 {
-					d[m] = d[n] + 1
-					queue = append(queue, m)
-				}
-			}
-		}
-		t.Dist[src] = d
-	}
+	t.Dist = topo.Distances()
 	return t
 }
 
