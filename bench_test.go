@@ -35,12 +35,20 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// tableEngine builds one iteration's engine: a fresh one each time, so
+// every iteration solves instead of timing cache hits.
+func tableEngine() *sccl.Engine {
+	return sccl.NewEngine(sccl.EngineOptions{Timeout: 20 * time.Minute})
+}
+
 // table4Rows synthesizes the Table 4 rows for one collective.
 func table4Rows(b *testing.B, kinds map[string]bool) {
 	b.Helper()
-	opts := eval.Options{Timeout: 20 * time.Minute, IncludeSlow: includeSlow()}
+	opts := eval.Options{IncludeSlow: includeSlow()}
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table4(opts)
+		eng := tableEngine()
+		rows, err := eval.Table4(context.Background(), eng, opts)
+		eng.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,9 +73,10 @@ func BenchmarkTable4(b *testing.B) { table4Rows(b, nil) }
 
 // BenchmarkTable5 regenerates the AMD Z52 synthesis table (paper Table 5).
 func BenchmarkTable5(b *testing.B) {
-	opts := eval.Options{Timeout: 20 * time.Minute}
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.Table5(opts)
+		eng := tableEngine()
+		rows, err := eval.Table5(context.Background(), eng, eval.Options{})
+		eng.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,12 +22,7 @@ import (
 	"time"
 
 	sccl "repro"
-	"repro/internal/algorithm"
-	"repro/internal/collective"
 	"repro/internal/eval"
-	"repro/internal/sat"
-	"repro/internal/synth"
-	"repro/internal/topology"
 )
 
 func main() {
@@ -35,34 +30,17 @@ func main() {
 	figure := flag.Int("figure", 0, "regenerate figure 4, 5 or 6")
 	all := flag.Bool("all", false, "regenerate everything")
 	slow := flag.Bool("slow", false, "include slow synthesis instances")
-	timeout := flag.Duration("timeout", 15*time.Minute, "per-instance synthesis timeout")
-	workers := flag.Int("workers", 1, "concurrent row synthesis workers")
+	timeout := flag.Duration("timeout", 15*time.Minute, "per-request synthesis timeout")
+	workers := flag.Int("workers", 1, "engine worker pool size: table rows synthesized concurrently")
 	noSymmetry := flag.Bool("no-symmetry", false, "disable node-orbit symmetry exploitation on large fabrics (frontier costs are identical either way; witnesses may differ)")
 	noQuotient := flag.Bool("no-quotient", false, "disable the chunk-orbit quotient encoding (frontier costs are identical either way; witnesses may differ)")
 	flag.Parse()
 
-	// Rows go through a facade engine so identical budgets across tables
-	// and repeated runs within one process hit the algorithm cache.
-	eng := sccl.NewEngine(sccl.EngineOptions{Workers: *workers, NoSymmetryBreaking: *noSymmetry, NoQuotient: *noQuotient})
-	opts := eval.Options{
-		Timeout:     *timeout,
-		IncludeSlow: *slow,
-		Workers:     *workers,
-		Progress: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-		Synthesize: func(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, o synth.Options) (*algorithm.Algorithm, sat.Status, error) {
-			res, err := eng.Synthesize(ctx, sccl.Request{
-				Kind: kind, Topo: topo, Root: root,
-				Budget:  sccl.Budget{C: c, S: s, R: r},
-				Options: &o,
-			})
-			if err != nil {
-				return nil, sat.Unknown, err
-			}
-			return res.Algorithm, res.Status, nil
-		},
-	}
+	// Rows go through one engine: budgets repeated across tables, and the
+	// duals and implying Allgathers that rows share, come from its cache.
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: *workers, Timeout: *timeout, NoSymmetryBreaking: *noSymmetry, NoQuotient: *noQuotient})
+	ctx := context.Background()
+	opts := eval.Options{IncludeSlow: *slow}
 	ran := false
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "scclbench:", err)
@@ -84,7 +62,7 @@ func main() {
 	}
 	if *all || *table == 4 {
 		ran = true
-		rows, err := eval.Table4(opts)
+		rows, err := eval.Table4(ctx, eng, opts)
 		if err != nil {
 			fail(err)
 		}
@@ -93,7 +71,7 @@ func main() {
 	}
 	if *all || *table == 5 {
 		ran = true
-		rows, err := eval.Table5(opts)
+		rows, err := eval.Table5(ctx, eng, opts)
 		if err != nil {
 			fail(err)
 		}

@@ -460,7 +460,7 @@ func (e *Engine) Synthesize(ctx context.Context, req Request) (*Result, error) {
 func (e *Engine) answer(ctx context.Context, req Request, o SynthOptions) (*Result, error) {
 	return e.answerRequest(ctx, e.requestFingerprint(req, o), entryOf(req), func(ctx context.Context) (*Algorithm, Status, error) {
 		if req.Kind.IsCombining() {
-			return e.solveDuals(ctx, req, o)
+			return synth.SolveCollective(ctx, req.Kind, req.Topo, req.Root, req.Budget.C, req.Budget.S, req.Budget.R, e.asker(o))
 		}
 		coll, err := collective.New(req.Kind, req.Topo.P, req.Budget.C, req.Root)
 		if err != nil {
@@ -487,29 +487,6 @@ func (e *Engine) asker(o SynthOptions) synth.SolveFunc {
 		}
 		return res.Algorithm, res.Status, nil
 	}
-}
-
-// solveDuals answers each of a combining request's dual instances under
-// its own fingerprint (hit or solve) and assembles the answer from them.
-func (e *Engine) solveDuals(ctx context.Context, req Request, o SynthOptions) (*Algorithm, Status, error) {
-	ins, err := synth.DualInstances(req.Kind, req.Topo, req.Root, req.Budget.C, req.Budget.S, req.Budget.R)
-	if err != nil {
-		return nil, Unknown, err
-	}
-	ask := e.asker(o)
-	algs := make([]*Algorithm, len(ins))
-	for i, in := range ins {
-		alg, status, err := ask(ctx, in)
-		if err != nil || status != Sat {
-			return nil, status, err
-		}
-		algs[i] = alg
-	}
-	alg, err := synth.AssembleDuals(req.Kind, req.Topo, algs)
-	if err != nil {
-		return nil, Sat, err
-	}
-	return alg, Sat, nil
 }
 
 // solve answers one non-combining instance: through a warm mega-base

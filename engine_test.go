@@ -31,7 +31,7 @@ func TestEngineLegacyEquivalence(t *testing.T) {
 	}
 	eng := sccl.NewEngine(sccl.EngineOptions{})
 	for _, m := range matrix {
-		legacyAlg, legacyStatus, err := synth.SynthesizeCollective(m.kind, m.topo, 0, m.c, m.s, m.r, synth.Options{})
+		legacyAlg, legacyStatus, err := synth.SynthesizeCollectiveContext(context.Background(), m.kind, m.topo, 0, m.c, m.s, m.r, synth.Options{})
 		if err != nil {
 			t.Fatalf("legacy %v on %s: %v", m.kind, m.topo.Name, err)
 		}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 func testAlg(t *testing.T) *algorithm.Algorithm {
 	t.Helper()
-	alg, _, err := synth.SynthesizeCollective(collective.Allgather, topology.Ring(4), 0, 1, 3, 3, synth.Options{})
+	alg, _, err := synth.SynthesizeCollectiveContext(context.Background(), collective.Allgather, topology.Ring(4), 0, 1, 3, 3, synth.Options{})
 	if err != nil || alg == nil {
 		t.Fatalf("synthesis failed: %v", err)
 	}
@@ -85,7 +86,7 @@ func TestMemcpyStructure(t *testing.T) {
 }
 
 func TestReduceOpsEmitted(t *testing.T) {
-	rs, _, err := synth.SynthesizeCollective(collective.Reducescatter, topology.Ring(4), 0, 1, 3, 3, synth.Options{})
+	rs, _, err := synth.SynthesizeCollectiveContext(context.Background(), collective.Reducescatter, topology.Ring(4), 0, 1, 3, 3, synth.Options{})
 	if err != nil || rs == nil {
 		t.Fatalf("synthesis failed: %v", err)
 	}

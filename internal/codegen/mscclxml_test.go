@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"encoding/xml"
 	"strings"
 	"testing"
@@ -102,7 +103,7 @@ func TestMSCCLXMLTotalTransfersMatchSends(t *testing.T) {
 }
 
 func TestMSCCLXMLReduceUsesRRC(t *testing.T) {
-	rs, _, err := synth.SynthesizeCollective(collective.Reducescatter, topology.Ring(4), 0, 1, 3, 3, synth.Options{})
+	rs, _, err := synth.SynthesizeCollectiveContext(context.Background(), collective.Reducescatter, topology.Ring(4), 0, 1, 3, 3, synth.Options{})
 	if err != nil || rs == nil {
 		t.Fatal(err)
 	}

@@ -7,52 +7,25 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/algorithm"
+	sccl "repro"
 	"repro/internal/collective"
 	"repro/internal/cost"
 	"repro/internal/nccl"
-	"repro/internal/sat"
 	"repro/internal/synth"
 	"repro/internal/topology"
 )
 
 // Options tunes a table regeneration run.
 type Options struct {
-	// Timeout bounds each synthesis call.
-	Timeout time.Duration
 	// IncludeSlow enables the instances the paper itself reports as
 	// minutes-long (the 24-chunk 8-step Alltoall).
 	IncludeSlow bool
-	// Progress, if non-nil, receives one line per synthesized row. Calls
-	// are serialized under a mutex when Workers > 1.
-	Progress func(format string, args ...any)
-	// Workers synthesizes table rows concurrently; the printed row order
-	// is unchanged. Values <= 1 keep the sequential sweep.
-	Workers int
-	// Synthesize, if non-nil, replaces the direct call to
-	// synth.SynthesizeCollectiveContext for every row. cmd/scclbench
-	// injects the facade engine here so repeated budgets across tables
-	// are served from its algorithm cache.
-	Synthesize SynthesizeFunc
-}
-
-// SynthesizeFunc matches synth.SynthesizeCollectiveContext; Options
-// carries one so callers can route rows through a caching engine.
-type SynthesizeFunc func(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts synth.Options) (*algorithm.Algorithm, sat.Status, error)
-
-func (o *Options) defaults() {
-	if o.Timeout == 0 {
-		o.Timeout = 10 * time.Minute
-	}
-	if o.Progress == nil {
-		o.Progress = func(string, ...any) {}
-	}
 }
 
 // TableRow is one synthesized row of Table 4 or 5.
@@ -73,9 +46,9 @@ func (r TableRow) Format() string {
 	return fmt.Sprintf("%-28s %3d %3d %3d  %-10s %6.1fs  %s", r.Collective, r.C, r.S, r.R, r.Optimality, r.Time.Seconds(), r.Status)
 }
 
-// rowSpec describes one table row to synthesize. For Allreduce the triple
-// refers to the underlying Allgather phase (the printed row shows the
-// composed C, S, R as the paper does).
+// rowSpec describes one table row to synthesize. For Allreduce the
+// triple is the composed one the paper prints; requests converts it to
+// the budget of the Allgather phase.
 type rowSpec struct {
 	kind    collective.Kind
 	c, s, r int
@@ -138,136 +111,78 @@ var paperTable5 = []rowSpec{
 	{collective.Alltoall, 8, 4, 8, false},
 }
 
+// requests lists the engine requests of the rows to synthesize, the
+// slow ones only with includeSlow, and the index of each one's row. An
+// Allreduce row's printed triple is converted to the budget of its
+// Allgather phase, (C/P, S/2, R/2).
+func requests(topo *topology.Topology, rows []rowSpec, includeSlow bool) (reqs []sccl.Request, idx []int) {
+	for i, spec := range rows {
+		if spec.slow && !includeSlow {
+			continue
+		}
+		c, s, r := spec.c, spec.s, spec.r
+		if spec.kind == collective.Allreduce {
+			c, s, r = c/topo.P, s/2, r/2
+		}
+		reqs = append(reqs, sccl.Request{Kind: spec.kind, Topo: topo, Budget: sccl.Budget{C: c, S: s, R: r}})
+		idx = append(idx, i)
+	}
+	return reqs, idx
+}
+
+// Table4Requests returns the engine requests of the Table 4 rows that are
+// not slow, in table order.
+func Table4Requests() []sccl.Request {
+	reqs, _ := requests(topology.DGX1(), paperTable4, false)
+	return reqs
+}
+
 // synthesisTable regenerates Table 4 (topo = DGX1) or Table 5 (topo =
-// AMDZ52): every row is synthesized, verified, and labeled with computed
-// (not hard-coded) optimality against the lower bounds. With Workers > 1
-// the independent rows are synthesized concurrently; the returned order is
-// the table order regardless.
-func synthesisTable(topo *topology.Topology, rows []rowSpec, opts Options) ([]TableRow, error) {
-	opts.defaults()
-	// One Stage-0 template BFS serves every row's optimality label; the
-	// per-row bound computation used to re-walk the topology per
-	// (pre, post) pair.
+// AMDZ52) through eng: every row is labeled with computed (not
+// hard-coded) optimality against the lower bounds, and the rows that are
+// not skipped are synthesized as one Engine.SynthesizeAll batch and
+// checked to be Sat at exactly the printed (C, S, R). Rows come back in
+// table order; a failing row does not stop the others, and the returned
+// error joins every failure.
+func synthesisTable(ctx context.Context, eng *sccl.Engine, topo *topology.Topology, rows []rowSpec, opts Options) ([]TableRow, error) {
+	// One Stage-0 template BFS serves every row's optimality label.
 	dist := synth.NewStage0Template(topo).Dist
-	workers := opts.Workers
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		// Sequential sweep: rows synthesized in table order, failing fast
-		// on the first error.
-		var out []TableRow
-		for _, spec := range rows {
-			row, err := synthesizeRow(context.Background(), topo, dist, spec, opts, opts.Progress)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, row)
+	out := make([]TableRow, len(rows))
+	for i, spec := range rows {
+		opt, err := optimalityLabel(spec, topo, dist)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		out[i] = TableRow{Collective: spec.kind.String(), C: spec.c, S: spec.s, R: spec.r, Optimality: opt, Skipped: spec.slow && !opts.IncludeSlow}
 	}
-	progress := synth.SerializedProgress(opts.Progress)
-	type slot struct {
-		row TableRow
-		err error
-	}
-	slots := make([]slot, len(rows))
-	// The first error cancels the context so in-flight and queued rows
-	// abort promptly instead of synthesizing to completion; firstErr
-	// preserves the chronologically first cause rather than a knock-on
-	// cancellation error from an earlier table index.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	var firstErr error
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					// A prior row already failed; don't pay for the
-					// remaining rows' encodes against a dead context.
-					slots[i].err = ctx.Err()
-					continue
-				}
-				slots[i].row, slots[i].err = synthesizeRow(ctx, topo, dist, rows[i], opts, progress)
-				if slots[i].err != nil {
-					once.Do(func() {
-						firstErr = slots[i].err
-						cancel()
-					})
-				}
-			}
-		}()
-	}
-	for i := range rows {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	var out []TableRow
-	for _, s := range slots {
-		if s.err != nil {
-			return out, firstErr
+	reqs, asked := requests(topo, rows, opts.IncludeSlow)
+	results, err := eng.SynthesizeAll(ctx, reqs)
+	errs := []error{err}
+	for j, res := range results {
+		if res == nil {
+			continue // its error is in err
 		}
-		out = append(out, s.row)
+		row := &out[asked[j]]
+		row.Time, row.Status = res.Wall, res.Status.String()
+		alg := res.Algorithm
+		switch {
+		case res.Status != sccl.Sat:
+			errs = append(errs, fmt.Errorf("eval: %v (%d,%d,%d) unexpectedly %v", row.Collective, row.C, row.S, row.R, res.Status))
+		case alg.C != row.C || alg.Steps() != row.S || alg.TotalRounds() != row.R:
+			errs = append(errs, fmt.Errorf("eval: %v synthesized %s, want (%d,%d,%d)", row.Collective, alg.CSR(), row.C, row.S, row.R))
+		}
 	}
-	return out, nil
+	return out, errors.Join(errs...)
 }
 
-// synthesizeRow produces one verified table row.
-func synthesizeRow(ctx context.Context, topo *topology.Topology, dist [][]int, spec rowSpec, opts Options, progress func(format string, args ...any)) (TableRow, error) {
-	row := TableRow{Collective: spec.kind.String()}
-	row.C, row.S, row.R = spec.c, spec.s, spec.r
-	opt, err := optimalityLabel(spec, topo, dist)
-	if err != nil {
-		return row, err
-	}
-	row.Optimality = opt
-	if spec.slow && !opts.IncludeSlow {
-		row.Skipped = true
-		progress("%s", row.Format())
-		return row, nil
-	}
-	c, s, r := spec.c, spec.s, spec.r
-	if spec.kind == collective.Allreduce {
-		// Convert the printed composed triple to the Allgather phase.
-		c, s, r = spec.c/topo.P, spec.s/2, spec.r/2
-	}
-	synthesize := opts.Synthesize
-	if synthesize == nil {
-		synthesize = synth.SynthesizeCollectiveContext
-	}
-	t0 := time.Now()
-	alg, status, err := synthesize(ctx, spec.kind, topo, 0, c, s, r,
-		synth.Options{Timeout: opts.Timeout})
-	row.Time = time.Since(t0)
-	row.Status = status.String()
-	if err != nil {
-		return row, fmt.Errorf("eval: %v (%d,%d,%d): %w", spec.kind, spec.c, spec.s, spec.r, err)
-	}
-	if status != sat.Sat {
-		return row, fmt.Errorf("eval: %v (%d,%d,%d) unexpectedly %v", spec.kind, spec.c, spec.s, spec.r, status)
-	}
-	if alg.C != row.C || alg.Steps() != row.S || alg.TotalRounds() != row.R {
-		return row, fmt.Errorf("eval: %v synthesized %s, want (%d,%d,%d)",
-			spec.kind, alg.CSR(), row.C, row.S, row.R)
-	}
-	progress("%s", row.Format())
-	return row, nil
+// Table4 regenerates the paper's Table 4 on the DGX-1 model through eng.
+func Table4(ctx context.Context, eng *sccl.Engine, opts Options) ([]TableRow, error) {
+	return synthesisTable(ctx, eng, topology.DGX1(), paperTable4, opts)
 }
 
-// Table4 regenerates the paper's Table 4 on the DGX-1 model.
-func Table4(opts Options) ([]TableRow, error) {
-	return synthesisTable(topology.DGX1(), paperTable4, opts)
-}
-
-// Table5 regenerates the paper's Table 5 on the Z52 model.
-func Table5(opts Options) ([]TableRow, error) {
-	return synthesisTable(topology.AMDZ52(), paperTable5, opts)
+// Table5 regenerates the paper's Table 5 on the Z52 model through eng.
+func Table5(ctx context.Context, eng *sccl.Engine, opts Options) ([]TableRow, error) {
+	return synthesisTable(ctx, eng, topology.AMDZ52(), paperTable5, opts)
 }
 
 // optimalityLabel computes the paper's Optimality column from lower

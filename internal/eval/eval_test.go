@@ -1,52 +1,74 @@
 package eval
 
 import (
+	"context"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
-	"time"
 
+	sccl "repro"
 	"repro/internal/collective"
 	"repro/internal/topology"
 )
 
 // TestTable4OptimalityLabelsMatchPaper verifies the computed optimality
-// column reproduces the paper's Table 4 annotations exactly.
+// of the one Table 4 row bench/testdata/table4_dgx1.json leaves out, the
+// slow Alltoall; TestTable4MatchesBenchRows checks every other row.
 func TestTable4OptimalityLabelsMatchPaper(t *testing.T) {
-	want := map[[4]interface{}]string{}
-	cases := []struct {
-		kind    collective.Kind
-		c, s, r int
-		label   string
-	}{
-		{collective.Allgather, 1, 2, 2, "Latency"},
-		{collective.Allgather, 2, 3, 3, ""},
-		{collective.Allgather, 6, 7, 7, "Bandwidth"},
-		{collective.Allgather, 6, 3, 7, "Bandwidth"},
-		{collective.Allgather, 2, 2, 3, "Latency"},
-		{collective.Allreduce, 8, 4, 4, "Latency"},
-		{collective.Allreduce, 48, 14, 14, "Bandwidth"},
-		{collective.Allreduce, 48, 6, 14, "Bandwidth"},
-		{collective.Allreduce, 16, 4, 6, "Latency"},
-		{collective.Broadcast, 2, 2, 2, "Latency"},
-		{collective.Broadcast, 18, 5, 5, ""},
-		{collective.Gather, 1, 2, 2, "Latency"},
-		{collective.Gather, 6, 7, 7, "Bandwidth"},
-		{collective.Gather, 6, 3, 7, "Bandwidth"},
-		{collective.Alltoall, 8, 3, 3, ""},
-		{collective.Alltoall, 8, 2, 3, "Latency"},
-		{collective.Alltoall, 24, 8, 8, "Bandwidth"},
-		{collective.Alltoall, 24, 2, 8, "Both"},
+	got, err := optimalityLabel(rowSpec{collective.Alltoall, 24, 8, 8, true}, topology.DGX1(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != "Bandwidth" {
+		t.Errorf("Alltoall (24,8,8): label %q, want %q", got, "Bandwidth")
+	}
+}
+
+// TestTable4MatchesBenchRows checks that the benchmark's hand-entered copy
+// of Table 4 (bench/testdata/table4_dgx1.json) lists exactly the requests
+// of Table4Requests, in the same order, and that its Optimality column
+// (the paper's) equals the computed label of every row.
+func TestTable4MatchesBenchRows(t *testing.T) {
+	data, err := os.ReadFile("../../bench/testdata/table4_dgx1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Rows []struct {
+			Collective string
+			C, S, R    int
+			Optimality string
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	reqs := Table4Requests()
+	if len(doc.Rows) != len(reqs) {
+		t.Fatalf("%d rows in the JSON, %d requests", len(doc.Rows), len(reqs))
 	}
 	topo := topology.DGX1()
-	for _, tc := range cases {
-		got, err := optimalityLabel(rowSpec{tc.kind, tc.c, tc.s, tc.r, false}, topo, nil)
+	for i, row := range doc.Rows {
+		kind, err := collective.ParseKind(row.Collective)
 		if err != nil {
-			t.Fatalf("%v: %v", tc.kind, err)
+			t.Fatal(err)
 		}
-		if got != tc.label {
-			t.Errorf("%v (%d,%d,%d): label %q, want %q", tc.kind, tc.c, tc.s, tc.r, got, tc.label)
+		// The JSON prints composed Allreduce triples, as the paper does.
+		want := sccl.Budget{C: row.C, S: row.S, R: row.R}
+		if kind == collective.Allreduce {
+			want = sccl.Budget{C: row.C / topo.P, S: row.S / 2, R: row.R / 2}
 		}
-		want[[4]interface{}{tc.kind, tc.c, tc.s, tc.r}] = tc.label
+		if q := reqs[i]; q.Kind != kind || q.Budget != want {
+			t.Errorf("row %d: JSON %v %s, request %v %s", i, kind, want, q.Kind, q.Budget)
+		}
+		label, err := optimalityLabel(rowSpec{kind, row.C, row.S, row.R, false}, topo, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if label != row.Optimality {
+			t.Errorf("%v (%d,%d,%d): label %q, JSON %q", kind, row.C, row.S, row.R, label, row.Optimality)
+		}
 	}
 }
 
@@ -90,12 +112,18 @@ func TestTable3Shape(t *testing.T) {
 	}
 }
 
-// TestTable5FullSynthesis regenerates all of Table 5 (the cheaper table).
+// TestTable5FullSynthesis regenerates all of Table 5 (the cheaper table)
+// on a Workers:1 engine and pins its cache counts: every row misses once
+// under its own fingerprint, and the five rows whose dual or implying
+// Allgather an earlier row already asked (the three Allreduce rows and
+// the two Gather rows) hit that entry.
 func TestTable5FullSynthesis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesis table skipped in -short")
 	}
-	rows, err := Table5(Options{Timeout: 5 * time.Minute})
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	rows, err := Table5(context.Background(), eng, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +134,11 @@ func TestTable5FullSynthesis(t *testing.T) {
 		if r.Status != "SAT" {
 			t.Errorf("row %+v not SAT", r)
 		}
+	}
+	cs := eng.CacheStats()
+	got := [3]uint64{cs.Misses, cs.Hits, uint64(cs.Algorithms)}
+	if want := [3]uint64{14, 5, 14}; got != want {
+		t.Errorf("misses, hits, algorithms = %v, want %v", got, want)
 	}
 }
 
@@ -123,7 +156,9 @@ func TestTable4SubsetSynthesis(t *testing.T) {
 		{collective.Gather, 2, 2, 3, false},
 		{collective.Alltoall, 8, 2, 3, false},
 	}
-	rows, err := synthesisTable(topology.DGX1(), subset, Options{Timeout: 5 * time.Minute})
+	eng := sccl.NewEngine(sccl.EngineOptions{})
+	defer eng.Close()
+	rows, err := synthesisTable(context.Background(), eng, topology.DGX1(), subset, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +169,30 @@ func TestTable4SubsetSynthesis(t *testing.T) {
 	}
 }
 
+// TestFailingRowKeepsOthers: a row whose budget is Unsat is reported in
+// the error, and the rows around it are still synthesized.
+func TestFailingRowKeepsOthers(t *testing.T) {
+	rows := []rowSpec{
+		{collective.Allgather, 1, 2, 2, false},
+		{collective.Allgather, 1, 1, 1, false},
+		{collective.Broadcast, 2, 2, 2, false},
+	}
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	out, err := synthesisTable(context.Background(), eng, topology.DGX1(), rows, Options{})
+	if err == nil || !strings.Contains(err.Error(), "unexpectedly UNSAT") {
+		t.Fatalf("err = %v, want the Unsat row reported", err)
+	}
+	if len(out) != 3 || out[0].Status != "SAT" || out[1].Status != "UNSAT" || out[2].Status != "SAT" {
+		t.Fatalf("rows = %+v", out)
+	}
+}
+
 func TestSlowRowsSkippedByDefault(t *testing.T) {
 	rows := []rowSpec{{collective.Alltoall, 24, 8, 8, true}}
-	out, err := synthesisTable(topology.DGX1(), rows, Options{})
+	eng := sccl.NewEngine(sccl.EngineOptions{})
+	defer eng.Close()
+	out, err := synthesisTable(context.Background(), eng, topology.DGX1(), rows, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +201,9 @@ func TestSlowRowsSkippedByDefault(t *testing.T) {
 	}
 	if !strings.Contains(out[0].Format(), "skipped") {
 		t.Error("format should mention skip")
+	}
+	if cs := eng.CacheStats(); cs.Misses != 0 {
+		t.Errorf("a skipped row reached the engine: %d misses", cs.Misses)
 	}
 }
 
@@ -237,8 +296,8 @@ func TestFormatTable(t *testing.T) {
 	}
 }
 
-// TestParallelRowsMatchSequential checks that Workers > 1 synthesizes the
-// same rows in the same order as the sequential sweep.
+// TestParallelRowsMatchSequential checks that a Workers:4 engine
+// synthesizes the same rows in the same order as a Workers:1 engine.
 func TestParallelRowsMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesis skipped in -short")
@@ -249,14 +308,16 @@ func TestParallelRowsMatchSequential(t *testing.T) {
 		{collective.Gather, 1, 2, 2, false},
 		{collective.Allgather, 2, 2, 3, false},
 	}
-	seq, err := synthesisTable(topology.DGX1(), subset, Options{Timeout: 2 * time.Minute})
-	if err != nil {
-		t.Fatal(err)
+	table := func(workers int) []TableRow {
+		eng := sccl.NewEngine(sccl.EngineOptions{Workers: workers})
+		defer eng.Close()
+		rows, err := synthesisTable(context.Background(), eng, topology.DGX1(), subset, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-	par, err := synthesisTable(topology.DGX1(), subset, Options{Timeout: 2 * time.Minute, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := table(1), table(4)
 	if len(par) != len(seq) {
 		t.Fatalf("rows: %d vs %d", len(par), len(seq))
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 func synthesize(t *testing.T, kind collective.Kind, topo *topology.Topology, c, s, r int) *algorithm.Algorithm {
 	t.Helper()
-	alg, status, err := synth.SynthesizeCollective(kind, topo, 0, c, s, r, synth.Options{})
+	alg, status, err := synth.SynthesizeCollectiveContext(context.Background(), kind, topo, 0, c, s, r, synth.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -652,6 +652,49 @@ func TestServerServeDrains(t *testing.T) {
 	}
 }
 
+// TestServeClosesStalledHeaders: a connection that sends part of a
+// request header and then stalls is closed by the daemon once
+// readHeaderTimeout has passed.
+func TestServeClosesStalledHeaders(t *testing.T) {
+	t.Parallel()
+	srv, err := New(Config{Engine: sccl.NewEngine(sccl.EngineOptions{}), DrainTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/synthesize HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	// The server may answer 408 before it closes; read to the end.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open %v after a stalled header: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout-time.Second {
+		t.Errorf("closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+}
+
 func postDocGet(t *testing.T, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -143,6 +143,17 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // megabyte of JSON is already an absurd request.
 const maxBodyBytes = 1 << 20
 
+// Read deadlines of a daemon connection: a client that has not sent its
+// request headers within readHeaderTimeout, or the whole request within
+// readTimeout, is disconnected, so a stalled client cannot hold a
+// goroutine and a file descriptor forever. readTimeout also bounds an
+// idle keep-alive connection (http.Server's IdleTimeout default). There
+// is no write deadline, since a response waits on its solve.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
 // familyKey groups requests into admission families: one family per
 // (collective, topology), so a backlog on one family never fills
 // another's queue.
@@ -577,7 +588,7 @@ func (s *Server) Close() error {
 // DrainTimeout, cancel whatever remains, snapshot the library, close
 // the engine. A clean drain returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	httpSrv := &http.Server{Handler: s.mux}
+	httpSrv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 	if s.cfg.SnapshotEvery > 0 && s.cfg.LibraryPath != "" {
 		snapCtx, stopSnaps := context.WithCancel(ctx)
 		defer stopSnaps()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestFlagModePipelinesAcrossSteps(t *testing.T) {
 func TestLatencyOptimalWinsSmallSizes(t *testing.T) {
 	// SCCL's 2-step DGX-1 Allgather must beat NCCL's 7-step ring at small
 	// sizes in the simulator too, and lose at huge sizes (R/C 2 vs 7/6).
-	lat, status, err := synth.SynthesizeCollective(collective.Allgather, topology.DGX1(), 0, 1, 2, 2, synth.Options{})
+	lat, status, err := synth.SynthesizeCollectiveContext(context.Background(), collective.Allgather, topology.DGX1(), 0, 1, 2, 2, synth.Options{})
 	if err != nil || lat == nil {
 		t.Fatalf("synthesis failed: %v %v", status, err)
 	}

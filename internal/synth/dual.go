@@ -18,7 +18,7 @@ import (
 // Allgather on topo. When topo equals its reverse (the same
 // Topology.Fingerprint) every dual runs on topo itself, so Allreduce
 // lists one Allgather that serves both phases; otherwise it lists the
-// reversed instance first. AssembleDuals builds the answer from the
+// reversed instance first. assembleDuals builds the answer from the
 // instances' algorithms in the same order.
 func DualInstances(kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int) ([]Instance, error) {
 	dual := kind
@@ -48,13 +48,13 @@ func DualInstances(kind collective.Kind, topo *topology.Topology, root topology.
 	return []Instance{revIn}, nil
 }
 
-// AssembleDuals builds the answer to a kind request on topo from the Sat
+// assembleDuals builds the answer to a kind request on topo from the Sat
 // algorithms of its DualInstances, in their order. A non-combining kind
 // is its one algorithm. Otherwise the first algorithm is inverted and
 // rebound to topo; for Allreduce the last one (the same algorithm on a
 // self-reverse fabric) follows as the Allgather phase. The result is
 // validated on topo.
-func AssembleDuals(kind collective.Kind, topo *topology.Topology, algs []*algorithm.Algorithm) (*algorithm.Algorithm, error) {
+func assembleDuals(kind collective.Kind, topo *topology.Topology, algs []*algorithm.Algorithm) (*algorithm.Algorithm, error) {
 	if n := len(algs); n != 1 && (n != 2 || kind != collective.Allreduce) {
 		return nil, fmt.Errorf("synth: %v from %d dual algorithms", kind, len(algs))
 	}
@@ -151,39 +151,42 @@ func SolveImplied(ctx context.Context, in Instance, opts Options, ask, solve Sol
 	return solve(ctx, in)
 }
 
-// SynthesizeCollective synthesizes any collective kind — including
-// combining ones via their duals (§3.5) — for a specific (C, S, R). For
-// combining collectives S and R refer to the dual instance; the resulting
-// algorithm's step/round counts are those of the derived algorithm
+// SolveCollective answers a request for any collective kind at budget
+// (c, s, r) on topo, combining ones included (paper §3.5): ask answers
+// each of its DualInstances in order, and the first that is not Sat is
+// the answer; otherwise assembleDuals builds it from their algorithms.
+// For a combining kind s and r refer to the dual instance, so the
+// answer's step and round counts are those of the derived algorithm
 // (doubled for Allreduce).
-func SynthesizeCollective(kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts Options) (*algorithm.Algorithm, sat.Status, error) {
-	return SynthesizeCollectiveContext(context.Background(), kind, topo, root, c, s, r, opts)
-}
-
-// SynthesizeCollectiveContext is SynthesizeCollective with cooperative
-// cancellation threaded through every dual's solver call: it answers each
-// of DualInstances once through SolveImplied, solving one-shot, and
-// assembles them with AssembleDuals.
-func SynthesizeCollectiveContext(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts Options) (*algorithm.Algorithm, sat.Status, error) {
+func SolveCollective(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, ask SolveFunc) (*algorithm.Algorithm, sat.Status, error) {
 	ins, err := DualInstances(kind, topo, root, c, s, r)
 	if err != nil {
 		return nil, sat.Unknown, err
 	}
-	solve := func(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status, error) {
-		res, err := SynthesizeContext(ctx, in, opts)
-		return res.Algorithm, res.Status, err
-	}
 	algs := make([]*algorithm.Algorithm, len(ins))
 	for i, in := range ins {
-		alg, status, err := SolveImplied(ctx, in, opts, solve, solve)
+		alg, status, err := ask(ctx, in)
 		if err != nil || status != sat.Sat {
 			return nil, status, err
 		}
 		algs[i] = alg
 	}
-	alg, err := AssembleDuals(kind, topo, algs)
+	alg, err := assembleDuals(kind, topo, algs)
 	if err != nil {
 		return nil, sat.Sat, err
 	}
 	return alg, sat.Sat, nil
+}
+
+// SynthesizeCollectiveContext is SolveCollective over one-shot solves:
+// each dual instance is answered through SolveImplied, with no cache. It
+// is the reference the engine's cached route is checked against.
+func SynthesizeCollectiveContext(ctx context.Context, kind collective.Kind, topo *topology.Topology, root topology.Node, c, s, r int, opts Options) (*algorithm.Algorithm, sat.Status, error) {
+	solve := func(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status, error) {
+		res, err := SynthesizeContext(ctx, in, opts)
+		return res.Algorithm, res.Status, err
+	}
+	return SolveCollective(ctx, kind, topo, root, c, s, r, func(ctx context.Context, in Instance) (*algorithm.Algorithm, sat.Status, error) {
+		return SolveImplied(ctx, in, opts, solve, solve)
+	})
 }

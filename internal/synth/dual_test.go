@@ -61,13 +61,7 @@ func TestDualInstancesAndDuality(t *testing.T) {
 	for _, row := range rows {
 		topo := asymmetricRing()
 		if row.spec != "" {
-			spec, err := topology.ParseSpec(row.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if topo, err = spec.Build(); err != nil {
-				t.Fatal(err)
-			}
+			topo = mustFabric(t, row.spec)
 		}
 		if got := topo.Reverse().Fingerprint() == topo.Fingerprint(); got != row.selfRev {
 			t.Fatalf("%s: self-reverse %v, want %v", topo.Name, got, row.selfRev)
@@ -89,7 +83,7 @@ func TestDualInstancesAndDuality(t *testing.T) {
 			if len(ins) != wantLen || (ins[0].Topo == topo) != row.selfRev || ins[len(ins)-1].Coll.Kind.IsCombining() {
 				t.Fatalf("%s: %d dual instances, first on topo %v", name, len(ins), ins[0].Topo == topo)
 			}
-			alg, status, err := SynthesizeCollective(kind, topo, 0, 1, s, r, Options{})
+			alg, status, err := SynthesizeCollectiveContext(context.Background(), kind, topo, 0, 1, s, r, Options{})
 			if err != nil || status != sat.Sat {
 				t.Fatalf("%s: %v %v", name, status, err)
 			}
@@ -108,7 +102,7 @@ func TestDualInstancesAndDuality(t *testing.T) {
 }
 
 // TestDualInstancesNonCombining: a non-combining kind is its own single
-// instance on topo, and AssembleDuals hands its algorithm back.
+// instance on topo, and assembleDuals hands its algorithm back.
 func TestDualInstancesNonCombining(t *testing.T) {
 	topo := topology.Ring(4)
 	ins, err := DualInstances(collective.Allgather, topo, 0, 1, 3, 3)
@@ -119,11 +113,11 @@ func TestDualInstancesNonCombining(t *testing.T) {
 	if err != nil || res.Status != sat.Sat {
 		t.Fatal(res.Status, err)
 	}
-	if alg, err := AssembleDuals(collective.Allgather, topo, nil); err == nil {
+	if alg, err := assembleDuals(collective.Allgather, topo, nil); err == nil {
 		t.Fatalf("assembled %v from no algorithms", alg)
 	}
-	if alg, err := AssembleDuals(collective.Allgather, topo, []*algorithm.Algorithm{res.Algorithm}); err != nil || alg != res.Algorithm {
-		t.Fatalf("AssembleDuals = %v, %v", alg, err)
+	if alg, err := assembleDuals(collective.Allgather, topo, []*algorithm.Algorithm{res.Algorithm}); err != nil || alg != res.Algorithm {
+		t.Fatalf("assembleDuals = %v, %v", alg, err)
 	}
 }
 
@@ -153,14 +147,7 @@ func TestSolveImpliedProperty(t *testing.T) {
 	ctx := context.Background()
 	asked, projected := 0, 0
 	for _, name := range smallBuilderFabrics {
-		spec, err := topology.ParseSpec(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		topo := mustFabric(t, name)
 		const c = 1
 		ag, err := collective.New(collective.Allgather, topo.P, c, 0)
 		if err != nil {
@@ -259,14 +246,7 @@ func TestWorthAsking(t *testing.T) {
 		{"dgx1", true}, {"amd", true}, {"hypercube:4", true}, {"bidir-ring:9", true},
 		{"line:8", false}, {"dragonfly:4:2:1", false}, {"star:8", false},
 	} {
-		spec, err := topology.ParseSpec(row.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topo, err := spec.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
+		topo := mustFabric(t, row.spec)
 		ag, _ := collective.New(collective.Allgather, topo.P, 2, 0)
 		in := Instance{Coll: ag, Topo: topo, Steps: 3, Round: 3}
 		if got := worthAsking(in, Options{}); got != row.want {
@@ -297,7 +277,7 @@ func TestSolveImpliedUnknown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if alg, status, err := SynthesizeCollective(collective.Gather, topo, 3, 6, 7, 7, Options{}); err != nil || status != sat.Sat || alg.Coll.Kind != collective.Gather {
+	if alg, status, err := SynthesizeCollectiveContext(context.Background(), collective.Gather, topo, 3, 6, 7, 7, Options{}); err != nil || status != sat.Sat || alg.Coll.Kind != collective.Gather {
 		t.Fatalf("Gather (6,7,7): %v %v", status, err)
 	}
 	if alg, status, err := SynthesizeCollectiveContext(ctx, collective.Gather, topo, 3, 6, 7, 7, Options{}); alg != nil || status != sat.Unknown || err != nil {

@@ -90,6 +90,14 @@ func TestQuotientLiftValidates(t *testing.T) {
 		topology.FullyConnected(4),
 		topology.Line(5),
 		topology.Star(5),
+		mustFabric(t, "fat-tree:2:2:1:1"),
+		mustFabric(t, "dragonfly:4:2:1"),
+		mustFabric(t, "bus:4:1"),
+		mustFabric(t, "multinode:bidir-ring:4:2:1:1"),
+	}
+	if !testing.Short() {
+		// The slowest fabric here by far (about 2 s of the test).
+		topos = append(topos, mustFabric(t, "torus3d:2x2x2"))
 	}
 	// Every kind at one chunk per node, plus Allgather at two chunks,
 	// whose budgets straddle the Sat/Unsat boundary and so exercise the

@@ -21,6 +21,20 @@ func mustSpec(t *testing.T, kind collective.Kind, p, c int, root topology.Node) 
 	return s
 }
 
+// mustFabric builds the topology a spec string such as "torus:2x2" names.
+func mustFabric(t *testing.T, name string) *topology.Topology {
+	t.Helper()
+	spec, err := topology.ParseSpec(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func synth(t *testing.T, kind collective.Kind, topo *topology.Topology, c, s, r int) (*Result, error) {
 	t.Helper()
 	coll := mustSpec(t, kind, topo.P, c, 0)
@@ -142,36 +156,51 @@ func TestInstanceValidation(t *testing.T) {
 	}
 }
 
+// TestDirectEncodingAgreesWithPaperEncoding: the staged encoding and the
+// paper's direct encoding (the oracle) agree on Sat/Unsat for every
+// builder fabric family with P <= 5, five non-combining kinds at C = 1,
+// and budgets around the fabric's eccentricity from node 0, where the
+// Sat/Unsat boundary lies.
 func TestDirectEncodingAgreesWithPaperEncoding(t *testing.T) {
-	// Both encodings must agree on SAT/UNSAT for small instances.
-	cases := []struct {
-		topo    *topology.Topology
-		kind    collective.Kind
-		c, s, r int
-	}{
-		{topology.Ring(4), collective.Allgather, 1, 3, 3},
-		{topology.Ring(4), collective.Allgather, 1, 2, 2},
-		{topology.BidirRing(4), collective.Allgather, 1, 2, 3},
-		{topology.BidirRing(4), collective.Allgather, 1, 2, 2},
-		{topology.Line(4), collective.Broadcast, 1, 3, 3},
-		{topology.Line(4), collective.Broadcast, 1, 2, 2},
-		{topology.FullyConnected(3), collective.Alltoall, 3, 1, 1},
+	fabrics := []string{
+		"ring:3", "ring:4", "ring:5", "bidir-ring:4", "bidir-ring:5",
+		"line:4", "line:5", "fc:3", "fc:4", "star:4", "star:5",
+		"hypercube:2", "torus:2x2", "bus:4:1", "fat-tree:2:2:1:1",
 	}
-	for _, tc := range cases {
-		coll := mustSpec(t, tc.kind, tc.topo.P, tc.c, 0)
-		inst := Instance{Coll: coll, Topo: tc.topo, Steps: tc.s, Round: tc.r}
-		p, err := Synthesize(inst, Options{})
-		if err != nil {
-			t.Fatalf("%v on %s: %v", tc.kind, tc.topo.Name, err)
+	kinds := []collective.Kind{collective.Allgather, collective.Broadcast, collective.Gather, collective.Scatter, collective.Alltoall}
+	cases, sats := 0, 0
+	for _, name := range fabrics {
+		topo := mustFabric(t, name)
+		if topo.P > 5 {
+			t.Fatalf("%s has %d nodes, want P <= 5", name, topo.P)
 		}
-		d, err := synthesizeDirect(context.Background(), inst, Options{})
-		if err != nil {
-			t.Fatalf("%v on %s (direct): %v", tc.kind, tc.topo.Name, err)
+		ecc := topo.Eccentricity(0)
+		for _, kind := range kinds {
+			coll := mustSpec(t, kind, topo.P, 1, 0)
+			for s := max(ecc-1, 1); s <= ecc+1; s++ {
+				for r := s; r <= s+1; r++ {
+					inst := Instance{Coll: coll, Topo: topo, Steps: s, Round: r}
+					p, err := Synthesize(inst, Options{})
+					if err != nil {
+						t.Fatalf("%v on %s: %v", kind, name, err)
+					}
+					d, err := synthesizeDirect(context.Background(), inst, Options{})
+					if err != nil {
+						t.Fatalf("%v on %s (direct): %v", kind, name, err)
+					}
+					if p.Status != d.Status {
+						t.Errorf("%v on %s (C=1,S=%d,R=%d): staged=%v direct=%v", kind, name, s, r, p.Status, d.Status)
+					}
+					cases++
+					if p.Status == sat.Sat {
+						sats++
+					}
+				}
+			}
 		}
-		if p.Status != d.Status {
-			t.Errorf("%v on %s (C=%d,S=%d,R=%d): paper=%v direct=%v",
-				tc.kind, tc.topo.Name, tc.c, tc.s, tc.r, p.Status, d.Status)
-		}
+	}
+	if sats == 0 || sats == cases {
+		t.Errorf("%d of %d cases Sat: the budgets miss the Sat/Unsat boundary", sats, cases)
 	}
 }
 
@@ -250,7 +279,7 @@ func TestParetoSynthesizeBidirRing(t *testing.T) {
 }
 
 func TestSynthesizeCollectiveReducescatter(t *testing.T) {
-	alg, status, err := SynthesizeCollective(collective.Reducescatter,
+	alg, status, err := SynthesizeCollectiveContext(context.Background(), collective.Reducescatter,
 		topology.Ring(4), 0, 1, 3, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +296,7 @@ func TestSynthesizeCollectiveReducescatter(t *testing.T) {
 }
 
 func TestSynthesizeCollectiveReduce(t *testing.T) {
-	alg, status, err := SynthesizeCollective(collective.Reduce,
+	alg, status, err := SynthesizeCollectiveContext(context.Background(), collective.Reduce,
 		topology.BidirRing(4), 0, 1, 2, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +310,7 @@ func TestSynthesizeCollectiveReduce(t *testing.T) {
 }
 
 func TestSynthesizeCollectiveAllreduce(t *testing.T) {
-	alg, status, err := SynthesizeCollective(collective.Allreduce,
+	alg, status, err := SynthesizeCollectiveContext(context.Background(), collective.Allreduce,
 		topology.BidirRing(4), 0, 1, 2, 3, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -64,8 +64,9 @@ type Request struct {
 }
 
 // Validate checks that the request is solvable as posed: a structurally
-// valid topology, a known collective kind, a root in range, a coherent
-// budget, and (for Allreduce) C divisible by P.
+// valid topology, a known collective kind, a root in range and a
+// coherent budget. A combining kind's budget is its dual's, so C need not
+// be divisible by P, not even for Allreduce.
 func (r *Request) Validate() error {
 	if err := resolveSpec(&r.Topo, r.Spec, "request"); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	sccl "repro"
+	"repro/internal/eval"
 )
 
 // workloadSweep is one Pareto sweep of the benchmark harness, in the
@@ -94,36 +95,21 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		}
 		pinSolverWork(t, st.ProbeStats, 25752, 5840670)
 	})
-	// The 32 Table 4 requests of the table4-dgx1 workload in the order of
-	// bench/testdata/table4_dgx1.json (an Allreduce budget is its dual
-	// Allgather's): 16 one-shot solves, since each Allreduce is served by
-	// its Allgather's entry and each Gather is that entry projected.
+	// The 32 Table 4 requests of the table4-dgx1 workload, in the order
+	// eval lists them (and bench/testdata/table4_dgx1.json, which
+	// eval's TestTable4MatchesBenchRows checks): 16 one-shot solves, since
+	// each Allreduce is served by its Allgather's entry and each Gather is
+	// that entry projected.
 	t.Run("table4-dgx1", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("16 one-shot DGX-1 solves; skipped under -short")
 		}
-		ar, ag, bc := sccl.Allreduce, sccl.Allgather, sccl.Broadcast
-		ga, aa := sccl.Gather, sccl.Alltoall
-		reqs := []struct {
-			kind    sccl.Kind
-			c, s, r int
-		}{
-			{ag, 1, 2, 2}, {ag, 2, 3, 3}, {ag, 3, 4, 4}, {ag, 4, 5, 5},
-			{ag, 5, 6, 6}, {ag, 6, 7, 7}, {ag, 6, 3, 7}, {ag, 2, 2, 3},
-			{ar, 1, 2, 2}, {ar, 2, 3, 3}, {ar, 3, 4, 4}, {ar, 4, 5, 5},
-			{ar, 5, 6, 6}, {ar, 6, 7, 7}, {ar, 6, 3, 7}, {ar, 2, 2, 3},
-			{bc, 2, 2, 2}, {bc, 6, 3, 3}, {bc, 12, 4, 4}, {bc, 18, 5, 5}, {bc, 6, 3, 5},
-			{ga, 1, 2, 2}, {ga, 2, 3, 3}, {ga, 3, 4, 4}, {ga, 4, 5, 5},
-			{ga, 5, 6, 6}, {ga, 6, 7, 7}, {ga, 6, 3, 7}, {ga, 2, 2, 3},
-			{aa, 8, 3, 3}, {aa, 8, 2, 3}, {aa, 24, 2, 8},
-		}
-		topo := sccl.DGX1()
 		eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
 		defer eng.Close()
-		for _, q := range reqs {
-			res, err := eng.Synthesize(context.Background(), sccl.Request{Kind: q.kind, Topo: topo, Budget: sccl.Budget{C: q.c, S: q.s, R: q.r}})
+		for _, q := range eval.Table4Requests() {
+			res, err := eng.Synthesize(context.Background(), q)
 			if err != nil || res.Status != sccl.Sat {
-				t.Fatalf("%v (%d,%d,%d): %v %v", q.kind, q.c, q.s, q.r, res, err)
+				t.Fatalf("%v %s: %v %v", q.Kind, q.Budget, res, err)
 			}
 		}
 		// Every request misses; each Allreduce's dual lookup and each
