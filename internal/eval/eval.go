@@ -17,7 +17,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/cost"
 	"repro/internal/nccl"
-	"repro/internal/synth"
 	"repro/internal/topology"
 )
 
@@ -111,29 +110,31 @@ var paperTable5 = []rowSpec{
 	{collective.Alltoall, 8, 4, 8, false},
 }
 
-// requests lists the engine requests of the rows to synthesize, the
-// slow ones only with includeSlow, and the index of each one's row. An
-// Allreduce row's printed triple is converted to the budget of its
-// Allgather phase, (C/P, S/2, R/2).
-func requests(topo *topology.Topology, rows []rowSpec, includeSlow bool) (reqs []sccl.Request, idx []int) {
-	for i, spec := range rows {
-		if spec.slow && !includeSlow {
-			continue
-		}
-		c, s, r := spec.c, spec.s, spec.r
-		if spec.kind == collective.Allreduce {
-			c, s, r = c/topo.P, s/2, r/2
-		}
-		reqs = append(reqs, sccl.Request{Kind: spec.kind, Topo: topo, Budget: sccl.Budget{C: c, S: s, R: r}})
-		idx = append(idx, i)
+// skipped reports whether the row stays out of the run: slow rows run
+// only with includeSlow.
+func (spec rowSpec) skipped(includeSlow bool) bool { return spec.slow && !includeSlow }
+
+// request is the engine request of a row. An Allreduce row's printed
+// triple is converted to the budget of its Allgather phase,
+// (C/P, S/2, R/2).
+func (spec rowSpec) request(topo *topology.Topology) sccl.Request {
+	c, s, r := spec.c, spec.s, spec.r
+	if spec.kind == collective.Allreduce {
+		c, s, r = c/topo.P, s/2, r/2
 	}
-	return reqs, idx
+	return sccl.Request{Kind: spec.kind, Topo: topo, Budget: sccl.Budget{C: c, S: s, R: r}}
 }
 
 // Table4Requests returns the engine requests of the Table 4 rows that are
 // not slow, in table order.
 func Table4Requests() []sccl.Request {
-	reqs, _ := requests(topology.DGX1(), paperTable4, false)
+	topo := topology.DGX1()
+	var reqs []sccl.Request
+	for _, spec := range paperTable4 {
+		if !spec.skipped(false) {
+			reqs = append(reqs, spec.request(topo))
+		}
+	}
 	return reqs
 }
 
@@ -145,24 +146,31 @@ func Table4Requests() []sccl.Request {
 // table order; a failing row does not stop the others, and the returned
 // error joins every failure.
 func synthesisTable(ctx context.Context, eng *sccl.Engine, topo *topology.Topology, rows []rowSpec, opts Options) ([]TableRow, error) {
-	// One Stage-0 template BFS serves every row's optimality label.
-	dist := synth.NewStage0Template(topo).Dist
+	// One all-pairs BFS serves every row's optimality label.
+	dist := topo.Distances()
 	out := make([]TableRow, len(rows))
+	var reqs []sccl.Request
+	var asked []int // the row of each request
 	for i, spec := range rows {
 		opt, err := optimalityLabel(spec, topo, dist)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = TableRow{Collective: spec.kind.String(), C: spec.c, S: spec.s, R: spec.r, Optimality: opt, Skipped: spec.slow && !opts.IncludeSlow}
-	}
-	reqs, asked := requests(topo, rows, opts.IncludeSlow)
-	results, err := eng.SynthesizeAll(ctx, reqs)
-	errs := []error{err}
-	for j, res := range results {
-		if res == nil {
-			continue // its error is in err
+		out[i] = TableRow{Collective: spec.kind.String(), C: spec.c, S: spec.s, R: spec.r, Optimality: opt, Skipped: spec.skipped(opts.IncludeSlow)}
+		if !out[i].Skipped {
+			reqs = append(reqs, spec.request(topo))
+			asked = append(asked, i)
 		}
+	}
+	results, err := eng.SynthesizeAll(ctx, reqs)
+	var errs []error
+	for j, res := range results {
 		row := &out[asked[j]]
+		if res == nil {
+			// The engine's joined error carries the cause as "request j: …".
+			errs = append(errs, fmt.Errorf("eval: %v (%d,%d,%d) failed as request %d", row.Collective, row.C, row.S, row.R, j))
+			continue
+		}
 		row.Time, row.Status = res.Wall, res.Status.String()
 		alg := res.Algorithm
 		switch {
@@ -172,7 +180,7 @@ func synthesisTable(ctx context.Context, eng *sccl.Engine, topo *topology.Topolo
 			errs = append(errs, fmt.Errorf("eval: %v synthesized %s, want (%d,%d,%d)", row.Collective, alg.CSR(), row.C, row.S, row.R))
 		}
 	}
-	return out, errors.Join(errs...)
+	return out, errors.Join(append(errs, err)...)
 }
 
 // Table4 regenerates the paper's Table 4 on the DGX-1 model through eng.
@@ -187,8 +195,8 @@ func Table5(ctx context.Context, eng *sccl.Engine, opts Options) ([]TableRow, er
 
 // optimalityLabel computes the paper's Optimality column from lower
 // bounds rather than hard-coding it.
-// dist optionally carries topo's precomputed all-pairs BFS matrix (a
-// Stage-0 template's); nil re-derives distances per pair.
+// dist optionally carries topo's all-pairs BFS matrix
+// (topo.Distances()); nil re-derives distances per pair.
 func optimalityLabel(spec rowSpec, topo *topology.Topology, dist [][]int) (string, error) {
 	bounds, err := collective.EffectiveLowerBoundsDist(spec.kind, topo.P, refChunks(spec.kind, topo.P), 0, topo, dist)
 	if err != nil {

@@ -188,6 +188,26 @@ func TestFailingRowKeepsOthers(t *testing.T) {
 	}
 }
 
+// TestEngineErrorNamesItsRow: a row the engine rejects (an Allreduce
+// whose C is not a multiple of P leaves its Allgather phase no chunks) is
+// named by its kind and printed triple, and its batch index skips the
+// rows left out.
+func TestEngineErrorNamesItsRow(t *testing.T) {
+	rows := []rowSpec{
+		{collective.Alltoall, 24, 8, 8, true},
+		{collective.Allreduce, 4, 4, 4, false},
+	}
+	eng := sccl.NewEngine(sccl.EngineOptions{Workers: 1})
+	defer eng.Close()
+	out, err := synthesisTable(context.Background(), eng, topology.DGX1(), rows, Options{})
+	if err == nil || !strings.Contains(err.Error(), "eval: Allreduce (4,4,4) failed as request 0") {
+		t.Fatalf("err = %v, want the Allreduce row named", err)
+	}
+	if len(out) != 2 || !out[0].Skipped || out[1].Status != "" {
+		t.Fatalf("rows = %+v", out)
+	}
+}
+
 func TestSlowRowsSkippedByDefault(t *testing.T) {
 	rows := []rowSpec{{collective.Alltoall, 24, 8, 8, true}}
 	eng := sccl.NewEngine(sccl.EngineOptions{})
