@@ -109,17 +109,25 @@ func implying(in Instance) (Instance, bool) {
 
 // worthAsking reports whether the implying Allgather b is the cheaper
 // route to a spec it implies under opts: node symmetry is on, and b's
-// fixed-point-free node-symmetry group has order at least P/2, so that
-// group reduces b to the chunks of at most two nodes. Where the group is
-// smaller (order 2 on eight-node dragonfly and multinode fabrics) or
+// fixed-point-free node-symmetry group pays (groupPays). Where the group
+// is smaller (order 2 on eight-node dragonfly and multinode fabrics) or
 // absent, and with symmetry off, the Allgather has measured costlier
 // than the spec's own solve.
 func worthAsking(b Instance, opts Options) bool {
 	if opts.NoSymmetryBreaking || opts.ProveUnsat {
 		return false
 	}
-	order := freeOrder(b.Coll, b.Topo)
-	return order == 0 || 2*order >= b.Topo.P
+	return groupPays(freeOrder(b.Coll, b.Topo), b.Topo.P)
+}
+
+// groupPays reports whether a node-symmetry group of the given order
+// (0 when it outgrew enumeration) on P nodes is worth a restriction
+// built on it: order at least P/2, so that the group reduces the
+// instance to the chunks of at most two nodes. The implied Allgather
+// (worthAsking) and the orbit quotient (quotientPlanOf) both ask it;
+// below it each has measured costlier than the plain solve.
+func groupPays(order, P int) bool {
+	return order == 0 || 2*order >= P
 }
 
 // SolveImplied answers the non-combining instance in. When an Allgather

@@ -70,8 +70,10 @@ func quotientEligible(opts Options) bool {
 }
 
 // quotientPlanOf resolves the emission's chunk-orbit quotient: nil when
-// the plan did not ask for one, the node-symmetry plan is empty, or
-// every chunk orbit is a singleton (nothing to collapse). Orbits are
+// the plan did not ask for one, the node-symmetry plan is empty, its
+// group does not pay (groupPays: on multinode:dgx1:4:2:2 the order-4
+// quotient ran out of its conflict cap and fell back at every budget),
+// or every chunk orbit is a singleton (nothing to collapse). Orbits are
 // walked by BFS over the kept generators' chunk maps; iterating seeds
 // in ascending chunk order makes each orbit's first-seen chunk its
 // minimum, matching the canonical representative order of
@@ -81,10 +83,10 @@ func (e *StagedEncoder) quotientPlanOf() *quotientPlan {
 		return nil
 	}
 	sym := e.nodeSymPlan()
-	if sym == nil || len(sym.perms) == 0 {
+	G, P := e.Plan.Coll.G, e.Plan.Topo.P
+	if sym == nil || len(sym.perms) == 0 || !groupPays(sym.order, P) {
 		return nil
 	}
-	G, P := e.Plan.Coll.G, e.Plan.Topo.P
 	rep := make([]int, G)
 	elem := make([]topology.Perm, G)
 	for c := range rep {

@@ -71,6 +71,44 @@ func TestQuotientPlanStructure(t *testing.T) {
 	}
 }
 
+// TestQuotientNeedsLargeGroup pins the rule for when the orbit quotient
+// is tried: the node-symmetry group it collapses must pay (groupPays,
+// order at least P/2). The declined fabrics still have a node-symmetry
+// plan, so only the group order keeps the quotient out.
+func TestQuotientNeedsLargeGroup(t *testing.T) {
+	for _, row := range []struct {
+		spec  string
+		kind  collective.Kind
+		order int
+		want  bool
+	}{
+		{"multinode:dgx1:4:2:2", collective.Allgather, 4, false},
+		{"line:8", collective.Allgather, 2, false},
+		{"dragonfly:4:2:1", collective.Allgather, 2, false},
+		{"torus:6x6", collective.Allgather, 36, true},
+		{"dgx1", collective.Allgather, 4, true},
+		{"amd", collective.Allgather, 8, true},
+		{"hypercube:4", collective.Gather, 24, true},
+	} {
+		topo := mustFabric(t, row.spec)
+		coll, err := collective.New(row.kind, topo.P, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym := planFor(t, topo, coll)
+		if sym == nil {
+			t.Fatalf("%s %v: no node-symmetry plan", row.spec, row.kind)
+		}
+		if sym.order != row.order {
+			t.Fatalf("%s %v: group order %d, want %d", row.spec, row.kind, sym.order, row.order)
+		}
+		if got := quotientPlanFor(t, topo, coll) != nil; got != row.want {
+			t.Errorf("%s %v (order %d, P=%d): quotient plan %v, want %v",
+				row.spec, row.kind, row.order, topo.P, got, row.want)
+		}
+	}
+}
+
 // TestQuotientLiftValidates is the soundness property test and the
 // symmetry on/off differential oracle: on every recognized
 // non-combining family over small fabrics (P <= 8), a default synthesis
