@@ -74,11 +74,11 @@ func TestWorkloadCountsPinned(t *testing.T) {
 			{topology: "multinode:dgx1:4:2:2", kind: sccl.Allgather, k: 0, maxSteps: 7, maxChunks: 1},
 		})
 		got := [4]int{st.Probes, st.QuotientProbes, st.QuotientFallbacks, st.SymmetryPerms}
-		want := [4]int{3, 1, 2, 2}
+		want := [4]int{3, 1, 0, 2}
 		if got != want {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 13209, 727303)
+		pinSolverWork(t, st.ProbeStats, 8549, 727303)
 	})
 	t.Run("pareto-chains", func(t *testing.T) {
 		if testing.Short() {
