@@ -1306,6 +1306,12 @@ func TestServerReplayCountsPinned(t *testing.T) {
 	if n := metricValue(t, ts, "sccl_serve_request_decodes_total") - decodes; n != 0 {
 		t.Fatalf("replays decoded %g times, want 0", n)
 	}
+	// The script's solver work, as the engine exports it: one Workers:1
+	// engine solves the same formulas every run.
+	got := [2]float64{metricValue(t, ts, "sccl_engine_sat_conflicts_total"), metricValue(t, ts, "sccl_engine_quotient_fallbacks_total")}
+	if want := [2]float64{1363, 0}; got != want {
+		t.Errorf("engine conflicts, quotient fallbacks = %v, want %v", got, want)
+	}
 
 	// Snapshot, warm restart on a fresh engine, every request again.
 	if err := srv.Snapshot(); err != nil {

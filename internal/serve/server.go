@@ -538,6 +538,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeCounter(w, "sccl_engine_template_hits_total", "Stage-0 template shares across encodes.", uint64(cs.TemplateHits))
 	writeCounter(w, "sccl_engine_mega_selects_total", "Probes answered by mega-base activation selects.", uint64(cs.SessionProbes))
 	writeCounter(w, "sccl_engine_mega_encodes_total", "Mega-base Stage-1 encodes.", uint64(cs.MegaEncodes))
+	writeCounter(w, "sccl_engine_sat_conflicts_total", "SAT solver conflicts across the engine's solves.", uint64(cs.Conflicts))
+	writeCounter(w, "sccl_engine_quotient_probes_total", "Probes answered Sat from an orbit-quotient formula.", uint64(cs.QuotientProbes))
+	writeCounter(w, "sccl_engine_quotient_fallbacks_total", "Orbit-quotient attempts abandoned for the full formula.", uint64(cs.QuotientFallbacks))
+	writeCounter(w, "sccl_engine_symmetry_perms_total", "Node-symmetry generators the encodes broke over.", uint64(cs.SymmetryPerms))
 	if win := winHits + winMisses; win > 0 {
 		writeGauge(w, "sccl_engine_hit_ratio_window", "Engine cache hit ratio since the previous scrape.", float64(winHits)/float64(win))
 	}
