@@ -72,9 +72,9 @@ func quotientEligible(opts Options) bool {
 // quotientPlanOf resolves the emission's chunk-orbit quotient: nil when
 // the plan did not ask for one, the node-symmetry plan is empty, its
 // group does not pay (groupPays: on multinode:dgx1:4:2:2 the order-4
-// quotient ran out of its conflict cap and fell back at every budget),
-// or every chunk orbit is a singleton (nothing to collapse). Orbits are
-// walked by BFS over the kept generators' chunk maps; iterating seeds
+// quotient ran out of its conflict cap and fell back at both budgets of
+// its Allgather sweep), or every chunk orbit is a singleton (nothing to
+// collapse). Orbits are walked by BFS over the kept generators' chunk maps; iterating seeds
 // in ascending chunk order makes each orbit's first-seen chunk its
 // minimum, matching the canonical representative order of
 // topology.Group.Representatives.
