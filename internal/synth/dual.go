@@ -109,23 +109,22 @@ func implying(in Instance) (Instance, bool) {
 
 // worthAsking reports whether the implying Allgather b is the cheaper
 // route to a spec it implies under opts: node symmetry is on, and b's
-// fixed-point-free node-symmetry group pays (groupPays). Where the group
-// is smaller (order 2 on eight-node dragonfly and multinode fabrics) or
-// absent, and with symmetry off, the Allgather has measured costlier
-// than the spec's own solve.
+// node-symmetry group pays (symmetryOf; b is unrooted, so that is its
+// fixed-point-free group). Where the group is smaller (order 2 on
+// eight-node dragonfly and multinode fabrics) or absent, and with
+// symmetry off, the Allgather has measured costlier than the spec's own
+// solve.
 func worthAsking(b Instance, opts Options) bool {
-	if opts.NoSymmetryBreaking || opts.ProveUnsat {
-		return false
-	}
-	return groupPays(freeOrder(b.Coll, b.Topo), b.Topo.P)
+	return !opts.NoSymmetryBreaking && !opts.ProveUnsat && symmetryOf(b.Coll, b.Topo).pays
 }
 
 // groupPays reports whether a node-symmetry group of the given order
 // (0 when it outgrew enumeration) on P nodes is worth a restriction
 // built on it: order at least P/2, so that the group reduces the
-// instance to the chunks of at most two nodes. The implied Allgather
-// (worthAsking) and the orbit quotient (quotientPlanOf) both ask it;
-// below it each has measured costlier than the plain solve.
+// instance to the chunks of at most two nodes. symmetryOf evaluates it
+// once per record; the implied Allgather (worthAsking) and the orbit
+// quotient (quotientPlanOf) read the result. Below it each has measured
+// costlier than the plain solve.
 func groupPays(order, P int) bool {
 	return order == 0 || 2*order >= P
 }

@@ -45,7 +45,7 @@ type Options struct {
 	// guarded automorphism-equivariance restriction emitted over the
 	// topology's automorphism generators (see nodesym.go). Distinct from
 	// NoSymmetryBreak, which governs the chunk-level ordering chains;
-	// resolveNodeSymPlan decides from the instance alone whether
+	// symmetryOf decides from the instance alone whether
 	// node-orbit exploitation runs, at any node count.
 	NoSymmetryBreaking bool
 	// NoQuotient disables the chunk-orbit quotient encoding (see
@@ -112,12 +112,12 @@ type encoded struct {
 	feasible bool
 	// symPerms counts the node-symmetry generators the emission
 	// restricted on; symGuards holds their selector literals, assumed
-	// through solveSymPhased. symOrder is the symmetry group's closure
-	// size (0 = too large to enumerate), feeding the restricted-phase
-	// conflict-cap estimator.
+	// through solveSymPhased. sym is the group they come from (nil when
+	// the emission has none); its order sizes the restricted-phase
+	// conflict caps.
 	symPerms  int
 	symGuards []sat.Lit
-	symOrder  int
+	sym       *nodeSymPlan
 	// qplan/qdeclined carry the sink's quotient state (see quotient.go):
 	// qplan non-nil means the formula is a chunk-orbit quotient and the
 	// solve must follow the quotient contract; qdeclined means the
@@ -170,10 +170,8 @@ func encodePaperTemplate(in Instance, opts Options, tmpl *Stage0Template) *encod
 	e.times, e.snds, e.rs = sink.times, sink.snds, sink.rs
 	e.symPerms = sink.symPerms
 	e.symGuards = sink.symGuards
+	e.sym = sink.symPlan
 	e.qplan, e.qdeclined = sink.qplan, sink.qdeclined
-	if sink.symPlan != nil {
-		e.symOrder = sink.symPlan.order
-	}
 	return e
 }
 
@@ -377,7 +375,7 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 		// nothing about the instance — the quotient is a restriction — so
 		// the solve falls back to the full formula on a fresh encoding.
 		// Unknown for any other reason (timeout, cancellation) propagates.
-		budget := restrictedPhaseConflicts(res.Clauses, e.qplan.order)
+		budget := restrictedPhaseConflicts(res.Clauses, e.sym.order)
 		if user, _ := e.ctx.Solver.Budget(); user > 0 && user < budget {
 			budget = user
 		}
@@ -410,7 +408,7 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 	if len(e.symGuards) > 0 {
 		// Node-symmetry restriction: phased assumption solve.
 		res.Status = solveSymPhased(ctx, e.ctx, nil, e.symGuards, nil,
-			restrictedPhaseConflicts(res.Clauses, e.symOrder))
+			restrictedPhaseConflicts(res.Clauses, e.sym.order))
 	} else {
 		res.Status = e.ctx.SolveContext(ctx)
 	}

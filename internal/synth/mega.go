@@ -716,17 +716,16 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 	applySolverOpts(m.enc.ctx.Solver, opts)
 	res.Vars = m.enc.ctx.Solver.NumVars()
 	res.Clauses = m.enc.ctx.Solver.NumClauses()
-	symOrder := 0
+	var phaseCap int64
 	if m.enc.symPlan != nil {
-		symOrder = m.enc.symPlan.order
+		phaseCap = restrictedPhaseConflicts(res.Clauses, m.enc.symPlan.order)
 	}
 	// Stats reports this probe's own search (core minimization included),
 	// not the shared solver's lifetime totals: the sweep sizes chain-top
 	// conflict caps from it.
 	before := m.enc.ctx.Solver.Stats()
 	t1 := time.Now()
-	res.Status = solveSymPhased(ctx, m.enc.ctx, assumptions, marks.symOn, marks.symOff,
-		restrictedPhaseConflicts(res.Clauses, symOrder))
+	res.Status = solveSymPhased(ctx, m.enc.ctx, assumptions, marks.symOn, marks.symOff, phaseCap)
 	if res.Status == sat.Unsat {
 		res.Core = m.enc.classifyCore(ctx, marks, steps, rounds)
 	}

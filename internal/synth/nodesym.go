@@ -2,7 +2,7 @@ package synth
 
 import (
 	"context"
-	"strconv"
+	"fmt"
 	"sync"
 
 	"repro/internal/collective"
@@ -54,15 +54,19 @@ type nodeSymPerm struct {
 	chunkMap []int // chunkMap[c] = σ's image chunk of c
 }
 
-// nodeSymPlan is the Stage-1 node-symmetry group of one emission: the
-// chunk signature classes (singletons included, ascending first-chunk
-// order) and the prepared generators. order is the size of the subgroup
-// the kept generators close over (0 when it outgrew the enumeration
-// cap); the restricted-phase conflict-cap estimator reads it.
+// nodeSymPlan is the node-symmetry record of one fabric and chunk
+// layout: the chunk signature classes (singletons included, ascending
+// first-chunk order), the prepared generators, the order of the
+// subgroup they close over (1 when none is kept, 0 when it outgrew the
+// enumeration cap; the restricted-phase conflict caps read it) and
+// whether that group pays (groupPays). symmetryOf memoizes one record
+// per (fabric, layout) for every encoder, gate and solve, so a record
+// is never modified.
 type nodeSymPlan struct {
 	classes [][]int
 	perms   []nodeSymPerm
 	order   int
+	pays    bool
 }
 
 // chunkClasses partitions the chunks into signature classes, including
@@ -136,46 +140,45 @@ func chunkMapOf(classes [][]int, invClass []int) []int {
 	return cm
 }
 
-// nodeSymPlan resolves the emission's node-symmetry group, memoized on
-// the encoder (the quotient planner and the Emit walk both need it).
+// nodeSymPlan is the emission's node-symmetry group: nil when the plan
+// opts out or no generator qualifies, else the shared record of its
+// fabric and chunk layout (symmetryOf).
 func (e *StagedEncoder) nodeSymPlan() *nodeSymPlan {
-	if !e.symPlanDone {
-		e.symPlan = e.resolveNodeSymPlan()
-		e.symPlanDone = true
-	}
-	return e.symPlan
-}
-
-// resolveNodeSymPlan resolves the emission's node-symmetry group from
-// the instance alone, at any node count (nil when disabled or nothing
-// qualifies). Fixed-point-free generators are preferred, reduced to a
-// set whose closure acts freely: a generator fixing node f fixes the
-// chunks sourced there, and a self-invariant receive tree must route
-// every fixed node through fixed predecessors (at-most-one-receive),
-// which tends to be Unsat when fixed nodes are not adjacent. A rooted
-// instance has no free stabilizer; it takes the root stabilizer,
-// keeping the generators that move a chunk — all of them for Gather and
-// Scatter (the quotient collapses their chunk orbits), none for
-// Broadcast.
-func (e *StagedEncoder) resolveNodeSymPlan() *nodeSymPlan {
-	coll, topo := e.Plan.Coll, e.Plan.Topo
 	if e.Plan.NoNodeSymmetry {
 		return nil
 	}
-	classes, sigs := chunkClasses(coll)
-	seen := map[string]bool{}
-	free, fixing := instancePerms(classes, sigs, e.Template.Aut(topo).Gens, seen)
-	plan := &nodeSymPlan{classes: classes}
-	if len(free) > 0 {
-		plan.perms, plan.order = reduceGens(free, topo.P, true)
-	} else if pinsRoot(coll) {
-		_, rooted := instancePerms(classes, sigs, e.Template.AutFixing(topo, coll.Root).Gens, seen)
-		plan.perms, plan.order = reduceGens(append(fixing, rooted...), topo.P, false)
+	if sym := symmetryOf(e.Plan.Coll, e.Plan.Topo); len(sym.perms) > 0 {
+		return sym
 	}
-	if len(plan.perms) == 0 {
-		return nil
-	}
-	return plan
+	return nil
+}
+
+// symmetryOf returns the node-symmetry record of coll on topo, resolved
+// from the instance alone at any node count and memoized in symMemo.
+// Fixed-point-free generators are preferred, reduced to a set whose
+// closure acts freely: a generator fixing node f fixes the chunks
+// sourced there, and a self-invariant receive tree must route every
+// fixed node through fixed predecessors (at-most-one-receive), which
+// tends to be Unsat when fixed nodes are not adjacent. A rooted instance
+// has no free stabilizer; it takes the root stabilizer, keeping the
+// generators that move a chunk — all of them for Gather and Scatter
+// (the quotient collapses their chunk orbits), none for Broadcast.
+func symmetryOf(coll *collective.Spec, topo *topology.Topology) *nodeSymPlan {
+	fab := symMemo.get(topo.Fingerprint(), func() *fabricSym { return new(fabricSym) })
+	return fab.records.get(coll.Fingerprint(), func() *nodeSymPlan {
+		classes, sigs := chunkClasses(coll)
+		seen := map[string]bool{}
+		free, fixing := instancePerms(classes, sigs, fab.group(topo).Gens, seen)
+		sym := &nodeSymPlan{classes: classes, order: 1}
+		if len(free) > 0 {
+			sym.perms, sym.order = reduceGens(free, topo.P, true)
+		} else if pinsRoot(coll) {
+			_, rooted := instancePerms(classes, sigs, fab.group(topo, int(coll.Root)).Gens, seen)
+			sym.perms, sym.order = reduceGens(append(fixing, rooted...), topo.P, false)
+		}
+		sym.pays = groupPays(sym.order, topo.P)
+		return sym
+	})
 }
 
 // instancePerms keeps the generators in gens that stabilize the instance
@@ -197,17 +200,6 @@ func instancePerms(classes [][]int, sigs []string, gens []topology.Perm, seen ma
 		}
 	}
 	return free, fixing
-}
-
-// freeOrder is the order of the fixed-point-free node-symmetry group an
-// encoding of coll on topo breaks over (the free branch of
-// resolveNodeSymPlan): 1 when there is none, 0 when it outgrew
-// enumeration.
-func freeOrder(coll *collective.Spec, topo *topology.Topology) int {
-	classes, sigs := chunkClasses(coll)
-	free, _ := instancePerms(classes, sigs, cachedAut(topo).Gens, map[string]bool{})
-	_, order := reduceGens(free, topo.P, true)
-	return order
 }
 
 // fixedPointFree reports whether p moves every node.
@@ -492,49 +484,67 @@ func scrubRestriction(sctx *smt.Context, mark int) {
 	sctx.Solver.ResetSearchState()
 }
 
-// autCache memoizes automorphism generator sets per (topology, fixed
-// node) across encoders. Private skeleton templates — one-shot solves
-// and canonical witness re-solves — would otherwise re-run the search
-// for every encode of a large fabric; the groups are pure derived data,
-// so one shared map is safe.
-var autCache = struct {
-	sync.Mutex
-	m     map[string]*topology.Group
-	order []string
-}{m: map[string]*topology.Group{}}
+// symMemo is the process-wide node-symmetry memo, keyed by topology
+// fingerprint rather than by object: the daemon decodes a fresh
+// *Topology for every miss and Reverse builds one for every combining
+// request, and all of them share one entry. It keeps the last
+// symMemoCap fabrics.
+var symMemo memo[*fabricSym]
 
-const autCacheCap = 64
+// symMemoCap bounds the fabrics symMemo keeps and, per fabric, the
+// groups and the records it keeps.
+const symMemoCap = 64
 
-func cachedAut(topo *topology.Topology, fixed ...topology.Node) *topology.Group {
-	key := topo.Fingerprint()
-	for _, f := range fixed {
-		key += "|f" + strconv.Itoa(int(f))
-	}
-	autCache.Lock()
-	if g, ok := autCache.m[key]; ok {
-		autCache.Unlock()
-		return g
-	}
-	autCache.Unlock()
-	var g *topology.Group
-	if len(fixed) == 0 {
-		g = topology.Aut(topo)
-	} else {
-		ints := make([]int, len(fixed))
-		for i, f := range fixed {
-			ints[i] = int(f)
+// fabricSym is one fabric's symMemo entry: its automorphism group and
+// the root stabilizers asked for (keyed by the fixed nodes), and the
+// records of the chunk layouts asked on it (keyed by collective
+// fingerprint).
+type fabricSym struct {
+	groups  memo[*topology.Group]
+	records memo[*nodeSymPlan]
+}
+
+// autFixing computes a group for fabricSym.group; tests count its calls.
+var autFixing = topology.AutFixing
+
+// group returns the automorphism group of topo, or its pointwise
+// stabilizer of the fixed nodes.
+func (f *fabricSym) group(topo *topology.Topology, fixed ...int) *topology.Group {
+	return f.groups.get(fmt.Sprint(fixed), func() *topology.Group { return autFixing(topo, fixed...) })
+}
+
+// memo is a bounded, concurrency-safe map of lazily computed values.
+// The first caller of a key computes its value outside the map's lock,
+// later callers of that key wait for the same value, and past
+// symMemoCap keys the oldest is evicted (and computed afresh when next
+// asked for).
+type memo[V any] struct {
+	mu    sync.Mutex
+	cells map[string]*memoCell[V]
+	keys  []string // insertion order, oldest first
+}
+
+type memoCell[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func (m *memo[V]) get(key string, compute func() V) V {
+	m.mu.Lock()
+	c, ok := m.cells[key]
+	if !ok {
+		if m.cells == nil {
+			m.cells = map[string]*memoCell[V]{}
 		}
-		g = topology.AutFixing(topo, ints...)
-	}
-	autCache.Lock()
-	if _, ok := autCache.m[key]; !ok {
-		autCache.order = append(autCache.order, key)
-		for len(autCache.order) > autCacheCap {
-			delete(autCache.m, autCache.order[0])
-			autCache.order = autCache.order[1:]
+		c = &memoCell[V]{}
+		m.cells[key] = c
+		m.keys = append(m.keys, key)
+		if len(m.keys) > symMemoCap {
+			delete(m.cells, m.keys[0])
+			m.keys = m.keys[1:]
 		}
 	}
-	autCache.m[key] = g
-	autCache.Unlock()
-	return g
+	m.mu.Unlock()
+	c.once.Do(func() { c.v = compute() })
+	return c.v
 }

@@ -50,9 +50,6 @@ type quotientPlan struct {
 	rep []int
 	// reps counts the representatives (the quotient's chunk count).
 	reps int
-	// order is the symmetry group's closure size (0 when it outgrew
-	// enumeration); the restricted-phase conflict-cap estimator reads it.
-	order int
 	// invNode[c][n] = π⁻¹(n) for the element carrying rep[c] onto c
 	// (nil for representatives).
 	invNode [][]int
@@ -84,7 +81,7 @@ func (e *StagedEncoder) quotientPlanOf() *quotientPlan {
 	}
 	sym := e.nodeSymPlan()
 	G, P := e.Plan.Coll.G, e.Plan.Topo.P
-	if sym == nil || len(sym.perms) == 0 || !groupPays(sym.order, P) {
+	if sym == nil || !sym.pays {
 		return nil
 	}
 	rep := make([]int, G)
@@ -121,7 +118,6 @@ func (e *StagedEncoder) quotientPlanOf() *quotientPlan {
 	q := &quotientPlan{
 		rep:     rep,
 		reps:    reps,
-		order:   sym.order,
 		invNode: make([][]int, G),
 		invEdge: make([][]int, G),
 	}

@@ -54,42 +54,6 @@ type Stage0Template struct {
 	// directed edges; -1 when unreachable. Per-chunk source distances and
 	// distances-to-post both reduce to minima over this matrix.
 	Dist [][]int
-
-	// Automorphism groups are cached here alongside the BFS distances —
-	// graph-structural Stage-0 data every family of the topology shares.
-	// Resolved lazily under the mutex; the lazy cache keeps the template
-	// safe for concurrent use.
-	autMu  sync.Mutex
-	aut    *topology.Group
-	autFix map[topology.Node]*topology.Group
-}
-
-// Aut returns the topology's automorphism generator set, computed once
-// per template (backed by a process-wide cache for private skeleton
-// templates; see cachedAut).
-func (t *Stage0Template) Aut(topo *topology.Topology) *topology.Group {
-	t.autMu.Lock()
-	defer t.autMu.Unlock()
-	if t.aut == nil {
-		t.aut = cachedAut(topo)
-	}
-	return t.aut
-}
-
-// AutFixing returns generators of the subgroup fixing the given node —
-// the stabilizer rooted collectives break over.
-func (t *Stage0Template) AutFixing(topo *topology.Topology, root topology.Node) *topology.Group {
-	t.autMu.Lock()
-	defer t.autMu.Unlock()
-	if g, ok := t.autFix[root]; ok {
-		return g
-	}
-	g := cachedAut(topo, root)
-	if t.autFix == nil {
-		t.autFix = map[topology.Node]*topology.Group{}
-	}
-	t.autFix[root] = g
-	return g
 }
 
 // NewStage0Template derives the template for a topology. Routing
@@ -304,11 +268,6 @@ type StagedEncoder struct {
 	dist [][]int
 	// distToPost[c] is the per-chunk distance-to-post map (minimality).
 	distToPost [][]int
-	// symPlan memoizes the resolved node-symmetry plan: the quotient
-	// planner (sink construction) and the Emit walk both read it, and
-	// resolution enumerates subgroup closures — worth doing once.
-	symPlan     *nodeSymPlan
-	symPlanDone bool
 }
 
 // NewStagedEncoder resolves the plan's Stage-0 template (a skeleton —
@@ -397,7 +356,7 @@ func (e *StagedEncoder) Emit(sink StageSink) bool {
 		}
 	}
 
-	// Node-orbit equivariance (guarded restriction, see resolveNodeSymPlan;
+	// Node-orbit equivariance (guarded restriction, see symmetryOf;
 	// emitted after sends so the restriction covers both variable kinds).
 	if plan := e.nodeSymPlan(); plan != nil {
 		sink.NodeSymmetry(plan)

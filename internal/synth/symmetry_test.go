@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/collective"
@@ -116,5 +119,104 @@ func BenchmarkWorthAsking(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		worthAsking(in, Options{})
+	}
+}
+
+// TestSymmetryOfMatchesPins reads the pinned groups from the record
+// itself, gate and quotient aside.
+func TestSymmetryOfMatchesPins(t *testing.T) {
+	for _, row := range symmetryPins {
+		topo := mustFabric(t, row.fabric)
+		coll, err := collective.New(row.kind, topo.P, row.c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sym := symmetryOf(coll, topo)
+		if len(sym.perms) != row.perms || sym.order != row.order || sym.pays != row.pays {
+			t.Errorf("%s %v C=%d: record {perms order pays} = {%d %d %v}, want {%d %d %v}",
+				row.fabric, row.kind, row.c, len(sym.perms), sym.order, sym.pays, row.perms, row.order, row.pays)
+		}
+	}
+}
+
+// resetSymMemo empties the process-wide symmetry memo.
+func resetSymMemo() {
+	symMemo.mu.Lock()
+	symMemo.cells, symMemo.keys = nil, nil
+	symMemo.mu.Unlock()
+}
+
+// TestSymmetryRecordShared checks that the memo is keyed by fabric, not
+// by object: two topologies built separately from one spec string share
+// one record and one automorphism search, even when many goroutines ask
+// at once. Past symMemoCap fabrics the memo keeps only the newest, and
+// an evicted record is computed again, equal to the first.
+func TestSymmetryRecordShared(t *testing.T) {
+	resetSymMemo()
+	defer resetSymMemo()
+	var searches atomic.Int64
+	defer func(f func(*topology.Topology, ...int) *topology.Group) { autFixing = f }(autFixing)
+	autFixing = func(topo *topology.Topology, fixed ...int) *topology.Group {
+		searches.Add(1)
+		return topology.AutFixing(topo, fixed...)
+	}
+
+	topos := []*topology.Topology{mustFabric(t, "torus:4x4"), mustFabric(t, "torus:4x4")}
+	coll, err := collective.New(collective.Allgather, 16, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*nodeSymPlan, 16)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			recs[i] = symmetryOf(coll, topos[i%2])
+		}(i)
+	}
+	wg.Wait()
+	for _, r := range recs {
+		if r != recs[0] {
+			t.Fatal("two records for one fabric and chunk layout")
+		}
+	}
+	if n := searches.Load(); n != 1 {
+		t.Fatalf("automorphism group computed %d times, want 1", n)
+	}
+	if len(recs[0].perms) == 0 || !recs[0].pays {
+		t.Fatalf("torus:4x4 Allgather: %d generators, pays %v", len(recs[0].perms), recs[0].pays)
+	}
+
+	bus, err := collective.New(collective.Allgather, 4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bw := 1; bw <= symMemoCap+3; bw++ {
+		symmetryOf(bus, topology.SharedBus(4, bw)) // a new fabric per bandwidth
+	}
+	symMemo.mu.Lock()
+	held := len(symMemo.cells)
+	_, kept := symMemo.cells[topos[0].Fingerprint()]
+	symMemo.mu.Unlock()
+	if held > symMemoCap || kept {
+		t.Fatalf("memo holds %d fabrics (cap %d), torus:4x4 kept %v", held, symMemoCap, kept)
+	}
+	again := symmetryOf(coll, topos[0])
+	if again == recs[0] || !reflect.DeepEqual(again, recs[0]) {
+		t.Fatal("an evicted record must be computed again, equal to the first")
+	}
+}
+
+// TestWorthAskingWarmAllocs bounds the warm implied-Allgather gate: once
+// the record is memoized, asking costs the two fingerprints and a
+// lookup, not the closure enumeration behind the group order.
+func TestWorthAskingWarmAllocs(t *testing.T) {
+	in := gateInstance(t)
+	if !worthAsking(in, Options{}) {
+		t.Fatal("torus:6x6 Allgather: gate declined")
+	}
+	if n := testing.AllocsPerRun(20, func() { worthAsking(in, Options{}) }); n > 200 {
+		t.Fatalf("warm gate allocates %.0f per call, want <= 200", n)
 	}
 }
