@@ -45,8 +45,8 @@ type Options struct {
 	// guarded automorphism-equivariance restriction emitted over the
 	// topology's automorphism generators (see nodesym.go). Distinct from
 	// NoSymmetryBreak, which governs the chunk-level ordering chains;
-	// symmetryOf decides from the instance alone whether
-	// node-orbit exploitation runs, at any node count.
+	// symmetryOf decides from the instance alone whether node-orbit
+	// exploitation runs, at any node count.
 	NoSymmetryBreaking bool
 	// NoQuotient disables the chunk-orbit quotient encoding (see
 	// quotient.go): with it off, eligible solves first try a collapsed
