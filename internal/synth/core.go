@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/sat"
@@ -109,6 +108,14 @@ type assumpMarks struct {
 // literal that matches no recorded assumption (which would indicate a
 // bookkeeping bug) yields nil: no dominance is claimed over a core that
 // cannot be explained.
+//
+// The core is the solver's own final conflict, not a minimal one: it may
+// drag round bounds along with post-arrival literals, and such a mixed
+// core claims no dominance. Shrinking it by re-solving under reduced
+// assumption sets was measured and dropped: on the benchmark sweeps
+// nearly every re-solve answered Sat (a full assignment of the mega-base
+// that also reshuffled the live solver's phases), and the few upgraded
+// cores pruned less than the re-solves cost.
 func (m assumpMarks) classify(core []sat.Lit, steps, rounds int) *BudgetCore {
 	bc := &BudgetCore{Steps: steps, Rounds: rounds, Empty: len(core) == 0}
 	for _, l := range core {
@@ -126,82 +133,4 @@ func (m assumpMarks) classify(core []sat.Lit, steps, rounds int) *BudgetCore {
 		}
 	}
 	return bc
-}
-
-// minimizeConflictBudget bounds each deletion probe of the core
-// minimization: a re-solve that cannot re-derive the conflict within
-// this many conflicts keeps the unminimized core rather than paying for
-// a hard search the probe already answered.
-const minimizeConflictBudget = 256
-
-// classifyCore maps the solver's failed-assumption core of an Unsat
-// session probe onto the budget groups, then applies deletion-based
-// minimization. The final-conflict analysis returns implication-graph
-// ancestors, not a minimal core, so a conflict that truly needs only
-// the post-arrival literals often drags the round bounds along — and a
-// mixed post+round core claims no dominance at all. Re-solving without
-// each budget group under a small conflict budget upgrades:
-//
-//   - mixed cores whose post literals alone stay Unsat to pure
-//     post-arrival cores — the much stronger steps dominance, pruning
-//     every cheaper step budget of the family;
-//   - mixed cores whose round bounds alone stay Unsat to pure round
-//     cores — rounds dominance at this step when the lower bound drops
-//     out too.
-//
-// Every upgrade is sound by construction: the deletion probe is a real
-// solve of the live session formula under the reduced assumption set,
-// so the refined core is itself a failed-assumption core.
-func (e *megaEncoding) classifyCore(ctx context.Context, marks assumpMarks, steps, rounds int) *BudgetCore {
-	failed := e.ctx.Solver.FailedAssumptions()
-	bc := marks.classify(failed, steps, rounds)
-	if bc == nil || bc.Empty {
-		// Unexplainable or base-level: nothing to minimize.
-		return bc
-	}
-	hasArrival := bc.PostArrival || bc.Activation
-	hasRound := bc.RoundLower || bc.RoundUpper
-	if !hasArrival || !(hasRound || (bc.PostArrival && bc.Activation)) {
-		// Already pure (single group): no deletion can improve it.
-		return bc
-	}
-	core := append([]sat.Lit(nil), failed...)
-	// Deletion 1: drop the round bounds. If the post-arrival and activation
-	// literals alone still refute the formula, the
-	// re-solve's own final conflict is a round-free core with steps
-	// dominance. Activation literals ride along in both reduced sets:
-	// they select the family, so dropping them would refute a different
-	// question.
-	var postOnly []sat.Lit
-	for _, l := range core {
-		if marks.post[l] || marks.acts[l] {
-			postOnly = append(postOnly, l)
-		}
-	}
-	if len(postOnly) < len(core) && e.refutes(ctx, postOnly) {
-		if min := marks.classify(e.ctx.Solver.FailedAssumptions(), steps, rounds); min != nil {
-			return min
-		}
-	}
-	// Deletion 2: drop the post literals (activation literals stay). A
-	// surviving conflict is a bandwidth shortfall over the round bounds —
-	// or a family Unsat at this step count outright.
-	var roundOnly []sat.Lit
-	for _, l := range core {
-		if !marks.post[l] {
-			roundOnly = append(roundOnly, l)
-		}
-	}
-	if len(roundOnly) < len(core) && e.refutes(ctx, roundOnly) {
-		if min := marks.classify(e.ctx.Solver.FailedAssumptions(), steps, rounds); min != nil {
-			return min
-		}
-	}
-	return bc
-}
-
-// refutes re-solves the live session formula under a reduced assumption
-// set with a small conflict budget; only a definite Unsat counts.
-func (e *megaEncoding) refutes(ctx context.Context, assumptions []sat.Lit) bool {
-	return e.ctx.Solver.SolveWithBudgetContext(ctx, minimizeConflictBudget, assumptions...) == sat.Unsat
 }

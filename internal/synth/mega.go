@@ -720,14 +720,13 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 	if m.enc.symPlan != nil {
 		phaseCap = restrictedPhaseConflicts(res.Clauses, m.enc.symPlan.order)
 	}
-	// Stats reports this probe's own search (core minimization included),
-	// not the shared solver's lifetime totals: the sweep sizes chain-top
-	// conflict caps from it.
+	// Stats reports this probe's own search, not the shared solver's
+	// lifetime totals: the sweep sizes chain-top conflict caps from it.
 	before := m.enc.ctx.Solver.Stats()
 	t1 := time.Now()
 	res.Status = solveSymPhased(ctx, m.enc.ctx, assumptions, marks.symOn, marks.symOff, phaseCap)
 	if res.Status == sat.Unsat {
-		res.Core = m.enc.classifyCore(ctx, marks, steps, rounds)
+		res.Core = marks.classify(m.enc.ctx.Solver.FailedAssumptions(), steps, rounds)
 	}
 	res.Solve = time.Since(t1)
 	res.Stats = m.enc.ctx.Solver.Stats().Since(before)

@@ -234,10 +234,9 @@ const (
 )
 
 // escalateBudget derives the conflict cap of a chain-top probe from the
-// conflicts the probe that triggered it spent (core minimization
-// included). The factor covers the top budget being genuinely harder than
-// the trigger; the floor lets a trigger that propagation alone refuted
-// still buy a real search. Conflicts, not wall clock: which probes a sweep
+// conflicts the probe that triggered it spent. The factor covers the top
+// budget being genuinely harder than the trigger; the floor lets a
+// trigger that propagation alone refuted still buy a real search. Conflicts, not wall clock: which probes a sweep
 // runs must not depend on scheduler jitter.
 func escalateBudget(triggerConflicts int64) int64 {
 	return 4*triggerConflicts + escalateFloorConflicts
