@@ -50,7 +50,7 @@ func TestSearchCountsPinned(t *testing.T) {
 	}
 	gotSweep := [6]int64{int64(len(front)), int64(ps.Probes), int64(ps.SessionProbes),
 		int64(ps.CoreSolves), int64(ps.PrunedProbes), ps.CarriedLearnts}
-	wantSweep := [6]int64{9, 18, 15, 6, 0, 2703}
+	wantSweep := [6]int64{9, 18, 15, 6, 0, 600}
 	if gotSweep != wantSweep {
 		t.Errorf("dgx1 Broadcast k=2 C<=6 sweep: {points probes sessionProbes coreSolves prunedProbes carriedLearnts} = %v, want %v",
 			gotSweep, wantSweep)

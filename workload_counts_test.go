@@ -63,7 +63,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 2498, 6158588)
+		pinSolverWork(t, st.ProbeStats, 1030, 6098342)
 	})
 	t.Run("pareto-fabrics", func(t *testing.T) {
 		if testing.Short() {
@@ -89,11 +89,11 @@ func TestWorkloadCountsPinned(t *testing.T) {
 			{topology: "amd", kind: sccl.Broadcast, k: 3},
 		})
 		got := [4]int{st.Probes, st.SessionProbes, st.PrunedProbes, st.CoreSolves}
-		want := [4]int{166, 160, 42, 144}
+		want := [4]int{177, 171, 31, 155}
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 25752, 5840670)
+		pinSolverWork(t, st.ProbeStats, 16032, 6034414)
 	})
 	// The 32 Table 4 requests of the table4-dgx1 workload, in the order
 	// eval lists them (and bench/testdata/table4_dgx1.json, which
@@ -132,11 +132,11 @@ func TestWorkloadCountsPinned(t *testing.T) {
 			{topology: "dgx1", kind: sccl.Allgather, k: 2, maxSteps: 7, maxChunks: 16},
 		})
 		got := [4]int{st.Probes, st.SessionProbes, st.PrunedProbes, st.CoreSolves}
-		want := [4]int{140, 129, 69, 122}
+		want := [4]int{158, 147, 51, 140}
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 5671, 2613836)
+		pinSolverWork(t, st.ProbeStats, 5121, 2903132)
 	})
 }
 
