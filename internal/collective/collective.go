@@ -11,6 +11,7 @@ package collective
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/topology"
 )
@@ -166,7 +167,9 @@ func TransposeRel(g, p int) Rel {
 
 // Spec is a fully instantiated collective: the SynColl specification parts
 // (G, pre, post) plus bookkeeping linking global chunks back to the
-// per-node count C used in the paper's cost model.
+// per-node count C used in the paper's cost model. A Spec is immutable
+// once fingerprinted: Fingerprint memoizes its digest, so build a new
+// Spec instead of editing one in use.
 type Spec struct {
 	Kind Kind
 	P    int
@@ -178,6 +181,10 @@ type Spec struct {
 	G    int
 	Pre  Rel
 	Post Rel
+
+	// fp memoizes Fingerprint. It also makes a Spec unsafe to copy by
+	// value once in use; pass *Spec.
+	fp atomic.Pointer[fingerprint]
 }
 
 // ToGlobal converts a per-node chunk count C to the global chunk count G

@@ -134,7 +134,7 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("collective: root %d out of range [0,%d)", in.Root, in.P)
 		}
 		dec.Root = topology.Node(in.Root)
-		*s = *dec
+		s.setFields(dec)
 		return nil
 	}
 	kind, err := ParseKind(in.Kind)
@@ -157,14 +157,58 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	if !relEqual(dec.Pre, pre) || !relEqual(dec.Post, post) {
 		return fmt.Errorf("collective: JSON pre/post do not match the %v registry relations", kind)
 	}
-	*s = *dec
+	s.setFields(dec)
 	return nil
+}
+
+// setFields copies dec's fields into s field by field: a Spec carries its
+// fingerprint memo and is not copied whole.
+func (s *Spec) setFields(dec *Spec) {
+	s.Kind, s.P, s.C, s.Root, s.G, s.Pre, s.Post = dec.Kind, dec.P, dec.C, dec.Root, dec.G, dec.Pre, dec.Post
+}
+
+// fingerprint is one memoized Fingerprint: the digest and the scalar
+// fields and relations it was computed from.
+type fingerprint struct {
+	kind      Kind
+	p, c, g   int
+	root      topology.Node
+	pre, post Rel
+	digest    string
+}
+
+// matches reports whether m was computed from s's current fields: the
+// same scalars and the same pre/post slices (same length, same backing
+// array).
+func (m *fingerprint) matches(s *Spec) bool {
+	return m.kind == s.Kind && m.p == s.P && m.c == s.C && m.g == s.G && m.root == s.Root &&
+		sameRel(m.pre, s.Pre) && sameRel(m.post, s.Post)
+}
+
+func sameRel(a, b Rel) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Fingerprint returns a canonical digest of the fully instantiated
 // specification — kind, shape, and the pre/post relations — so custom
 // collectives fingerprint by structure, not by name.
+//
+// The digest is computed on the first call and memoized, so later calls
+// (every engine cache lookup and node-symmetry lookup makes one) cost the
+// same at every chunk count. Assigning a new field or relation slice is
+// noticed and digested afresh; editing a relation row in place is not, so
+// build a new Spec instead of changing one in use.
 func (s *Spec) Fingerprint() string {
+	if m := s.fp.Load(); m != nil && m.matches(s) {
+		return m.digest
+	}
+	m := &fingerprint{kind: s.Kind, p: s.P, c: s.C, g: s.G, root: s.Root, pre: s.Pre, post: s.Post, digest: s.digest()}
+	s.fp.Store(m)
+	return m.digest
+}
+
+// digest hashes the canonical text of the specification.
+func (s *Spec) digest() string {
 	payload := fmt.Sprintf("collective/v1|%s|p=%d|c=%d|root=%d|g=%d|pre=%s|post=%s",
 		s.Kind, s.P, s.C, s.Root, s.G,
 		strings.Join(relToStrings(s.Pre), ","), strings.Join(relToStrings(s.Post), ","))

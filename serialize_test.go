@@ -34,17 +34,20 @@ func synthKind(t *testing.T, eng *sccl.Engine, kind sccl.Kind, topo *sccl.Topolo
 }
 
 // sameAlgorithm is reflect.DeepEqual over what an algorithm document
-// carries. A topology memoizes its fingerprint, so the topology an engine
-// has keyed and its freshly decoded copy differ in that memo alone; the
-// topologies are compared by their exported fields.
+// carries. A topology and a collective memoize their fingerprints, so the
+// ones an engine has keyed and their freshly decoded copies differ in that
+// memo alone; both are compared by their exported fields.
 func sameAlgorithm(a, b *sccl.Algorithm) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
 	x, y := *a, *b
-	x.Topo, y.Topo = nil, nil
+	x.Topo, y.Topo, x.Coll, y.Coll = nil, nil, nil, nil
+	ac, bc := a.Coll, b.Coll
 	return reflect.DeepEqual(x, y) && a.Topo.Name == b.Topo.Name && a.Topo.P == b.Topo.P &&
-		reflect.DeepEqual(a.Topo.Relations, b.Topo.Relations) && reflect.DeepEqual(a.Topo.Blocks, b.Topo.Blocks)
+		reflect.DeepEqual(a.Topo.Relations, b.Topo.Relations) && reflect.DeepEqual(a.Topo.Blocks, b.Topo.Blocks) &&
+		ac.Kind == bc.Kind && ac.P == bc.P && ac.C == bc.C && ac.Root == bc.Root && ac.G == bc.G &&
+		reflect.DeepEqual(ac.Pre, bc.Pre) && reflect.DeepEqual(ac.Post, bc.Post)
 }
 
 // sameFrontier is reflect.DeepEqual over frontier points with their
