@@ -120,6 +120,75 @@ func TestSessionCoreDominanceSound(t *testing.T) {
 	}
 }
 
+// TestSessionCoreIsFinalConflict pins the core rule: an Unsat session
+// probe's BudgetCore is the classification of the solver's own final
+// conflict, and its Stats are the cost of that one solve. A twin session
+// replays the same probes and discharges the target budget's assumptions
+// directly. A probe that searched again after its conflict — re-solving
+// under reduced assumption sets to shrink a mixed core, say — would
+// report more decisions than the twin's solve and leave the re-solve's
+// failed assumptions on the solver, not the probe's.
+func TestSessionCoreIsFinalConflict(t *testing.T) {
+	ctx := context.Background()
+	topo := topology.Ring(8)
+	coll, err := collective.New(collective.Broadcast, topo.P, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*MegaSession, *MegaFamilyView) {
+		m := NewMegaSession(topo, 0, Options{}, []collective.Kind{collective.Broadcast}, 3, 8, 2)
+		v := m.View(coll)
+		if v == nil {
+			t.Fatal("ring:8 Broadcast C=3: no mega view")
+		}
+		return m, v
+	}
+	a, va := open()
+	defer a.Close()
+	b, vb := open()
+	defer b.Close()
+	mixed, searched := 0, 0
+	for s := 1; s <= 8; s++ {
+		for r := s; r <= s+2; r++ {
+			res, err := va.Solve(ctx, s, r, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := res.Core; c == nil || !c.PostArrival || !(c.RoundLower || c.RoundUpper) || res.SessionReuses == 0 {
+				if _, err := vb.Solve(ctx, s, r, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			lits, marks, prune := b.enc.assumeFamily(vb.mapping, vb.active, s, r)
+			if prune != nil || len(marks.symOn)+len(marks.symOff) > 0 {
+				t.Fatalf("(S=%d,R=%d): twin probe pruned %v or guarded by symmetry", s, r, prune)
+			}
+			before := b.enc.ctx.Solver.Stats()
+			if st := b.enc.ctx.SolveContext(ctx, lits...); st != sat.Unsat {
+				t.Fatalf("(S=%d,R=%d): twin solve says %v", s, r, st)
+			}
+			solve := b.enc.ctx.Solver.Stats().Since(before)
+			want := marks.classify(b.enc.ctx.Solver.FailedAssumptions(), s, r)
+			_, liveMarks, _ := a.enc.assumeFamily(va.mapping, va.active, s, r)
+			live := liveMarks.classify(a.enc.ctx.Solver.FailedAssumptions(), s, r)
+			if want == nil || live == nil || *res.Core != *want || *res.Core != *live {
+				t.Fatalf("(S=%d,R=%d): core %v, the probe's final conflict %v, the twin's %v", s, r, res.Core, live, want)
+			}
+			if res.Stats != solve {
+				t.Fatalf("(S=%d,R=%d): probe stats %+v, its solve alone %+v", s, r, res.Stats, solve)
+			}
+			mixed++
+			if solve.Conflicts > 0 {
+				searched++
+			}
+		}
+	}
+	if searched == 0 {
+		t.Fatalf("%d session probes left a mixed post-arrival and round core, none after a search", mixed)
+	}
+}
+
 // TestParetoUnsatCorePruning is the acceptance sweep: on the bidir-ring
 // Broadcast suite the scheduler must skip dominated candidates
 // (PrunedProbes > 0) while returning a frontier byte-identical to the
