@@ -112,10 +112,10 @@ type assumpMarks struct {
 // The core is the solver's own final conflict, not a minimal one: it may
 // drag round bounds along with post-arrival literals, and such a mixed
 // core claims no dominance. Shrinking it by re-solving under reduced
-// assumption sets was measured and dropped: on the benchmark sweeps
-// nearly every re-solve answered Sat (a full assignment of the mega-base
-// that also reshuffled the live solver's phases), and the few upgraded
-// cores pruned less than the re-solves cost.
+// assumption sets does not pay: on the benchmark sweeps nearly every such
+// re-solve answers Sat (a full assignment of the mega-base that also
+// reshuffles the live solver's phases), and the few upgraded cores prune
+// less than the re-solves cost.
 func (m assumpMarks) classify(core []sat.Lit, steps, rounds int) *BudgetCore {
 	bc := &BudgetCore{Steps: steps, Rounds: rounds, Empty: len(core) == 0}
 	for _, l := range core {
