@@ -154,6 +154,8 @@ func TestSessionCoreIsFinalConflict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Every other probe, and the one that builds the base
+			// (SessionReuses 0), is replayed on the twin as it ran here.
 			if c := res.Core; c == nil || !c.PostArrival || !(c.RoundLower || c.RoundUpper) || res.SessionReuses == 0 {
 				if _, err := vb.Solve(ctx, s, r, Options{}); err != nil {
 					t.Fatal(err)
