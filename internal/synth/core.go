@@ -96,12 +96,6 @@ type assumpMarks struct {
 	// can both appear in a failed-assumption core.
 	acts         map[sat.Lit]bool
 	lower, upper sat.Lit // 0 when the bound is absent (trivial)
-	// symOn/symOff are the node-symmetry selector guards of a mega probe,
-	// split by whether the family's activation row is invariant under the
-	// generator. They are consumed by solveSymPhased, not classify: the
-	// phased solve guarantees the final failed-assumption core never
-	// contains a symmetry literal.
-	symOn, symOff []sat.Lit
 }
 
 // classify maps a failed-assumption core onto the budget groups. A core

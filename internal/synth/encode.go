@@ -407,7 +407,7 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 	}
 	if len(e.symGuards) > 0 {
 		// Node-symmetry restriction: phased assumption solve.
-		res.Status = solveSymPhased(ctx, e.ctx, nil, e.symGuards, nil,
+		res.Status = solveSymPhased(ctx, e.ctx, e.symGuards,
 			restrictedPhaseConflicts(res.Clauses, e.sym.order))
 	} else {
 		res.Status = e.ctx.SolveContext(ctx)

@@ -54,6 +54,16 @@ import (
 // answer for every (S <= horizon, R <= S+K) budget of every mapped
 // family, and the canonical-witness rule (Sat probes re-solved one-shot)
 // keeps frontiers byte-identical to the session-free path.
+//
+// The base takes neither node-symmetry mechanism of the one-shot path.
+// Activation families select arbitrary chunk subsets, and a universe
+// automorphism is a symmetry of the selected family only when it maps
+// the activation row onto itself. A subset that is not a union of
+// orbits breaks the orbit quotient's aliasing; an equivariance
+// restriction would need a per-family guard, and on the bases sweeps
+// build (rooted chunks in the universe, or a Broadcast-only scope) no
+// generator qualifies. The one-shot re-solve of a Sat probe keeps both
+// mechanisms for its witness.
 const (
 	// megaMaxChunks caps the universe size: past it the Stage-1 formula
 	// stops paying for itself and the session declines to build.
@@ -196,16 +206,6 @@ type megaEncoding struct {
 	// step at a time via totalizer merges as probes demand it.
 	prefix []*pb.Totalizer
 	acts   []sat.Lit
-	// symPerms counts the node-symmetry generators restricted on in the
-	// base. symPlan/symGuards are those equivariance restrictions, each
-	// generator conditioned on its own guard literal: a universe
-	// automorphism only remains a symmetry of the SELECTED family when the
-	// activation row is invariant under its induced class map, so
-	// assumeFamily routes each guard to the on or off side of the phased
-	// solve per family.
-	symPerms  int
-	symPlan   *nodeSymPlan
-	symGuards []sat.Lit
 }
 
 // encodeMegaBase emits the universe's budget-independent constraints
@@ -213,7 +213,8 @@ type megaEncoding struct {
 // Stage 0 (shared routing template) + Stage 1, with Stage 2 (C2/C6) left
 // to assumeFamily — every send variable guarded by its chunk's activation
 // literal. It is the same walker and CDCL sink as the one-shot
-// encodePaper, differing only in the EncodePlan. Returns nil when some
+// encodePaper, differing only in the EncodePlan (window mode, no node
+// symmetry; see the file comment). Returns nil when some
 // universe chunk's required placement is unreachable within the horizon.
 func encodeMegaBase(spec *collective.Spec, topo *topology.Topology, opts Options, horizon, k int, tmpl *Stage0Template) *megaEncoding {
 	enc := NewStagedEncoder(EncodePlan{
@@ -222,7 +223,7 @@ func encodeMegaBase(spec *collective.Spec, topo *topology.Topology, opts Options
 		Window:          horizon,
 		RoundHi:         k + 1,
 		NoSymmetryBreak: opts.NoSymmetryBreak,
-		NoNodeSymmetry:  opts.NoSymmetryBreaking,
+		NoNodeSymmetry:  true,
 		Template:        tmpl,
 	})
 	ctx := smt.NewContext()
@@ -234,16 +235,7 @@ func encodeMegaBase(spec *collective.Spec, topo *topology.Topology, opts Options
 	if !enc.Emit(sink) {
 		return nil
 	}
-	return &megaEncoding{
-		ctx:       ctx,
-		spec:      spec,
-		times:     sink.times,
-		rs:        sink.rs,
-		acts:      sink.acts,
-		symPerms:  sink.symPerms,
-		symPlan:   sink.symPlan,
-		symGuards: sink.symGuards,
-	}
+	return &megaEncoding{ctx: ctx, spec: spec, times: sink.times, rs: sink.rs, acts: sink.acts}
 }
 
 // post reports whether (c, n) is a non-pre post placement. The universe
@@ -289,40 +281,6 @@ func (e *megaEncoding) assumeFamily(mapping []int, active []bool, steps, rounds 
 		}
 		lits = append(lits, l)
 		marks.acts[l] = true
-	}
-	// Node-symmetry guards: a universe automorphism stays a symmetry of
-	// the selected family only when the activation row is invariant under
-	// its induced class map. Actives form a per-class prefix (mapFamily),
-	// so invariance reduces to per-class active COUNTS matching across
-	// the map; a guard whose counts mismatch goes to marks.symOff (its
-	// restriction is off for this family), the rest to marks.symOn. The
-	// phased solve (solveSymPhased) assumes them and retreats per guard
-	// on restriction-dependent Unsat cores, so the guards never reach
-	// core classification.
-	if e.symPlan != nil && len(e.symGuards) > 0 {
-		counts := make([]int, len(e.symPlan.classes))
-		for j, class := range e.symPlan.classes {
-			for _, c := range class {
-				if active[c] {
-					counts[j]++
-				}
-			}
-		}
-		for i, g := range e.symGuards {
-			inv := e.symPlan.perms[i].invClass
-			on := true
-			for j := range counts {
-				if counts[inv[j]] != counts[j] {
-					on = false
-					break
-				}
-			}
-			if on {
-				marks.symOn = append(marks.symOn, g)
-			} else {
-				marks.symOff = append(marks.symOff, g)
-			}
-		}
 	}
 	// C2 over the active chunks only: inactive chunks stay free to sit at
 	// "never arrives".
@@ -687,13 +645,8 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 	if m.enc == nil {
 		m.buildLocked()
 		res.MegaEncodes = 1
-		if m.enc != nil {
-			res.SymmetryPerms = m.enc.symPerms
-		}
 		if quotientEligible(m.opts) {
-			// The mega-base never quotients: activation families select
-			// arbitrary chunk subsets, and a subset that is not a union of
-			// orbits breaks the invariance the aliasing would bake in.
+			// The mega-base never quotients (see the file comment).
 			res.QuotientDeclined = 1
 		}
 		if m.disabled {
@@ -716,15 +669,11 @@ func (m *MegaSession) probeLocked(ctx context.Context, v *MegaFamilyView, steps,
 	applySolverOpts(m.enc.ctx.Solver, opts)
 	res.Vars = m.enc.ctx.Solver.NumVars()
 	res.Clauses = m.enc.ctx.Solver.NumClauses()
-	var phaseCap int64
-	if m.enc.symPlan != nil {
-		phaseCap = restrictedPhaseConflicts(res.Clauses, m.enc.symPlan.order)
-	}
 	// Stats reports this probe's own search, not the shared solver's
 	// lifetime totals: the sweep sizes chain-top conflict caps from it.
 	before := m.enc.ctx.Solver.Stats()
 	t1 := time.Now()
-	res.Status = solveSymPhased(ctx, m.enc.ctx, assumptions, marks.symOn, marks.symOff, phaseCap)
+	res.Status = m.enc.ctx.SolveContext(ctx, assumptions...)
 	if res.Status == sat.Unsat {
 		res.Core = marks.classify(m.enc.ctx.Solver.FailedAssumptions(), steps, rounds)
 	}

@@ -84,10 +84,12 @@ func TestMegaStatusMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestMegaFrontiersByteIdentical is the acceptance check of ISSUE 8: a
-// multi-family sweep routed through one mega-base returns frontiers
-// byte-identical to the sessionless path, per kind, across worker counts
-// and on both acceptance topologies.
+// TestMegaFrontiersByteIdentical checks a multi-family sweep the way a
+// daemon runs one: one mega-base scoped to the sweep's kinds is warmed in
+// an engine-style pool, then every kind's ParetoSynthesize runs against
+// that pool. Each frontier must be byte-identical to the sessionless
+// path across worker counts and on both acceptance topologies, and the
+// warmed base must serve them with one encode.
 func TestMegaFrontiersByteIdentical(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -115,25 +117,32 @@ func TestMegaFrontiersByteIdentical(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			name := fmt.Sprintf("%s/w%d", tc.name, workers)
-			var stats ParetoStats
-			got, err := ParetoSynthesizeKinds(tc.kinds, tc.topo, 0, ParetoOptions{
-				K: tc.k, MaxSteps: tc.maxSteps, MaxChunks: tc.maxChunks,
-				Workers: workers, Stats: &stats,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			pool := NewSessionPool()
+			if pool.Mega(tc.topo, 0, Options{}, tc.kinds, tc.maxChunks, tc.maxSteps, tc.k, true) == nil {
+				t.Fatalf("%s: pool declined the scoped mega-base", name)
 			}
+			var sum ParetoStats
 			for _, kind := range tc.kinds {
-				if gb := string(frontierBytes(t, got[kind])); gb != want[kind] {
+				var stats ParetoStats
+				got, err := ParetoSynthesize(kind, tc.topo, 0, ParetoOptions{
+					K: tc.k, MaxSteps: tc.maxSteps, MaxChunks: tc.maxChunks,
+					Workers: workers, Pool: pool, Stats: &stats,
+				})
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, kind, err)
+				}
+				if gb := string(frontierBytes(t, got)); gb != want[kind] {
 					t.Errorf("%s %v: mega frontier differs from -no-sessions\n got: %s\nwant: %s",
 						name, kind, gb, want[kind])
 				}
+				sum.Add(stats.ProbeStats)
 			}
-			if stats.SessionProbes == 0 {
-				t.Errorf("%s: no probe used the mega-base path (%+v)", name, stats)
+			pool.Close()
+			if sum.SessionProbes == 0 {
+				t.Errorf("%s: no probe used the mega-base path (%+v)", name, sum)
 			}
-			if stats.MegaEncodes > 1 {
-				t.Errorf("%s: %d mega-base encodes for one sweep, want at most 1", name, stats.MegaEncodes)
+			if sum.MegaEncodes > 1 {
+				t.Errorf("%s: %d mega-base encodes for one sweep, want at most 1", name, sum.MegaEncodes)
 			}
 		}
 	}

@@ -43,30 +43,25 @@ const nodeSymMaxGens = 12
 const nodeSymClosureCap = 20000
 
 // nodeSymPerm is one instance-stabilizing automorphism, prepared for
-// emission: the node map π, the inverse of the class permutation σ it
-// induces on chunk signature classes, and the concrete chunk map
-// (same-index pairing within mapped classes — sound, because chunks of
-// one class have identical pre/post rows, so any within-class bijection
-// preserves the instance).
+// emission: the node map π and the chunk map of the class permutation σ
+// it induces on chunk signature classes (same-index pairing within
+// mapped classes — sound, because chunks of one class have identical
+// pre/post rows, so any within-class bijection preserves the instance).
 type nodeSymPerm struct {
 	perm     topology.Perm
-	invClass []int // invClass[j] = class index i with σ(i) = j
 	chunkMap []int // chunkMap[c] = σ's image chunk of c
 }
 
 // nodeSymPlan is the node-symmetry record of one fabric and chunk
-// layout: the chunk signature classes (singletons included, ascending
-// first-chunk order), the prepared generators, the order of the
-// subgroup they close over (1 when none is kept, 0 when it outgrew the
-// enumeration cap; the restricted-phase conflict caps read it) and
-// whether that group pays (groupPays). symmetryOf memoizes one record
-// per (fabric, layout) for every encoder, gate and solve, so a record
-// is never modified.
+// layout: the prepared generators, the order of the subgroup they close
+// over (1 when none is kept, 0 when it outgrew the enumeration cap; the
+// restricted-phase conflict caps read it) and whether that group pays
+// (groupPays). symmetryOf memoizes one record per (fabric, layout) for
+// every encoder, gate and solve, so a record is never modified.
 type nodeSymPlan struct {
-	classes [][]int
-	perms   []nodeSymPerm
-	order   int
-	pays    bool
+	perms []nodeSymPerm
+	order int
+	pays  bool
 }
 
 // chunkClasses partitions the chunks into signature classes, including
@@ -169,7 +164,7 @@ func symmetryOf(coll *collective.Spec, topo *topology.Topology) *nodeSymPlan {
 		classes, sigs := chunkClasses(coll)
 		seen := map[string]bool{}
 		free, fixing := instancePerms(classes, sigs, fab.group(topo).Gens, seen)
-		sym := &nodeSymPlan{classes: classes, order: 1}
+		sym := &nodeSymPlan{order: 1}
 		if len(free) > 0 {
 			sym.perms, sym.order = reduceGens(free, topo.P, true)
 		} else if pinsRoot(coll) {
@@ -192,7 +187,7 @@ func instancePerms(classes [][]int, sigs []string, gens []topology.Perm, seen ma
 			continue
 		}
 		seen[permKey(p)] = true
-		sp := nodeSymPerm{perm: p, invClass: invClass, chunkMap: chunkMapOf(classes, invClass)}
+		sp := nodeSymPerm{perm: p, chunkMap: chunkMapOf(classes, invClass)}
 		if fixedPointFree(p) {
 			free = append(free, sp)
 		} else if movesChunk(sp.chunkMap) {
@@ -396,27 +391,23 @@ func restrictedPhaseConflicts(clauses, order int) int64 {
 	return c
 }
 
-// solveSymPhased discharges a solve whose formula carries guarded
-// node-symmetry equivariance clauses. base holds the ordinary
-// assumptions (budget literals, activation rows), on the guards assumed
-// positively and off the guards assumed negatively (mega probes whose
-// activation row is not invariant under a generator). A Sat answer under
-// the restriction is a genuine witness; an Unsat whose failed-assumption
-// core touches a positive guard proves nothing about the instance, so
-// the offending guards flip to off and the solve retries on the same
-// solver — learnt clauses carry across phases. Restricted phases run
-// under the capConflicts conflict cap (callers size it per fabric via
-// restrictedPhaseConflicts); exhausting it drops every remaining guard,
-// so a restriction that fails to collapse the search costs at most the
-// cap. The loop terminates because every retry turns at least one guard
-// off, and the final answer's core never contains a symmetry literal:
-// Unsat results and their budget-core classifications are exactly as
-// complete as a symmetry-free solve.
-func solveSymPhased(ctx context.Context, sctx *smt.Context, base, on, off []sat.Lit, capConflicts int64) sat.Status {
+// solveSymPhased discharges a one-shot solve whose formula carries
+// guarded node-symmetry equivariance clauses, on the guards assumed
+// positively. A Sat answer under the restriction is a genuine witness;
+// an Unsat whose failed-assumption core touches a guard proves nothing
+// about the instance, so the offending guards flip to off and the solve
+// retries on the same solver — learnt clauses carry across phases.
+// Restricted phases run under the capConflicts conflict cap (callers
+// size it per fabric via restrictedPhaseConflicts); exhausting it drops
+// every remaining guard, so a restriction that fails to collapse the
+// search costs at most the cap. The loop terminates because every retry
+// turns at least one guard off, and the final answer never depends on
+// the restriction: it is exactly as complete as a symmetry-free solve.
+func solveSymPhased(ctx context.Context, sctx *smt.Context, on []sat.Lit, capConflicts int64) sat.Status {
 	mark := sctx.Solver.LearntMark()
+	var off []sat.Lit
 	for {
-		lits := make([]sat.Lit, 0, len(base)+len(on)+len(off))
-		lits = append(lits, base...)
+		lits := make([]sat.Lit, 0, len(on)+len(off))
 		for _, g := range off {
 			lits = append(lits, g.Neg())
 		}

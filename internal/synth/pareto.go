@@ -38,8 +38,8 @@ type ParetoOptions struct {
 	// Context, if non-nil, cancels the whole sweep early; in-flight
 	// probes are aborted at the solver's next restart/conflict boundary.
 	Context context.Context
-	// Stats, if non-nil, receives scheduler counters for speedup
-	// reporting once the sweep finishes.
+	// Stats, if non-nil, is reset and receives the sweep's scheduler
+	// counters for speedup reporting; read it once the sweep returns.
 	Stats *ParetoStats
 	// NoSessions keeps every probe on the one-shot path: no mega-base is
 	// looked up or adopted, no Stage-0 template is shared and no unsat
@@ -324,17 +324,11 @@ type paretoSweep struct {
 // merged in deterministic (S, cost) rank and matches the sequential sweep
 // exactly.
 func ParetoSynthesize(kind collective.Kind, topo *topology.Topology, root topology.Node, opts ParetoOptions) ([]ParetoPoint, error) {
-	var st ParetoStats
-	points, err := paretoSynthesize(kind, topo, root, opts, &st)
-	if opts.Stats != nil {
-		*opts.Stats = st
+	stats := opts.Stats
+	if stats == nil {
+		stats = new(ParetoStats)
 	}
-	return points, err
-}
-
-// paretoSynthesize is ParetoSynthesize folding the sweep's counters into
-// stats (Wall is set, not summed), so a multi-kind sweep can share one.
-func paretoSynthesize(kind collective.Kind, topo *topology.Topology, root topology.Node, opts ParetoOptions, stats *ParetoStats) ([]ParetoPoint, error) {
+	*stats = ParetoStats{}
 	if kind.IsCombining() {
 		return nil, fmt.Errorf("synth: ParetoSynthesize needs a non-combining collective; got %v (use SynthesizeCollective)", kind)
 	}
@@ -422,63 +416,8 @@ func paretoSynthesize(kind collective.Kind, topo *topology.Topology, root topolo
 	t0 := time.Now()
 	points, err := w.run(ctx)
 	stats.Wall = time.Since(t0)
-	stats.Families += len(w.fams)
+	stats.Families = len(w.fams)
 	return points, err
-}
-
-// ParetoSynthesizeKinds runs Algorithm 1 for several non-combining
-// collective kinds on one topology as a single pooled sweep. A caller that
-// declares its kinds up front has announced a multi-family sweep, so —
-// like a daemon's WarmMegaBase — the shared mega-base is built before the
-// first probe, its chunk universe scoped to exactly those kinds, instead
-// of waiting for each kind's sweep to earn it. Each kind's frontier is
-// byte-identical to an independent ParetoSynthesize (or -no-sessions) run
-// of that kind.
-//
-// opts.Stats, when set, receives the counters summed across kinds with
-// Wall covering the whole multi-kind sweep.
-func ParetoSynthesizeKinds(kinds []collective.Kind, topo *topology.Topology, root topology.Node, opts ParetoOptions) (map[collective.Kind][]ParetoPoint, error) {
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("synth: ParetoSynthesizeKinds needs at least one kind")
-	}
-	for _, k := range kinds {
-		if k.IsCombining() {
-			return nil, fmt.Errorf("synth: ParetoSynthesizeKinds needs non-combining collectives; got %v (use SynthesizeCollective)", k)
-		}
-	}
-	// Resolve the enumeration bounds up front: the mega-base universe must
-	// cover every kind's sweep.
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = topo.P + 2
-	}
-	if opts.MaxChunks == 0 {
-		opts.MaxChunks = 2 * topo.P
-	}
-	if !opts.NoSessions {
-		if opts.Pool == nil {
-			opts.Pool = NewSessionPool()
-			defer opts.Pool.Close()
-		}
-		// Each kind's sweep finds this session warm; a declined build
-		// (proof recording, oversized universe) leaves them on the
-		// default adoption rule.
-		opts.Pool.Mega(topo, root, opts.Instance, kinds, opts.MaxChunks, opts.MaxSteps, opts.K, true)
-	}
-	var agg ParetoStats
-	t0 := time.Now()
-	out := make(map[collective.Kind][]ParetoPoint, len(kinds))
-	for _, kind := range kinds {
-		points, err := paretoSynthesize(kind, topo, root, opts, &agg)
-		if err != nil {
-			return nil, fmt.Errorf("synth: multi-kind sweep at %v: %w", kind, err)
-		}
-		out[kind] = points
-	}
-	if opts.Stats != nil {
-		agg.Wall = time.Since(t0)
-		*opts.Stats = agg
-	}
-	return out, nil
 }
 
 // run drives the worker pool until the frontier is complete, an error

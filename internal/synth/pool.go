@@ -42,11 +42,11 @@ func (p *SessionPool) Templates() *TemplateCache {
 
 // megaKey is the pool identity of a per-topology mega session under
 // the lowering-relevant options a session can be built with at all (Mega
-// declines every encoding but the paper's, and proof recording).
+// declines proof recording). Node symmetry is not among them: the base
+// never takes it (see mega.go).
 func megaKey(topo *topology.Topology, root topology.Node, opts Options) string {
 	return topo.Fingerprint() + "|r" + strconv.Itoa(int(root)) +
-		"|y" + strconv.FormatBool(!opts.NoSymmetryBreak) +
-		"|n" + strconv.FormatBool(!opts.NoSymmetryBreaking)
+		"|y" + strconv.FormatBool(!opts.NoSymmetryBreak)
 }
 
 // Mega returns the pool's mega-base session for the topology if one

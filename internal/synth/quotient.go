@@ -39,9 +39,10 @@ import (
 // quotient, which is what keeps frontier (C, S, R) costs identical with
 // quotienting on or off.
 //
-// The mega-base declines quotienting: its activation families select
-// arbitrary chunk subsets per probe, and a subset that is not a union
-// of orbits breaks the invariance the aliasing bakes into the formula.
+// The mega-base declines quotienting, as it declines node symmetry
+// altogether (mega.go): its activation families select arbitrary chunk
+// subsets per probe, and a subset that is not a union of orbits breaks
+// the invariance the aliasing bakes into the formula.
 
 // quotientPlan is the resolved chunk-orbit quotient of one emission.
 type quotientPlan struct {

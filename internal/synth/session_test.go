@@ -295,8 +295,9 @@ func TestSessionPool(t *testing.T) {
 
 // TestSessionPoolKeyedByOptions checks that lowering-relevant options
 // separate sessions — a symmetry-broken base must not serve probes that
-// asked for the unbroken encoding — and that proof recording, which no
-// base can serve, is declined.
+// asked for the unbroken encoding — that node symmetry, which no base
+// takes, does not, and that proof recording, which no base can serve,
+// is declined.
 func TestSessionPoolKeyedByOptions(t *testing.T) {
 	topo := topology.Ring(4)
 	bc := []collective.Kind{collective.Broadcast}
@@ -306,6 +307,11 @@ func TestSessionPoolKeyedByOptions(t *testing.T) {
 	b := pool.Mega(topo, 0, Options{NoSymmetryBreak: true}, bc, 1, 5, 1, true)
 	if a == nil || b == nil || a == b {
 		t.Error("options with different lowering must get distinct sessions")
+	}
+	// The base never takes node symmetry, so opting out of it lowers the
+	// same formula and shares the session.
+	if n := pool.Mega(topo, 0, Options{NoSymmetryBreaking: true}, bc, 1, 5, 1, true); n != a {
+		t.Error("NoSymmetryBreaking must share the default session")
 	}
 	if other := pool.Mega(topo, 1, Options{}, bc, 1, 5, 1, true); other == nil || other == a {
 		t.Error("a different root must get its own session")

@@ -44,10 +44,11 @@ type cdclStageSink struct {
 	// a probe deactivate universe chunks by assumption (mega.go). Nil for
 	// one-shot encodings — no guards, byte-identical output.
 	acts []sat.Lit
-	// Node-symmetry emission state (see NodeSymmetry): the emitted plan,
-	// the per-generator selector guards (parallel to symPlan.perms —
-	// every mode allocates them, solveSymPhased assumes them), and the
-	// emitted-generator count reported through Result.SymmetryPerms.
+	// Node-symmetry emission state of a one-shot encoding (see
+	// NodeSymmetry; the mega-base plans none): the emitted plan, the
+	// per-generator selector guards (parallel to symPlan.perms, assumed
+	// by solveSymPhased), and the emitted-generator count reported
+	// through Result.SymmetryPerms.
 	symPlan   *nodeSymPlan
 	symGuards []sat.Lit
 	symPerms  int

@@ -40,9 +40,9 @@ type ProbeStats struct {
 	// that built the shared base).
 	MegaEncodes int
 	// SymmetryPerms counts the automorphism generators whose guarded
-	// equivariance restrictions the encodes emitted (0 with node symmetry
-	// off, below the size threshold, or when no generator stabilizes the
-	// instance; see nodesym.go).
+	// equivariance restrictions the one-shot encodes emitted (0 with node
+	// symmetry off, on mega-base probes, or when no generator stabilizes
+	// the instance; see nodesym.go).
 	SymmetryPerms int
 	// QuotientProbes counts probes answered Sat from a chunk-orbit
 	// quotient formula (a lifted, re-validated witness; see quotient.go);
