@@ -116,10 +116,7 @@ func BandwidthLowerBound(s *Spec, t *topology.Topology) *big.Rat {
 			consider(func(n topology.Node) bool { return m&(1<<uint(n)) != 0 })
 		}
 	} else {
-		singleNodeCuts(s.P, func(inA func(topology.Node) bool) bool {
-			consider(inA)
-			return true
-		})
+		singleNodeCuts(s.P, consider)
 		// Hierarchical fabrics: node-subset enumeration is infeasible at
 		// this P, but the builder recorded the machine partition, so the
 		// NIC-level bottlenecks are the block-mask cuts. These dominate on
@@ -136,36 +133,77 @@ func BandwidthLowerBound(s *Spec, t *topology.Topology) *big.Rat {
 }
 
 // singleNodeCuts calls visit on every cut that separates one node from
-// the rest — {n} against the rest, then the rest against {n}, node by
-// node — until visit returns false, and reports whether it visited all
-// of them.
-func singleNodeCuts(p int, visit func(inA func(topology.Node) bool) bool) bool {
+// the rest: {n} against the rest, then the rest against {n}, node by
+// node.
+func singleNodeCuts(p int, visit func(inA func(topology.Node) bool)) {
 	for n := 0; n < p; n++ {
 		nn := topology.Node(n)
-		if !visit(func(m topology.Node) bool { return m == nn }) || !visit(func(m topology.Node) bool { return m != nn }) {
-			return false
-		}
+		visit(func(m topology.Node) bool { return m == nn })
+		visit(func(m topology.Node) bool { return m != nn })
 	}
-	return true
 }
 
 // Admits is a necessary condition for the non-combining spec s to have
 // an algorithm on t with steps steps and rounds rounds in all, cheap
-// enough to check per request: every post pair lies within steps hops
-// of a pre node of its chunk, and no single-node cut must carry more
-// chunks than its capacity times rounds. It is the latency bound and
-// the single-node part of the cut bound, so every budget it rejects the
-// exact LatencyLowerBound and BandwidthLowerBound reject too; it skips
-// the 2^P cut enumeration those run.
+// enough to check per request (O(P²·G)). It rejects a budget when
+//
+//   - some post pair lies more than steps hops from every pre node of its
+//     chunk (the exact LatencyLowerBound);
+//   - some node's egress cut {n} → V∖{n} must carry more chunks than its
+//     capacity times rounds;
+//   - some node n has an arrival window too narrow for its ingress cut
+//     V∖{n} → {n}, of capacity in(n): if far_a(n) chunks must reach n
+//     from pre nodes all at least a ≥ 1 hops away, none of them arrives
+//     before step a, and steps a..S hold at most rounds − (a − 1) rounds,
+//     so far_a(n) ≤ in(n)·(rounds − a + 1) (a flow-over-time cut; a = 1
+//     is the plain ingress cut).
+//
+// The window depends on the budget's own steps and rounds, so Admits
+// rejects budgets the budget-free LatencyLowerBound and
+// BandwidthLowerBound allow; every budget it rejects is Unsat.
 func Admits(s *Spec, t *topology.Topology, steps, rounds int) bool {
-	if l := LatencyLowerBoundDist(s, t.Distances()); l < 0 || l > steps {
-		return false
-	}
+	dist := t.Distances()
 	capacity := t.CutCapacities()
-	return singleNodeCuts(s.P, func(inA func(topology.Node) bool) bool {
-		d := cutDemand(s, inA)
-		return d == 0 || d <= capacity(inA)*rounds
-	})
+	// far[a] counts the chunks that must reach node n and whose nearest
+	// pre node is exactly a hops away; a chunk farther than steps rejects
+	// the budget at once.
+	far := make([]int, steps+1)
+	for n := 0; n < s.P; n++ {
+		clear(far)
+		for c := 0; c < s.G; c++ {
+			if !s.Post[c][n] || s.Pre[c][n] {
+				continue
+			}
+			best := -1
+			for m := 0; m < s.P; m++ {
+				if d := dist[m][n]; s.Pre[c][m] && d >= 0 && (best < 0 || d < best) {
+					best = d
+				}
+			}
+			if best < 0 || best > steps {
+				return false
+			}
+			far[best]++
+		}
+		nn := topology.Node(n)
+		in := -1 // the ingress capacity, measured only when some chunk arrives
+		for a, sum := steps, 0; a >= 1; a-- {
+			if sum += far[a]; sum == 0 {
+				continue
+			}
+			if in < 0 {
+				in = capacity(func(m topology.Node) bool { return m != nn })
+			}
+			if sum > in*(rounds-a+1) {
+				return false
+			}
+		}
+		alone := func(m topology.Node) bool { return m == nn }
+		if cutDemand(s, alone) > capacity(alone)*rounds {
+			return false
+		}
+	}
+	return true
 }
 
 // Bounds carries the latency (steps) and bandwidth (R/C) lower bounds for

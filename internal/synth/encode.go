@@ -33,7 +33,10 @@ type Options struct {
 	Timeout      time.Duration
 	// ProveUnsat enables solver proof recording: on an Unsat answer the
 	// Result carries a checkable RUP refutation (Result.Proof), turning
-	// the procedure's optimality claims into verifiable certificates.
+	// the procedure's optimality claims into verifiable certificates. It
+	// also skips the collective.Admits check that otherwise answers a
+	// budget the cut bounds refute as Unsat without encoding it, so such
+	// a budget is refuted by the solver and gets its proof.
 	ProveUnsat bool
 	// NoSymmetryBreak disables chunk-symmetry breaking. Chunks with
 	// identical pre and post rows are interchangeable, so the encoder
@@ -68,7 +71,10 @@ type Result struct {
 	Solve  time.Duration
 	// Proof is the recorded refutation when Options.ProveUnsat was set
 	// and the answer is Unsat (nil for pruning-detected infeasibility,
-	// where the certificate is the unreachable requirement itself).
+	// where the certificate is the unreachable requirement itself). An
+	// Unsat from the collective.Admits check, which runs only without
+	// ProveUnsat, carries no proof either: its certificate is the
+	// overloaded cut.
 	Proof *sat.Proof
 	// Core, on an Unsat session probe, classifies the final conflict by
 	// the budget-assumption groups it involved (nil when the probe was
@@ -339,6 +345,11 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 	var res Result
 	if err := in.Validate(); err != nil {
 		return res, err
+	}
+	if !opts.ProveUnsat && !collective.Admits(in.Coll, in.Topo, in.Steps, in.Round) {
+		// A budget the cut bounds refute needs no formula.
+		res.Status = sat.Unsat
+		return res, nil
 	}
 	t0 := time.Now()
 	e := encodePaperTemplate(in, opts, tmpl)

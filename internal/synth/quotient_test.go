@@ -203,12 +203,20 @@ func TestQuotientLiftValidates(t *testing.T) {
 // NoQuotient run of the same instance), while its path counters stay
 // those of the full encode.
 func TestQuotientFallbackCountsBothSolves(t *testing.T) {
-	topo := topology.BidirRing(6)
-	coll, err := collective.New(collective.Allgather, topo.P, 2, 0)
+	spec, err := topology.ParseSpec("bus:4:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := Instance{Coll: coll, Topo: topo, Steps: 3, Round: 4}
+	topo, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll, err := collective.New(collective.Allgather, topo.P, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// collective.Admits allows this budget, so both runs reach the solver.
+	in := Instance{Coll: coll, Topo: topo, Steps: 2, Round: 3}
 	on, err := Synthesize(in, Options{})
 	if err != nil {
 		t.Fatal(err)
