@@ -63,7 +63,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 1030, 6098342)
+		pinSolverWork(t, st.ProbeStats, 1030, 6090050)
 	})
 	t.Run("pareto-fabrics", func(t *testing.T) {
 		if testing.Short() {
@@ -74,11 +74,11 @@ func TestWorkloadCountsPinned(t *testing.T) {
 			{topology: "multinode:dgx1:4:2:2", kind: sccl.Allgather, k: 0, maxSteps: 7, maxChunks: 1},
 		})
 		got := [4]int{st.Probes, st.QuotientProbes, st.QuotientFallbacks, st.SymmetryPerms}
-		want := [4]int{3, 1, 0, 2}
+		want := [4]int{3, 1, 0, 1}
 		if got != want {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 8549, 727303)
+		pinSolverWork(t, st.ProbeStats, 1864, 494831)
 	})
 	t.Run("pareto-chains", func(t *testing.T) {
 		if testing.Short() {
@@ -93,7 +93,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 16032, 6034414)
+		pinSolverWork(t, st.ProbeStats, 16016, 6019415)
 	})
 	// The 32 Table 4 requests of the table4-dgx1 workload, in the order
 	// eval lists them (and bench/testdata/table4_dgx1.json, which
@@ -136,7 +136,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 5121, 2903132)
+		pinSolverWork(t, st.ProbeStats, 5111, 2889350)
 	})
 }
 
