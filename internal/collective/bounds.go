@@ -34,16 +34,7 @@ func latencyLowerBound(s *Spec, dist func(from, to int) int) int {
 			if !s.Post[c][n] || s.Pre[c][n] {
 				continue
 			}
-			best := -1
-			for m := 0; m < s.P; m++ {
-				if !s.Pre[c][m] {
-					continue
-				}
-				d := dist(m, n)
-				if d >= 0 && (best == -1 || d < best) {
-					best = d
-				}
-			}
+			best := nearestPre(s, c, n, dist)
 			if best == -1 {
 				return -1
 			}
@@ -53,6 +44,22 @@ func latencyLowerBound(s *Spec, dist func(from, to int) int) int {
 		}
 	}
 	return max
+}
+
+// nearestPre returns the hop distance from chunk c's nearest pre node to
+// node n, or -1 when none reaches it.
+func nearestPre(s *Spec, c, n int, dist func(from, to int) int) int {
+	best := -1
+	for m := 0; m < s.P; m++ {
+		if !s.Pre[c][m] {
+			continue
+		}
+		d := dist(m, n)
+		if d >= 0 && (best == -1 || d < best) {
+			best = d
+		}
+	}
+	return best
 }
 
 // cutDemand counts chunks that must cross from the node set A (inA true)
@@ -163,6 +170,7 @@ func singleNodeCuts(p int, visit func(inA func(topology.Node) bool)) {
 // BandwidthLowerBound allow; every budget it rejects is Unsat.
 func Admits(s *Spec, t *topology.Topology, steps, rounds int) bool {
 	dist := t.Distances()
+	hops := func(m, n int) int { return dist[m][n] }
 	capacity := t.CutCapacities()
 	// far[a] counts the chunks that must reach node n and whose nearest
 	// pre node is exactly a hops away; a chunk farther than steps rejects
@@ -174,12 +182,7 @@ func Admits(s *Spec, t *topology.Topology, steps, rounds int) bool {
 			if !s.Post[c][n] || s.Pre[c][n] {
 				continue
 			}
-			best := -1
-			for m := 0; m < s.P; m++ {
-				if d := dist[m][n]; s.Pre[c][m] && d >= 0 && (best < 0 || d < best) {
-					best = d
-				}
-			}
+			best := nearestPre(s, c, n, hops)
 			if best < 0 || best > steps {
 				return false
 			}
