@@ -80,8 +80,24 @@ type Totalizer struct {
 // counting semantics are encoded, so outputs can be used positively
 // ("count >= k") and negatively ("count <= k").
 func NewTotalizer(s Adder, lits []sat.Lit) *Totalizer {
-	out := buildTotalizer(s, lits)
-	return &Totalizer{Outputs: out}
+	regs := make([][]sat.Lit, len(lits))
+	for i := range lits {
+		regs[i] = lits[i : i+1]
+	}
+	return MergeSorted(s, regs, len(lits))
+}
+
+// MergeSorted builds a totalizer counting the union of presorted unary
+// registers — each register[j] true iff at least j+1 of its own inputs are
+// — merged pairwise in a balanced tree with every node's outputs capped at
+// cap. Outputs[j] (j < cap) is exactly "count >= j+1" in both directions;
+// counts past cap are not distinguished, so a caller comparing the count
+// against k loses nothing with cap = k+1 (the k-simplified totalizer,
+// Büttner & Rintanen 2005). The order-encoding literals of a bounded
+// integer variable are such a register, counting its value above its
+// lower bound, so a sum of integers needs no re-sorting of its literals.
+func MergeSorted(s Adder, regs [][]sat.Lit, cap int) *Totalizer {
+	return &Totalizer{Outputs: mergeTree(s, regs, cap)}
 }
 
 // MergeTotalizers combines two unary output registers into one totalizer
@@ -102,25 +118,28 @@ func MergeTotalizers(s Adder, left, right *Totalizer) *Totalizer {
 	case right == nil || len(right.Outputs) == 0:
 		return &Totalizer{Outputs: append([]sat.Lit(nil), left.Outputs...)}
 	}
-	return &Totalizer{Outputs: mergeRegisters(s, left.Outputs, right.Outputs)}
+	return &Totalizer{Outputs: mergeRegisters(s, left.Outputs, right.Outputs, len(left.Outputs)+len(right.Outputs))}
 }
 
-func buildTotalizer(s Adder, lits []sat.Lit) []sat.Lit {
-	switch len(lits) {
+func mergeTree(s Adder, regs [][]sat.Lit, cap int) []sat.Lit {
+	switch len(regs) {
 	case 0:
 		return nil
 	case 1:
-		return []sat.Lit{lits[0]}
+		return append([]sat.Lit(nil), regs[0][:min(len(regs[0]), cap)]...)
 	}
-	mid := len(lits) / 2
-	left := buildTotalizer(s, lits[:mid])
-	right := buildTotalizer(s, lits[mid:])
-	return mergeRegisters(s, left, right)
+	mid := len(regs) / 2
+	left := mergeTree(s, regs[:mid], cap)
+	right := mergeTree(s, regs[mid:], cap)
+	return mergeRegisters(s, left, right, cap)
 }
 
-// mergeRegisters emits the totalizer merge of two unary registers.
-func mergeRegisters(s Adder, left, right []sat.Lit) []sat.Lit {
-	n := len(left) + len(right)
+// mergeRegisters emits the totalizer merge of two unary registers, with
+// the output register cut at cap literals. Inputs longer than cap never
+// matter: every clause reads left[a-1] or left[a] only for a+b <= cap. A
+// cap of len(left)+len(right) is the full, uncapped merge.
+func mergeRegisters(s Adder, left, right []sat.Lit, cap int) []sat.Lit {
+	n := min(len(left)+len(right), cap)
 	out := make([]sat.Lit, n)
 	for i := range out {
 		out[i] = sat.PosLit(s.NewVar())
@@ -129,11 +148,11 @@ func mergeRegisters(s Adder, left, right []sat.Lit) []sat.Lit {
 	for j := 1; j < n; j++ {
 		s.AddClause(out[j].Neg(), out[j-1])
 	}
-	// Merge: for all a in [0..len(left)], b in [0..len(right)]:
+	// Merge: for all a in [0..len(left)], b in [0..len(right)], a+b <= n:
 	//   left>=a && right>=b -> out>=a+b         (upper direction)
 	//   left<a+1 && right<b+1 -> out<a+b+1      (lower direction)
-	for a := 0; a <= len(left); a++ {
-		for b := 0; b <= len(right); b++ {
+	for a := 0; a <= min(len(left), n); a++ {
+		for b := 0; b <= min(len(right), n-a); b++ {
 			if a+b > 0 {
 				// left>=a ∧ right>=b → out>=a+b
 				cl := make([]sat.Lit, 0, 3)
@@ -285,94 +304,4 @@ func (t *UpperTotalizer) AssertAtMost(s Adder, k int) {
 		return
 	}
 	s.AddClause(t.Outputs[k].Neg())
-}
-
-// SequentialAtMostK adds Sinz's sequential-counter encoding of
-// "at most k of lits", an alternative to the totalizer used by the
-// encoding ablation benchmarks.
-func SequentialAtMostK(s Adder, lits []sat.Lit, k int) {
-	n := len(lits)
-	if k >= n {
-		return
-	}
-	if k <= 0 {
-		for _, l := range lits {
-			s.AddClause(l.Neg())
-		}
-		return
-	}
-	// reg[i][j]: among lits[0..i], at least j+1 are true.
-	reg := make([][]sat.Lit, n)
-	for i := range reg {
-		reg[i] = make([]sat.Lit, k)
-		for j := range reg[i] {
-			reg[i][j] = sat.PosLit(s.NewVar())
-		}
-	}
-	s.AddClause(lits[0].Neg(), reg[0][0])
-	for j := 1; j < k; j++ {
-		s.AddClause(reg[0][j].Neg())
-	}
-	for i := 1; i < n; i++ {
-		s.AddClause(lits[i].Neg(), reg[i][0])
-		s.AddClause(reg[i-1][0].Neg(), reg[i][0])
-		for j := 1; j < k; j++ {
-			s.AddClause(lits[i].Neg(), reg[i-1][j-1].Neg(), reg[i][j])
-			s.AddClause(reg[i-1][j].Neg(), reg[i][j])
-		}
-		s.AddClause(lits[i].Neg(), reg[i-1][k-1].Neg())
-	}
-}
-
-// AtMostK asserts that at most k of lits are true, choosing an encoding by
-// size.
-func AtMostK(s Adder, lits []sat.Lit, k int) {
-	if k >= len(lits) {
-		return
-	}
-	if k == 0 {
-		for _, l := range lits {
-			s.AddClause(l.Neg())
-		}
-		return
-	}
-	if k == 1 {
-		AtMostOne(s, lits)
-		return
-	}
-	t := NewTotalizer(s, lits)
-	t.AssertAtMost(s, k)
-}
-
-// AtLeastK asserts that at least k of lits are true.
-func AtLeastK(s Adder, lits []sat.Lit, k int) {
-	if k <= 0 {
-		return
-	}
-	if k == 1 {
-		s.AddClause(lits...)
-		return
-	}
-	if k > len(lits) {
-		s.AddClause()
-		return
-	}
-	t := NewTotalizer(s, lits)
-	t.AssertAtLeast(s, k)
-}
-
-// ExactlyK asserts that exactly k of lits are true.
-func ExactlyK(s Adder, lits []sat.Lit, k int) {
-	if k < 0 || k > len(lits) {
-		s.AddClause()
-		return
-	}
-	if k == 0 {
-		for _, l := range lits {
-			s.AddClause(l.Neg())
-		}
-		return
-	}
-	t := NewTotalizer(s, lits)
-	t.AssertExactly(s, k)
 }

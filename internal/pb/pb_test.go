@@ -102,7 +102,7 @@ func TestAtMostKModelCounts(t *testing.T) {
 		for k := 0; k <= n; k++ {
 			s := sat.NewSolver()
 			vars, lits := mkVars(s, n)
-			AtMostK(s, lits, k)
+			NewTotalizer(s, lits).AssertAtMost(s, k)
 			want := sumChoose(n, 0, k)
 			if got := countModels(s, vars); got != want {
 				t.Errorf("n=%d k=%d: %d models, want %d", n, k, got, want)
@@ -116,7 +116,7 @@ func TestAtLeastKModelCounts(t *testing.T) {
 		for k := 0; k <= n+1; k++ {
 			s := sat.NewSolver()
 			vars, lits := mkVars(s, n)
-			AtLeastK(s, lits, k)
+			NewTotalizer(s, lits).AssertAtLeast(s, k)
 			want := sumChoose(n, k, n)
 			if got := countModels(s, vars); got != want {
 				t.Errorf("n=%d k=%d: %d models, want %d", n, k, got, want)
@@ -130,23 +130,9 @@ func TestExactlyKModelCounts(t *testing.T) {
 		for k := 0; k <= n; k++ {
 			s := sat.NewSolver()
 			vars, lits := mkVars(s, n)
-			ExactlyK(s, lits, k)
+			NewTotalizer(s, lits).AssertExactly(s, k)
 			if got := countModels(s, vars); got != choose(n, k) {
 				t.Errorf("n=%d k=%d: %d models, want %d", n, k, got, choose(n, k))
-			}
-		}
-	}
-}
-
-func TestSequentialAtMostK(t *testing.T) {
-	for n := 2; n <= 7; n++ {
-		for k := 0; k <= n; k++ {
-			s := sat.NewSolver()
-			vars, lits := mkVars(s, n)
-			SequentialAtMostK(s, lits, k)
-			want := sumChoose(n, 0, k)
-			if got := countModels(s, vars); got != want {
-				t.Errorf("n=%d k=%d: %d models, want %d", n, k, got, want)
 			}
 		}
 	}
@@ -214,7 +200,7 @@ func TestTotalizerAtLeastLiteral(t *testing.T) {
 func TestAtLeastKImpossible(t *testing.T) {
 	s := sat.NewSolver()
 	_, lits := mkVars(s, 3)
-	AtLeastK(s, lits, 4)
+	NewTotalizer(s, lits).AssertAtLeast(s, 4)
 	if s.Solve() != sat.Unsat {
 		t.Fatal("k > n should be Unsat")
 	}
@@ -223,9 +209,9 @@ func TestAtLeastKImpossible(t *testing.T) {
 func TestExactlyKInvalid(t *testing.T) {
 	s := sat.NewSolver()
 	_, lits := mkVars(s, 3)
-	ExactlyK(s, lits, -1)
+	NewTotalizer(s, lits).AssertExactly(s, 4)
 	if s.Solve() != sat.Unsat {
-		t.Fatal("negative k should be Unsat")
+		t.Fatal("k > n should be Unsat")
 	}
 }
 
@@ -235,17 +221,6 @@ func BenchmarkTotalizer64(b *testing.B) {
 		_, lits := mkVars(s, 64)
 		tot := NewTotalizer(s, lits)
 		tot.AssertAtMost(s, 32)
-		if s.Solve() != sat.Sat {
-			b.Fatal("want Sat")
-		}
-	}
-}
-
-func BenchmarkSequentialCounter64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := sat.NewSolver()
-		_, lits := mkVars(s, 64)
-		SequentialAtMostK(s, lits, 32)
 		if s.Solve() != sat.Sat {
 			b.Fatal("want Sat")
 		}
@@ -321,5 +296,53 @@ func TestMergeTotalizersEmptySides(t *testing.T) {
 	}
 	if got := MergeTotalizers(s, nil, nil); len(got.Outputs) != 0 {
 		t.Errorf("nil merge should be empty: %v", got.Outputs)
+	}
+}
+
+// TestMergeRegistersCapped checks the capped merge on every sorted
+// assignment of two registers of up to three literals and every cap: the
+// register has min(len(left)+len(right), cap) outputs, and each is forced
+// to exactly [count >= j+1] — the opposite value is Unsat.
+func TestMergeRegistersCapped(t *testing.T) {
+	for nl := 0; nl <= 3; nl++ {
+		for nr := 0; nr <= 3; nr++ {
+			for cl := 0; cl <= nl; cl++ {
+				for cr := 0; cr <= nr; cr++ {
+					for cap := 1; cap <= nl+nr+1; cap++ {
+						s := sat.NewSolver()
+						_, left := mkVars(s, nl)
+						_, right := mkVars(s, nr)
+						for i, l := range left {
+							if i >= cl {
+								l = l.Neg()
+							}
+							s.AddClause(l)
+						}
+						for i, l := range right {
+							if i >= cr {
+								l = l.Neg()
+							}
+							s.AddClause(l)
+						}
+						out := mergeRegisters(s, left, right, cap)
+						if want := min(nl+nr, cap); len(out) != want {
+							t.Fatalf("|left|=%d |right|=%d cap=%d: %d outputs, want %d", nl, nr, cap, len(out), want)
+						}
+						for j, o := range out {
+							if cl+cr < j+1 {
+								o = o.Neg()
+							}
+							if s.Solve(o.Neg()) != sat.Unsat {
+								t.Errorf("left %d/%d right %d/%d cap=%d: out[%d] is not forced to count>=%d",
+									cl, nl, cr, nr, cap, j, j+1)
+							}
+						}
+						if s.Solve() != sat.Sat {
+							t.Errorf("left %d/%d right %d/%d cap=%d: merge is Unsat", cl, nl, cr, nr, cap)
+						}
+					}
+				}
+			}
+		}
 	}
 }

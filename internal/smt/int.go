@@ -10,7 +10,8 @@
 // needs: bounded integer variables, comparisons with constants, strict
 // inequalities between variables guarded by a Boolean (constraint C4),
 // cardinality sums compared against scaled integer variables (C5), and
-// fixed-total sums (C6).
+// fixed-total sums of integer variables (C6), merged from the variables'
+// own order registers.
 package smt
 
 import (
@@ -224,23 +225,27 @@ func (c *Context) AndLit(lits ...sat.Lit) sat.Lit {
 	return r
 }
 
-// AssertSumEquals forces Σ vars = total via a totalizer over the unary
-// order literals (SCCL constraint C6: Σ r_s = R).
+// AssertSumEquals forces Σ vars = total (SCCL constraint C6: Σ r_s = R).
+// Each variable's order literals are already a sorted unary register
+// counting x − Lo, so the registers are merged as they are (pb.MergeSorted)
+// into one counting Σ (x − Lo), and that count must equal k = total − Σ Lo.
+// Only its thresholds k and k+1 are read, so every merge is capped at
+// k+1 outputs: the clause count is linear in len(vars)·k² instead of
+// quadratic in the total number of order literals.
 func (c *Context) AssertSumEquals(vars []*IntVar, total int) {
-	base := 0
-	var lits []sat.Lit
+	k := total
+	regs := make([][]sat.Lit, 0, len(vars))
 	for _, v := range vars {
-		base += v.Lo
-		lits = append(lits, v.ge...)
+		k -= v.Lo
+		if len(v.ge) > 0 {
+			regs = append(regs, v.ge)
+		}
 	}
-	k := total - base
-	if k < 0 || k > len(lits) {
+	if k < 0 {
 		c.Solver.AddClause()
 		return
 	}
-	// Order constraints make the count of true ge-literals equal
-	// Σ (x_i - lo_i), so exactly-k pins the sum.
-	pb.ExactlyK(c.Solver, lits, k)
+	pb.MergeSorted(c.Solver, regs, k+1).AssertExactly(c.Solver, k)
 }
 
 // CountLeScaled encodes count(lits true) <= factor * v for integer

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,93 @@ func TestSumEqualsInfeasible(t *testing.T) {
 	c.AssertSumEquals(vars, 9)
 	if c.Solve() != sat.Unsat {
 		t.Fatal("sum 9 impossible")
+	}
+}
+
+// TestSumEqualsExhaustive checks C6 against brute force on up to three
+// variables over mixed domains (zero and positive lower bounds, fixed
+// variables) and every total from below to above the reachable range: the
+// models are exactly the value tuples summing to the total.
+func TestSumEqualsExhaustive(t *testing.T) {
+	domains := [][2]int{{0, 0}, {2, 2}, {0, 2}, {1, 3}, {2, 5}}
+	var tuples [][][2]int
+	for _, a := range domains {
+		tuples = append(tuples, [][2]int{a})
+		for _, b := range domains {
+			tuples = append(tuples, [][2]int{a, b})
+			for _, c := range domains {
+				tuples = append(tuples, [][2]int{a, b, c})
+			}
+		}
+	}
+	for _, doms := range tuples {
+		lo, hi := 0, 0
+		for _, d := range doms {
+			lo += d[0]
+			hi += d[1]
+		}
+		for total := lo - 2; total <= hi+2; total++ {
+			want := 0
+			var count func(i, sum int)
+			count = func(i, sum int) {
+				if i == len(doms) {
+					if sum == total {
+						want++
+					}
+					return
+				}
+				for x := doms[i][0]; x <= doms[i][1]; x++ {
+					count(i+1, sum+x)
+				}
+			}
+			count(0, 0)
+			c := NewContext()
+			vars := make([]*IntVar, len(doms))
+			for i, d := range doms {
+				vars[i] = c.NewIntVar(fmt.Sprint("x", i), d[0], d[1])
+			}
+			c.AssertSumEquals(vars, total)
+			got := 0
+			for c.Solve() == sat.Sat {
+				got++
+				sum := 0
+				var block []sat.Lit
+				for _, v := range vars {
+					x := c.Value(v)
+					sum += x
+					block = append(block, c.EqLit(v, x).Neg())
+				}
+				if sum != total {
+					t.Fatalf("%v total %d: model sums to %d", doms, total, sum)
+				}
+				if got > want || !c.AddClause(block...) {
+					break
+				}
+			}
+			if got != want {
+				t.Errorf("%v total %d: %d models, want %d", doms, total, got, want)
+			}
+		}
+	}
+}
+
+// TestSumEqualsClauseCount pins the size of C6 for the round variables
+// of a ring:9 Alltoall (2,8,72) probe: 8 steps over [1,65] summing to 72.
+// Capping the merges at R − S + 1 outputs gives 30 925 clauses; the
+// uncapped totalizer over all 512 order literals took 274 945.
+func TestSumEqualsClauseCount(t *testing.T) {
+	c := NewContext()
+	vars := make([]*IntVar, 8)
+	for i := range vars {
+		vars[i] = c.NewIntVar(fmt.Sprint("r_", i), 1, 65)
+	}
+	before := c.Solver.NumClauses()
+	c.AssertSumEquals(vars, 72)
+	if got := c.Solver.NumClauses() - before; got > 35000 {
+		t.Fatalf("C6 took %d clauses, want <= 35000", got)
+	}
+	if c.Solve() != sat.Sat {
+		t.Fatal("want Sat")
 	}
 }
 
