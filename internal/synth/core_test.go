@@ -192,9 +192,9 @@ func TestSessionCoreIsFinalConflict(t *testing.T) {
 }
 
 // TestParetoUnsatCorePruning is the acceptance sweep: on the bidir-ring
-// Broadcast suite the scheduler must skip dominated candidates
-// (PrunedProbes > 0) while returning a frontier byte-identical to the
-// session-less one-shot sweep, for both worker counts. The sweep also
+// Broadcast suite the serial scheduler must skip dominated candidates
+// (PrunedProbes > 0), and both worker counts must return a frontier
+// byte-identical to the session-less one-shot sweep. The sweep also
 // loses chain-top gambles (a capped top probe that answers Unknown is
 // discarded); their encode and solve walls must land in the stats like
 // their probe wall does.
@@ -243,7 +243,10 @@ func TestParetoUnsatCorePruning(t *testing.T) {
 		if stats.CoreSolves == 0 {
 			t.Errorf("workers=%d: no Unsat probe produced a core: %+v", workers, stats)
 		}
-		if stats.PrunedProbes == 0 {
+		// At Workers 4 the speculative probes can all resolve before any
+		// core that would prune them exists, so pruning is asserted only
+		// in the deterministic serial half.
+		if workers == 1 && stats.PrunedProbes == 0 {
 			t.Errorf("workers=%d: dominance pruning never fired: %+v", workers, stats)
 		}
 		t.Logf("workers=%d: probes=%d pruned=%d coreSolves=%d prunedProbes=%d solve=%s",
