@@ -9,6 +9,13 @@
 // true iff at least j of the inputs are true. Comparisons against constants
 // or order-encoded integers then become single literals or small clause
 // sets, which keeps the SCCL bandwidth constraints (C5) compact.
+//
+// A totalizer is a balanced tree of register merges whose leaves are
+// single inputs. MergeSorted builds the same tree over leaves that are
+// already sorted registers, such as the order literals of bounded integer
+// variables, and caps every merge at a count of interest. A sum compared
+// with k then costs O(len·k²) clauses for len registers, however long the
+// registers are (C6, the round total).
 package pb
 
 import "repro/internal/sat"

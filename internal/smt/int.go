@@ -230,8 +230,8 @@ func (c *Context) AndLit(lits ...sat.Lit) sat.Lit {
 // counting x − Lo, so the registers are merged as they are (pb.MergeSorted)
 // into one counting Σ (x − Lo), and that count must equal k = total − Σ Lo.
 // Only its thresholds k and k+1 are read, so every merge is capped at
-// k+1 outputs: the clause count is linear in len(vars)·k² instead of
-// quadratic in the total number of order literals.
+// k+1 outputs: the clause count is O(len(vars)·k²) instead of quadratic
+// in the total number of order literals.
 func (c *Context) AssertSumEquals(vars []*IntVar, total int) {
 	k := total
 	regs := make([][]sat.Lit, 0, len(vars))
