@@ -386,7 +386,10 @@ func synthesizeCDCLTemplate(ctx context.Context, in Instance, opts Options, tmpl
 		// nothing about the instance — the quotient is a restriction — so
 		// the solve falls back to the full formula on a fresh encoding.
 		// Unknown for any other reason (timeout, cancellation) propagates.
-		budget := restrictedPhaseConflicts(res.Clauses, e.sym.order)
+		// The cap is the restricted-phase ceiling, not the clause-sized
+		// cap: the quotient's clause count says little about its search
+		// (see restrictedPhaseMaxConflicts).
+		budget := int64(restrictedPhaseMaxConflicts)
 		if user, _ := e.ctx.Solver.Budget(); user > 0 && user < budget {
 			budget = user
 		}

@@ -342,8 +342,9 @@ func permKey(p topology.Perm) string {
 	return string(b)
 }
 
-// Restricted phases (equivariance-guarded solves and quotient probes)
-// run under a conflict cap sized per fabric by restrictedPhaseConflicts.
+// Restricted phases run under a conflict cap: equivariance-guarded
+// solves under one sized per fabric by restrictedPhaseConflicts, quotient
+// attempts under its ceiling, restrictedPhaseMaxConflicts.
 // A restriction that is going to pay off collapses the search to a
 // small fraction of the unrestricted effort (the torus:6x6 Allgather
 // witness lands in ~270 conflicts, the 4x-DGX-1 machine-ring witness in
@@ -366,7 +367,13 @@ const (
 	// (~300-400k clauses).
 	restrictedPhaseClauseDivisor = 128
 	// restrictedPhaseMaxConflicts ceils the cap so a restriction that is
-	// never going to collapse the search stays a bounded detour.
+	// never going to collapse the search stays a bounded detour. It is
+	// also the whole cap of a quotient attempt: the quotient emits each
+	// distinct bandwidth constraint once, so its clause count is far
+	// below the full formula's and a clause-sized cap would starve it
+	// (hypercube:4 Allgather C=4 (14,15) needs 2 902 conflicts under a
+	// clause-sized cap of 2 018, and its full-formula fallback does not
+	// finish in 400 s).
 	restrictedPhaseMaxConflicts = 12000
 )
 

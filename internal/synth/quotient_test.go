@@ -327,3 +327,67 @@ func TestRestrictedPhaseConflicts(t *testing.T) {
 		t.Errorf("unenumerable order cap %d exceeds weak-group cap %d", a, b)
 	}
 }
+
+// TestQuotientBandwidthEmittedOnce pins the size of a quotient formula
+// whose bandwidth constraints repeat under the aliases: on torus:6x6
+// Allgather (1,8,9) every orbit member's links collect its
+// representative's arrivals, and each distinct C5 constraint is lowered
+// once (204 645 clauses when every (relation, step) pair was lowered).
+func TestQuotientBandwidthEmittedOnce(t *testing.T) {
+	topo := topology.Torus2D(6, 6)
+	coll, err := collective.New(collective.Allgather, topo.P, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := encodePaperTemplate(Instance{Coll: coll, Topo: topo, Steps: 8, Round: 9}, Options{}, nil)
+	if e.qplan == nil || e.qdeclined || !e.feasible {
+		t.Fatalf("want a feasible quotient formula: plan %v declined %v feasible %v",
+			e.qplan != nil, e.qdeclined, e.feasible)
+	}
+	if n := e.ctx.Solver.NumClauses(); n > 12000 {
+		t.Errorf("quotient formula has %d clauses, want <= 12000", n)
+	}
+}
+
+// TestQuotientAnswersHypercube4Allgather is the regression test of the
+// quotient attempt's conflict cap: the deduplicated quotient of
+// hypercube:4 Allgather C=4 (14,15) needs more conflicts than a cap
+// sized by its clause count allows, and the full formula it would fall
+// back to does not finish in minutes.
+func TestQuotientAnswersHypercube4Allgather(t *testing.T) {
+	topo := topology.Hypercube(4)
+	coll, err := collective.New(collective.Allgather, topo.P, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Synthesize(Instance{Coll: coll, Topo: topo, Steps: 14, Round: 15}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != sat.Sat || res.QuotientProbes != 1 || res.QuotientFallbacks != 0 {
+		t.Errorf("status %v, quotient probes %d, fallbacks %d; want a Sat quotient answer (1, 0)",
+			res.Status, res.QuotientProbes, res.QuotientFallbacks)
+	}
+}
+
+// TestBandwidthKey checks the identity under which a quotient emission
+// lowers a C5 constraint once: the literal order does not matter, while
+// the step, the factor and each literal's multiplicity do.
+func TestBandwidthKey(t *testing.T) {
+	var k cdclStageSink
+	key := func(s, bw int, lits ...sat.Lit) string { return string(k.bandwidthKey(s, bw, lits)) }
+	base := key(3, 2, 8, 4, 4, 6)
+	if got := key(3, 2, 4, 6, 8, 4); got != base {
+		t.Error("reordered literals change the key")
+	}
+	for name, other := range map[string]string{
+		"step":         key(4, 2, 8, 4, 4, 6),
+		"bandwidth":    key(3, 1, 8, 4, 4, 6),
+		"multiplicity": key(3, 2, 8, 4, 6),
+		"literal":      key(3, 2, 8, 4, 4, 7),
+	} {
+		if other == base {
+			t.Errorf("keys differing in %s collide", name)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package synth
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/sat"
 	"repro/internal/smt"
@@ -60,11 +62,19 @@ type cdclStageSink struct {
 	// quotient and the caller must rebuild without one.
 	qplan     *quotientPlan
 	qdeclined bool
+	// bwSeen holds the keys of the C5 constraints a quotient emission has
+	// lowered (see bandwidthKey); bwLits and bwKey are its scratch.
+	bwSeen map[string]struct{}
+	bwLits []sat.Lit
+	bwKey  []byte
 }
 
 func newCDCLStageSink(e *StagedEncoder, ctx *smt.Context) *cdclStageSink {
 	k := &cdclStageSink{e: e, ctx: ctx, arrivals: map[[3]int]sat.Lit{}}
 	k.qplan = e.quotientPlanOf()
+	if k.qplan != nil {
+		k.bwSeen = map[string]struct{}{}
+	}
 	k.dist, k.distToPost = e.distances()
 	G := e.Plan.Coll.G
 	k.times = make([][]*smt.IntVar, G)
@@ -534,9 +544,39 @@ func (k *cdclStageSink) Bandwidth(s, ri int) {
 			}
 		}
 	}
-	if len(lits) > 0 {
-		k.ctx.CountLeScaled(lits, rel.Bandwidth, k.rs[s-1])
+	if len(lits) == 0 {
+		return
 	}
+	if k.bwSeen != nil {
+		// Quotient mode: the aliases make many (relation, step) pairs
+		// collect the same arrivals, and a constraint with the same
+		// literals, factor and round variable as one already lowered is
+		// already in the formula. Only aliasing repeats a multiset, so
+		// full and mega-base emissions keep their exact clause streams.
+		key := k.bandwidthKey(s, rel.Bandwidth, lits)
+		if _, dup := k.bwSeen[string(key)]; dup {
+			return
+		}
+		k.bwSeen[string(key)] = struct{}{}
+	}
+	k.ctx.CountLeScaled(lits, rel.Bandwidth, k.rs[s-1])
+}
+
+// bandwidthKey identifies the C5 constraint count(lits) <= bw * r_s: the
+// step, the factor and the sorted multiset of the literals, as
+// little-endian words. Duplicates stay: each is a distinct arrival that
+// counts toward the bandwidth. The key aliases the sink's scratch until
+// the next call.
+func (k *cdclStageSink) bandwidthKey(s, bw int, lits []sat.Lit) []byte {
+	k.bwLits = append(k.bwLits[:0], lits...)
+	slices.Sort(k.bwLits)
+	b := binary.LittleEndian.AppendUint32(k.bwKey[:0], uint32(s))
+	b = binary.LittleEndian.AppendUint32(b, uint32(bw))
+	for _, l := range k.bwLits {
+		b = binary.LittleEndian.AppendUint32(b, uint32(l))
+	}
+	k.bwKey = b
+	return b
 }
 
 func (k *cdclStageSink) Finish() {}
