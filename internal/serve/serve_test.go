@@ -1309,7 +1309,7 @@ func TestServerReplayCountsPinned(t *testing.T) {
 	// The script's solver work, as the engine exports it: one Workers:1
 	// engine solves the same formulas every run.
 	got := [2]float64{metricValue(t, ts, "sccl_engine_sat_conflicts_total"), metricValue(t, ts, "sccl_engine_quotient_fallbacks_total")}
-	if want := [2]float64{1595, 0}; got != want {
+	if want := [2]float64{2366, 0}; got != want {
 		t.Errorf("engine conflicts, quotient fallbacks = %v, want %v", got, want)
 	}
 

@@ -36,9 +36,9 @@ func TestSearchCountsPinned(t *testing.T) {
 	}
 	st := res.Stats
 	got := [6]int64{st.Conflicts, st.Decisions, st.Propagations, st.Restarts, st.Learnt, st.Removed}
-	want := [6]int64{1492, 10402, 1176635, 4, 1484, 0}
-	if res.Status != sat.Sat || got != want || res.Vars != 22868 || res.Clauses != 63333 {
-		t.Errorf("dgx1 Allgather (6,7,7): %v vars %d clauses %d {conflicts decisions propagations restarts learnt removed} = %v, want SAT 22868 63333 %v",
+	want := [6]int64{326, 3238, 98797, 1, 326, 0}
+	if res.Status != sat.Sat || got != want || res.Vars != 7976 || res.Clauses != 24201 {
+		t.Errorf("dgx1 Allgather (6,7,7): %v vars %d clauses %d {conflicts decisions propagations restarts learnt removed} = %v, want SAT 7976 24201 %v",
 			res.Status, res.Vars, res.Clauses, got, want)
 	}
 

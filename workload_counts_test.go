@@ -78,7 +78,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, quotient_probes, quotient_fallbacks, symmetry_perms = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 1864, 494765)
+		pinSolverWork(t, st.ProbeStats, 1958, 299885)
 	})
 	t.Run("pareto-chains", func(t *testing.T) {
 		if testing.Short() {
@@ -119,7 +119,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if want := [3]uint64{32, 16, 32}; got != want {
 			t.Errorf("misses, hits, algorithms = %v, want %v", got, want)
 		}
-		pinSolverWork(t, cs.ProbeStats, 8792, 397746)
+		pinSolverWork(t, cs.ProbeStats, 8480, 168124)
 	})
 	// Three plain sweeps off the harness: both ring Broadcasts adopt the
 	// mega-base after their first three refutations (60 of 63 and 69 of 72
@@ -136,7 +136,7 @@ func TestWorkloadCountsPinned(t *testing.T) {
 		if got != want {
 			t.Errorf("probes, session_probes, pruned_probes, core_solves = %v, want %v", got, want)
 		}
-		pinSolverWork(t, st.ProbeStats, 3507, 2856420)
+		pinSolverWork(t, st.ProbeStats, 3166, 2756670)
 	})
 }
 
