@@ -26,7 +26,11 @@ import (
 // constraint families (receive, causality, minimality) for c are the
 // exact π-images of rep's clauses over the aliased literals, so they
 // are skipped; cross-chunk families (bandwidth, chunk-symmetry chains,
-// the shared round variables) are emitted in full over the aliases.
+// the shared round variables) are emitted over the aliases. Under the
+// aliases many (relation, step) pairs collect the same multiset of
+// arrival literals, so bandwidth (C5) lowers each distinct constraint —
+// same step, same factor, same literal multiset — once
+// (cdclStageSink.Bandwidth).
 //
 // Soundness contract: the quotient formula is the full formula with
 // variables identified along the chosen transversal — a RESTRICTION. A
@@ -35,7 +39,9 @@ import (
 // or a conflict-cap exhaustion proves nothing about the instance
 // (bandwidth couples chunks across orbits, so an instance can be
 // satisfiable while every invariant schedule is not); callers MUST fall
-// back to the full formula then. Answers therefore never depend on the
+// back to the full formula then. The attempt runs under a fixed conflict
+// cap, restrictedPhaseMaxConflicts, not one sized by the quotient's
+// clause count. Answers therefore never depend on the
 // quotient, which is what keeps frontier (C, S, R) costs identical with
 // quotienting on or off.
 //
